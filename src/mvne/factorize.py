@@ -23,6 +23,14 @@ the community masses lam; H is the per-node embedding.
 
 Zero-degree nodes receive no update signal: their membership rows stay at
 their initial values and they are flagged in the run metadata.
+
+W must be bit-exactly symmetric in structure and values; the edge kernel
+raises ValueError otherwise. One iteration costs one pass over the stored
+entries with i <= j, which evaluates yhat once per iterate in blocks of
+_BLOCK = 16384 entries and mirrors it to the lower half, plus one
+sparse-dense product R @ B. Temporaries are O(_BLOCK d), not O(|E| d). The
+same yhat serves the objective of the iterate and the update that follows
+it. The objective's mass term is an O(n d) column sum.
 """
 
 from __future__ import annotations
@@ -36,6 +44,10 @@ import scipy.sparse as sp
 from .graph import SparseAdjacency
 
 UPDATE_FORMS = ("ratio", "literal-log")
+
+# Stored entries per block of the edge kernel; its two gathers hold
+# _BLOCK x d floats each (8 MB at d = 64).
+_BLOCK = 16384
 
 
 @dataclass
@@ -68,12 +80,19 @@ class FactorizeConfig:
 
 @dataclass
 class RunMetadata:
-    """Bookkeeping recorded by factorize()."""
+    """Bookkeeping recorded by factorize().
+
+    stop_reason is "tolerance" when the relative improvement of the last
+    iteration fell below rel_tol, else "max_iters"; final_rel_improvement is
+    that last improvement, (previous - final objective) / |previous|.
+    """
 
     iterations: int = 0
     objective: float = float("nan")
     objective_trace: list = field(default_factory=list)
     degenerate_nodes: list = field(default_factory=list)
+    stop_reason: str = ""
+    final_rel_improvement: float = float("nan")
 
     def to_dict(self):
         return {
@@ -81,7 +100,18 @@ class RunMetadata:
             "objective": self.objective,
             "objective_trace": self.objective_trace,
             "degenerate_nodes": self.degenerate_nodes,
+            "stop_reason": self.stop_reason,
+            "final_rel_improvement": self.final_rel_improvement,
         }
+
+
+def _factor_array(name: str, a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a NaN or infinite entry")
+    if (a < 0).any():
+        raise ValueError(f"{name} has a negative entry; factor entries must be nonnegative")
+    return a
 
 
 class Factorization:
@@ -95,17 +125,15 @@ class Factorization:
 
     def __init__(self, H: np.ndarray, lam: np.ndarray, mass: np.ndarray | None = None,
                  run: RunMetadata | None = None):
-        H = np.asarray(H, dtype=np.float64)
-        lam = np.asarray(lam, dtype=np.float64)
+        H = _factor_array("H", H)
+        lam = _factor_array("lam", lam)
         if H.ndim != 2:
             raise ValueError("H must be 2-D")
         if lam.shape != (H.shape[1],):
             raise ValueError("lam length must equal the number of columns of H")
-        if (H < 0).any() or (lam < 0).any():
-            raise ValueError("factor entries must be nonnegative")
         self.H = H
         self.lam = lam
-        self.mass = H * lam[None, :] if mass is None else np.asarray(mass, dtype=np.float64)
+        self.mass = H * lam[None, :] if mass is None else _factor_array("mass", mass)
         self.run = run
 
     @property
@@ -160,9 +188,30 @@ def reconstruct_dense(fac: Factorization) -> np.ndarray:
 
 
 def _yhat_at_edges(adj: SparseAdjacency, fac: Factorization) -> np.ndarray:
+    """yhat_ij at every stored entry of W, in CSR data order.
+
+    A sampled dense-dense product: only the entries with i <= j are
+    evaluated, _BLOCK at a time, and copied to their transposes.
+    """
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
     Bl = fac.mass / lam_safe[None, :]
-    return np.einsum("ep,ep->e", Bl[adj.coo_rows], fac.mass[adj.indices])
+    upper = adj.upper
+    rows, cols = adj.coo_rows[upper], adj.indices[upper]
+    half = np.empty(upper.size)
+    left = np.empty((min(_BLOCK, upper.size), fac.d))
+    right = np.empty_like(left)
+    for s in range(0, upper.size, _BLOCK):
+        e = min(s + _BLOCK, upper.size)
+        k = e - s
+        # CSR indices are in range; mode="clip" spares take() the bounds
+        # check that makes it gather through an extra buffer.
+        np.take(Bl, rows[s:e], axis=0, out=left[:k], mode="clip")
+        np.take(fac.mass, cols[s:e], axis=0, out=right[:k], mode="clip")
+        np.einsum("ep,ep->e", left[:k], right[:k], out=half[s:e])
+    yhat = np.empty(adj.nnz)
+    yhat[upper] = half
+    yhat[adj.transpose_perm[upper]] = half
+    return yhat
 
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
@@ -174,8 +223,13 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
     stored entries, and the total reconstructed mass folds to
     sum_p colsum(B)_p^2 / lam_p, so the cost is O(|E| d + n d).
     """
+    return _objective(adj, fac, _yhat_at_edges(adj, fac), epsilon)
+
+
+def _objective(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
+               epsilon: float) -> float:
     w = adj.values
-    yhat = np.maximum(_yhat_at_edges(adj, fac), epsilon)
+    yhat = np.maximum(yhat, epsilon)
     data_term = float(np.sum(w * np.log(np.maximum(w, epsilon) / yhat) - w)) if adj.nnz else 0.0
     col = fac.mass.sum(axis=0)
     lam_safe = np.maximum(fac.lam, epsilon)
@@ -187,15 +241,11 @@ def _active_mask(adj: SparseAdjacency) -> np.ndarray:
     return np.diff(adj.indptr) > 0
 
 
-def _ratio_matrix(adj: SparseAdjacency, fac: Factorization, epsilon: float) -> sp.csr_array:
-    """CSR matrix of w_ij / yhat_ij on the support of W."""
-    yhat = np.maximum(_yhat_at_edges(adj, fac), epsilon)
-    r = adj.values / yhat
-    return sp.csr_array((r, adj.indices, adj.indptr), shape=(adj.n, adj.n))
-
-
-def _update_ratio(adj: SparseAdjacency, fac: Factorization, epsilon: float) -> Factorization:
-    R = _ratio_matrix(adj, fac, epsilon)
+def _update_ratio(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
+                  epsilon: float) -> Factorization:
+    # R holds w_ij / yhat_ij on the support of W
+    r = adj.values / np.maximum(yhat, epsilon)
+    R = sp.csr_array((r, adj.indices, adj.indptr), shape=(adj.n, adj.n))
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
     mass_new = fac.mass * (R @ fac.mass) / lam_safe[None, :]
     total = mass_new.sum()
@@ -212,11 +262,12 @@ def _update_ratio(adj: SparseAdjacency, fac: Factorization, epsilon: float) -> F
     return Factorization(H_new, lam_new, mass=mass_new)
 
 
-def _update_literal_log(adj: SparseAdjacency, fac: Factorization, epsilon: float) -> Factorization:
+def _update_literal_log(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
+                        epsilon: float) -> Factorization:
     # Literal transcription of the log-kernel update, for fidelity
     # experiments only: the log factor can be negative, so the numerators
     # are clamped at zero before normalization. No monotonicity guarantee.
-    yhat = np.maximum(_yhat_at_edges(adj, fac), epsilon)
+    yhat = np.maximum(yhat, epsilon)
     logr = np.log(np.maximum(adj.values, epsilon) / yhat)
     L = sp.csr_array((logr, adj.indices, adj.indptr), shape=(adj.n, adj.n))
     LH = L @ fac.H
@@ -233,6 +284,9 @@ def _update_literal_log(adj: SparseAdjacency, fac: Factorization, epsilon: float
     return Factorization(H_new, lam_new)
 
 
+_UPDATES = {"ratio": _update_ratio, "literal-log": _update_literal_log}
+
+
 def update_step(adj: SparseAdjacency, fac: Factorization,
                 config: FactorizeConfig | None = None) -> Factorization:
     """One multiplicative update of the factorization.
@@ -241,10 +295,8 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     row-sum and mass constraints exactly (up to float rounding).
     """
     epsilon = config.epsilon if config else 1e-12
-    form = config.update_form if config else "ratio"
-    if form == "ratio":
-        return _update_ratio(adj, fac, epsilon)
-    return _update_literal_log(adj, fac, epsilon)
+    update = _UPDATES[config.update_form if config else "ratio"]
+    return update(adj, fac, _yhat_at_edges(adj, fac), epsilon)
 
 
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
@@ -256,17 +308,22 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
+    update = _UPDATES[config.update_form]
     fac = init_factorization(adj.n, config, adj.total_weight)
-    obj = kl_objective(adj, fac, config.epsilon)
+    yhat = _yhat_at_edges(adj, fac)
+    obj = _objective(adj, fac, yhat, config.epsilon)
     trace = [obj]
     best_obj, best_fac = obj, fac
+    stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        fac = update_step(adj, fac, config)
-        prev, obj = obj, kl_objective(adj, fac, config.epsilon)
+        fac = update(adj, fac, yhat, config.epsilon)
+        yhat = _yhat_at_edges(adj, fac)
+        prev, obj = obj, _objective(adj, fac, yhat, config.epsilon)
         trace.append(obj)
         if obj < best_obj:
             best_obj, best_fac = obj, fac
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
+            stop_reason = "tolerance"
             break
     degenerate = np.flatnonzero(~_active_mask(adj))
     best_fac.run = RunMetadata(
@@ -274,6 +331,8 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
         objective=best_obj,
         objective_trace=trace,
         degenerate_nodes=[int(x) for x in degenerate],
+        stop_reason=stop_reason,
+        final_rel_improvement=(prev - obj) / max(abs(prev), 1e-300),
     )
     return best_fac
 

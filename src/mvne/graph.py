@@ -34,7 +34,8 @@ class NodeRegistry:
     """Bijective map between string node identifiers and dense indices.
 
     Indices are assigned in first-appearance order, which makes every run
-    reproducible from identical inputs.
+    reproducible from identical inputs. Identifiers are non-empty and free of
+    whitespace, because the embedding file separates fields by whitespace.
     """
 
     def __init__(self):
@@ -42,9 +43,15 @@ class NodeRegistry:
         self._names = []
 
     def intern(self, name: str) -> int:
-        """Return the index for ``name``, registering it if unseen."""
+        """Return the index for ``name``, registering it if unseen.
+
+        Raises ValueError for an unseen ``name`` that is empty or holds
+        whitespace.
+        """
         idx = self._index.get(name)
         if idx is None:
+            if name.split() != [name]:
+                raise ValueError(f"node identifier {name!r} is empty or contains whitespace")
             idx = len(self._names)
             self._index[name] = idx
             self._names.append(name)
@@ -83,6 +90,8 @@ class SparseAdjacency:
         self.mat = mat
         self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
         self._coo_rows = None
+        self._upper = None
+        self._transpose_perm = None
 
     @classmethod
     def from_coo(cls, rows, cols, weights, n: int) -> "SparseAdjacency":
@@ -142,6 +151,35 @@ class SparseAdjacency:
                 np.arange(self.n, dtype=np.int64), np.diff(self.mat.indptr)
             )
         return self._coo_rows
+
+    def _symmetric_halves(self):
+        if self._upper is None:
+            rows, cols = self.coo_rows, self.indices
+            # CSR rows are sorted, so a stable sort by column lists the
+            # entries in CSR order of the transpose.
+            perm = np.argsort(cols, kind="stable")
+            if not (np.array_equal(cols[perm], rows) and np.array_equal(rows[perm], cols)
+                    and np.array_equal(self.values[perm], self.values)):
+                raise ValueError("adjacency is not bit-exactly symmetric")
+            self._upper = np.flatnonzero(rows <= cols)
+            self._transpose_perm = perm
+        return self._upper, self._transpose_perm
+
+    @property
+    def upper(self):
+        """Positions of the stored entries with i <= j, in CSR data order (cached).
+
+        Raises ValueError unless structure and values are bit-exactly symmetric.
+        """
+        return self._symmetric_halves()[0]
+
+    @property
+    def transpose_perm(self):
+        """Position of entry (j, i) for every stored entry (i, j) (cached).
+
+        Raises ValueError unless structure and values are bit-exactly symmetric.
+        """
+        return self._symmetric_halves()[1]
 
     def degrees(self):
         """Number of stored entries per row (self-loop counts once)."""
@@ -294,8 +332,11 @@ def parse_edges(source, registry: NodeRegistry, weighted: bool = True):
                     raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
             else:
                 raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", line_no)
-            i = registry.intern(parts[0])
-            j = registry.intern(parts[1])
+            try:
+                i = registry.intern(parts[0])
+                j = registry.intern(parts[1])
+            except ValueError as exc:
+                raise ParseError(str(exc), line_no) from None
             rows.append(i); cols.append(j); weights.append(w)
     finally:
         if close:

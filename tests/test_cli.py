@@ -74,6 +74,14 @@ class TestEmbed:
         assert sum(doc["betas"]) == pytest.approx(1.0, abs=1e-12)
         assert doc["iterations"] >= 1
         assert "wall_time_s" in doc and "objective_trace" in doc
+        assert doc["stop_reason"] in ("tolerance", "max_iters")
+        assert "final_rel_improvement" in doc
+
+    def test_node_id_with_space_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "g.edges"
+        edges.write_text("a b\tc\nc\td\n")
+        assert run(["embed", "--edges", edges, "-d", 2, "--out", tmp_path / "emb.txt"]) == 2
+        assert "line 1" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path, dataset):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mvne
+from mvne.factorize import _BLOCK, _yhat_at_edges
 
 from conftest import make_adjacency
 
@@ -31,6 +33,23 @@ class TestInit:
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
             mvne.init_factorization(0, small_config(2), 1.0)
+
+
+class TestFactorizationChecks:
+    @pytest.mark.parametrize("H, lam, mass", [
+        ([[math.nan, 1.0]], [1.0, math.inf], None),
+        ([[math.nan, 1.0]], [1.0, 1.0], None),
+        ([[math.inf, 1.0]], [1.0, 1.0], None),
+        ([[0.5, 0.5]], [1.0, math.inf], None),
+        ([[0.5, 0.5]], [-math.inf, 1.0], None),
+        ([[0.5, 0.5]], [1.0, math.nan], None),
+        ([[0.5, 0.5]], [1.0, 1.0], [[math.nan, 0.5]]),
+        ([[0.5, 0.5]], [1.0, 1.0], [[0.5, math.inf]]),
+        ([[0.5, 0.5]], [1.0, 1.0], [[0.5, -0.5]]),
+    ])
+    def test_non_finite_or_negative_rejected(self, H, lam, mass):
+        with pytest.raises(ValueError):
+            mvne.Factorization(H, lam, mass=mass)
 
 
 class TestReconstruct:
@@ -84,6 +103,64 @@ class TestObjective:
             sparse_val = mvne.kl_objective(adj, fac)
             dense_val = mvne.dense_kl_objective(adj.mat.toarray(), fac)
             assert sparse_val == pytest.approx(dense_val, rel=1e-10)
+
+
+class TestEdgeKernel:
+    def test_matches_dense_reconstruction_across_blocks(self):
+        # more than one block of upper-half entries, plus self-loops
+        n = 300
+        rng = np.random.default_rng(41)
+        base = mvne.random_weighted_graph(n, 0.4, 41)
+        W = np.triu(base.mat.toarray())
+        loops = rng.choice(n, 25, replace=False)
+        W[loops, loops] = rng.uniform(0.5, 2.0, loops.size)
+        adj = mvne.SparseAdjacency.from_undirected(*np.nonzero(W), W[np.nonzero(W)], n)
+        assert adj.upper.size > _BLOCK
+        cfg = small_config(6, seed=41)
+        fac = mvne.update_step(adj, mvne.init_factorization(n, cfg, adj.total_weight), cfg)
+        ref = mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices]
+        got = _yhat_at_edges(adj, fac)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(got, got[adj.transpose_perm])
+
+    def test_factorize_trace_matches_stepwise(self):
+        adj = mvne.random_weighted_graph(40, 0.3, 23)
+        cfg = small_config(5, seed=23, max_iters=30)
+        run = mvne.factorize(adj, cfg).run
+        fac = mvne.init_factorization(adj.n, cfg, adj.total_weight)
+        trace = [mvne.kl_objective(adj, fac, cfg.epsilon)]
+        for _ in range(run.iterations):
+            fac = mvne.update_step(adj, fac, cfg)
+            trace.append(mvne.kl_objective(adj, fac, cfg.epsilon))
+        assert len(trace) == len(run.objective_trace)
+        assert np.allclose(run.objective_trace, trace, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows, cols, weights", [
+        ([0, 1], [1, 2], [1.0, 1.0]),  # structure
+        ([0, 1], [1, 0], [1.0, 2.0]),  # values
+    ])
+    def test_non_symmetric_adjacency_rejected(self, rows, cols, weights):
+        adj = mvne.SparseAdjacency.from_coo(rows, cols, weights, 3)
+        with pytest.raises(ValueError, match="symmetric"):
+            mvne.factorize(adj, small_config(2))
+
+    def test_update_step_temporaries_bounded_by_block(self):
+        n, d = 4000, 32
+        rng = np.random.default_rng(5)
+        adj = mvne.SparseAdjacency.from_undirected(
+            rng.integers(0, n, 150_000), rng.integers(0, n, 150_000), np.ones(150_000), n)
+        assert adj.nnz > 16 * _BLOCK
+        cfg = small_config(d, seed=5)
+        fac = mvne.init_factorization(n, cfg, adj.total_weight)
+        adj.upper  # the symmetry cache is built once per adjacency, not per step
+        tracemalloc.start()
+        try:
+            mvne.update_step(adj, fac, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # |E| x d gathers alone would take 2 * nnz * d * 8 bytes
+        assert peak < 0.5 * adj.nnz * d * 8
 
 
 class TestUpdateStep:
@@ -193,6 +270,27 @@ class TestFactorize:
         assert np.array_equal(a.H, b.H)
         assert np.array_equal(a.lam, b.lam)
         assert a.run.objective_trace == b.run.objective_trace
+
+    def test_stop_reason_tolerance(self):
+        adj, _ = make_adjacency("a\tb\t1\n")
+        cfg = small_config(1, seed=3)
+        run = mvne.factorize(adj, cfg).run
+        assert run.iterations < cfg.max_iters
+        assert run.stop_reason == "tolerance"
+        assert run.final_rel_improvement < cfg.rel_tol
+        meta = run.to_dict()
+        assert meta["stop_reason"] == "tolerance"
+        assert meta["final_rel_improvement"] == run.final_rel_improvement
+
+    def test_stop_reason_max_iters(self):
+        adj = mvne.random_weighted_graph(20, 0.3, 7)
+        run = mvne.factorize(adj, small_config(4, seed=11, max_iters=2)).run
+        assert run.iterations == 2
+        assert run.stop_reason == "max_iters"
+        prev, last = run.objective_trace[-2:]
+        assert run.final_rel_improvement == (prev - last) / abs(prev)
+        assert run.final_rel_improvement >= 1e-6
+        assert run.to_dict()["stop_reason"] == "max_iters"
 
     def test_edgeless_rejected(self):
         adj = mvne.SparseAdjacency.empty(4)

@@ -58,6 +58,17 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="weight column"):
             mvne.load_edge_list(io.StringIO("a\tb\t2.0\n"), reg, weighted=False)
 
+    @pytest.mark.parametrize("text, line", [
+        ("x\ty\na b\tc\n", 2),
+        ("a\tb c\t2.0\n", 1),
+        ("a\t\t2.0\n", 1),
+        ("a\u00a0b\tc\n", 1),
+    ])
+    def test_node_id_with_whitespace_rejected(self, text, line):
+        # the embedding file is whitespace-separated, so such ids cannot round-trip
+        with pytest.raises(ParseError, match=f"line {line}: node identifier"):
+            make_adjacency(text)
+
     def test_space_separated_fallback(self):
         adj, _ = make_adjacency("a b 2.0\nb c\n")
         assert adj.total_weight == 2 * 2.0 + 2 * 1.0
