@@ -15,12 +15,11 @@ import time
 
 from . import __version__
 from .evaluate import EvalProtocol, run_protocol
-from .factorize import (FactorizeConfig, embedding, read_embedding,
+from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
                         write_embedding, write_run_metadata)
 from .graph import (LabelStore, MultiViewGraph, ParseError, build_multiview,
                     read_manifest, view_stats, write_edge_list)
-from .multiview import (MvneConfig, ViewWeights, combine_views, default_betas,
-                        mvne_embed)
+from .multiview import ViewWeights, combine_views, default_betas
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
@@ -141,18 +140,14 @@ def cmd_embed(args) -> int:
     betas = ViewWeights(_parse_floats(args.beta)) if args.beta else None
     if betas is not None and betas.k != graph.k:
         raise ParseError(f"got {betas.k} betas for {graph.k} views")
-    config = MvneConfig(
-        factorize=FactorizeConfig(
-            d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
-            seed=args.seed, update_form=args.update_form,
-        ),
-        betas=betas,
-        normalize_views=not args.no_normalize_views,
-    )
-    fac = mvne_embed(graph, config)
+    config = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
+                             seed=args.seed, update_form=args.update_form)
+    normalize_views = not args.no_normalize_views
     used_betas = betas if betas is not None else default_betas(graph)
+    # mvne_embed's two steps, keeping the combined view for --export-combined
+    combined = combine_views(graph, used_betas, normalize_views)
+    fac = factorize(combined, config)
     if args.export_combined:
-        combined = combine_views(graph, used_betas, config.normalize_views)
         write_edge_list(combined, graph.registry, args.export_combined)
     names = graph.registry.names
     write_embedding(args.out, embedding(fac), names)
@@ -163,7 +158,7 @@ def cmd_embed(args) -> int:
         meta.update({
             "views": graph.view_names,
             "betas": [float(b) for b in used_betas.beta],
-            "normalize_views": config.normalize_views,
+            "normalize_views": normalize_views,
             "d": args.dim,
             "seed": args.seed,
             "update_form": args.update_form,

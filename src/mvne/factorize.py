@@ -48,6 +48,8 @@ UPDATE_FORMS = ("ratio", "literal-log")
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (8 MB at d = 64).
 _BLOCK = 16384
+# Embedding rows formatted per write; their strings stay under 0.4 MB at d = 128.
+_WRITE_ROWS = 128
 
 
 @dataclass
@@ -343,12 +345,21 @@ def embedding(fac: Factorization) -> np.ndarray:
 
 
 def write_embedding(path, X: np.ndarray, names) -> None:
-    """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits)."""
+    """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
+
+    Rows are formatted and written in blocks of _WRITE_ROWS, one `%`
+    operation per row.
+    """
     X = np.asarray(X)
+    n, d = X.shape
+    line = "%s " + " ".join(["%.17g"] * d) + "\n"
+    names = iter(names)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{X.shape[0]} {X.shape[1]}\n")
-        for name, row in zip(names, X):
-            fh.write(name + " " + " ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"{n} {d}\n")
+        for start in range(0, n, _WRITE_ROWS):
+            rows = X[start:start + _WRITE_ROWS].tolist()
+            # rows first: zip then stops without drawing a name past the block
+            fh.write("".join([line % (name, *row) for row, name in zip(rows, names)]))
 
 
 def read_embedding(path):

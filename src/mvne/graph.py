@@ -19,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+# Stored entries scanned per write by write_edge_list.
+_WRITE_ENTRIES = 16384
+
 
 class ParseError(ValueError):
     """Malformed input text; carries the offending line number."""
@@ -363,14 +366,13 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
     stream, close = (open(sink, "w", encoding="utf-8"), True) \
         if isinstance(sink, (str, os.PathLike)) else (sink, False)
     try:
-        rows = adj.coo_rows
-        cols = adj.indices
-        vals = adj.values
-        for e in range(adj.nnz):
-            i, j = int(rows[e]), int(cols[e])
-            if i > j:
-                continue
-            stream.write(f"{registry.name_of(i)}\t{registry.name_of(j)}\t{float(vals[e])!r}\n")
+        rows, cols, vals = adj.coo_rows, adj.indices, adj.values
+        names = registry.names
+        for start in range(0, adj.nnz, _WRITE_ENTRIES):
+            block = slice(start, start + _WRITE_ENTRIES)
+            keep = np.flatnonzero(rows[block] <= cols[block]) + start
+            stream.write("".join([f"{names[i]}\t{names[j]}\t{w!r}\n" for i, j, w in zip(
+                rows[keep].tolist(), cols[keep].tolist(), vals[keep].tolist())]))
     finally:
         if close:
             stream.close()

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -8,6 +9,8 @@ import mvne
 from mvne.factorize import _BLOCK, _yhat_at_edges
 
 from conftest import make_adjacency
+
+factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
 
 def small_config(d, seed=0, **kw):
@@ -363,6 +366,25 @@ class TestEmbeddingFile:
         names2, X2 = mvne.read_embedding(path)
         assert names2 == names
         assert np.array_equal(X, X2)  # 17 significant digits round-trip float64
+
+    def test_bytes_match_per_float_format_across_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        X = rng.uniform(0, 1, (11, 4))
+        X[0] = [1 / 3, 0.1, 1e-300, 0.0]
+        X[5, 2] = 1.0
+        names = [f"v{i}" for i in range(11)]
+        expected = "11 4\n" + "".join(
+            name + " " + " ".join(f"{v:.17g}" for v in row) + "\n"
+            for name, row in zip(names, X))
+        for block in (1, 3, 11, 1024):
+            monkeypatch.setattr(factorize_module, "_WRITE_ROWS", block)
+            path = tmp_path / f"emb{block}.txt"
+            mvne.write_embedding(path, X, names)
+            assert path.read_text() == expected
+            names2, X2 = mvne.read_embedding(path)
+            assert names2 == names
+            assert np.array_equal(X, X2)
+        assert "v0 0.33333333333333331 0.10000000000000001 1e-300 0\n" in expected
 
     def test_reader_validates_shape(self, tmp_path):
         path = tmp_path / "emb.txt"

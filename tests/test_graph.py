@@ -108,6 +108,53 @@ class TestRoundTrip:
             assert np.array_equal(adj.indices, again.indices)
 
 
+def per_entry_edge_list(adj, reg):
+    """The writer's format, one f-string per stored upper entry."""
+    rows, cols, vals = adj.coo_rows, adj.indices, adj.values
+    return "".join(f"{reg.name_of(int(rows[e]))}\t{reg.name_of(int(cols[e]))}\t{float(vals[e])!r}\n"
+                   for e in range(adj.nnz) if rows[e] <= cols[e])
+
+
+class TestWriteEdgeListBlocks:
+    TEXT = ("a\ta\t0.3333333333333333\na\tb\t0.1\nb\tc\t1e-300\nc\tc\t2\n"
+            "c\td\t7\nd\ta\t0.1\ne\tb\t1e-300\ne\te\t0.1\nb\td\t3\n")
+
+    def test_bytes_match_per_entry_format_across_blocks(self, monkeypatch):
+        adj, reg = make_adjacency(self.TEXT)
+        assert adj.nnz == 15
+        expected = per_entry_edge_list(adj, reg)
+        for block in (1, 4, 7, 16384):
+            monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", block)
+            buf = io.StringIO()
+            mvne.write_edge_list(adj, reg, buf)
+            assert buf.getvalue() == expected
+        assert "\t1e-300\n" in expected and "\t0.3333333333333333\n" in expected
+
+    def test_reload_gives_same_adjacency(self, monkeypatch):
+        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 4)
+        adj, reg = make_adjacency(self.TEXT)
+        buf = io.StringIO()
+        mvne.write_edge_list(adj, reg, buf)
+        buf.seek(0)
+        again, reg2 = mvne.load_edge_list(buf, reg)
+        assert reg2.names == reg.names
+        assert np.array_equal(adj.indptr, again.indptr)
+        assert np.array_equal(adj.indices, again.indices)
+        assert np.array_equal(adj.values, again.values)
+
+    def test_non_symmetric_input_writes_its_upper_entries(self, monkeypatch):
+        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 2)
+        reg = mvne.NodeRegistry()
+        for name in "abc":
+            reg.intern(name)
+        adj = mvne.SparseAdjacency.from_coo([0, 1, 2, 2, 1], [1, 0, 0, 2, 2],
+                                            [1 / 3, 0.5, 0.1, 1e-300, 4.0], 3)
+        buf = io.StringIO()
+        mvne.write_edge_list(adj, reg, buf)
+        assert buf.getvalue() == per_entry_edge_list(adj, reg)
+        assert buf.getvalue() == "a\tb\t0.3333333333333333\nb\tc\t4.0\nc\tc\t1e-300\n"
+
+
 class TestLabels:
     def test_basic_multilabel(self):
         _, reg = make_adjacency("a\tb\n")
