@@ -17,16 +17,14 @@ from . import __version__
 from .evaluate import EvalProtocol, run_protocol
 from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
                         write_embedding, write_run_metadata)
-from .graph import (LabelStore, MultiViewGraph, ParseError, build_multiview,
-                    read_manifest, view_stats, write_edge_list)
+from .graph import (LabelStore, MultiViewGraph, ParseError, _iter_data_lines,
+                    build_multiview, read_manifest, view_stats, write_edge_list)
 from .multiview import ViewWeights, combine_views, default_betas
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker-count bound; results do not depend on it")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value defaults file; flags override it")
 
@@ -50,7 +48,6 @@ def build_parser():
     p.add_argument("-d", "--dim", type=int, default=128, help="embedding dimension")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--update-form", choices=("ratio", "literal-log"), default="ratio")
     p.add_argument("--beta", help="comma-separated explicit view weights")
     p.add_argument("--no-normalize-views", action="store_true",
                    help="combine raw view weights instead of unit-total views")
@@ -93,39 +90,35 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Inject key=value file entries as parser defaults (flags still win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ParseError("--config needs a file path")
-    overrides = {}
-    with open(argv[idx + 1], "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+# store_true flags: a config file sets one with a truthy value
+_CONFIG_FLAGS = ("--no-normalize-views", "--export-weighted")
+
+
+def _expand_config(argv):
+    """Insert the --config file's key=value lines as --key=value flags.
+
+    They go right after the subcommand, so argparse converts the values and
+    explicit flags later on the command line win. Returns the new argv and a
+    map from each inserted flag to its line number.
+    """
+    pre = argparse.ArgumentParser(prog="mvne", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    at = next((k for k, tok in enumerate(argv) if tok in COMMANDS), None)
+    if path is None or at is None:
+        return argv, {}
+    flags = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in _iter_data_lines(fh):
             if "=" not in line:
                 raise ParseError("expected key=value", line_no)
-            key, value = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest for a in action._actions}
-        action.set_defaults(**{k: _coerce(action, k, v)
-                               for k, v in overrides.items() if k in known})
-    return argv
-
-
-def _coerce(subparser, dest, value):
-    for action in subparser._actions:
-        if action.dest == dest:
-            if action.type is not None:
-                return action.type(value)
-            if isinstance(action, (argparse._StoreTrueAction,)):
-                return value.lower() in ("1", "true", "yes", "on")
-            return value
-    return value
+            key, value = (x.strip() for x in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            if flag not in _CONFIG_FLAGS:
+                flags[f"{flag}={value}"] = line_no
+            elif value.lower() in ("1", "true", "yes", "on"):
+                flags[flag] = line_no
+    return argv[:at + 1] + list(flags) + argv[at + 1:], flags
 
 
 def _load_graph(args) -> MultiViewGraph:
@@ -141,7 +134,7 @@ def cmd_embed(args) -> int:
     if betas is not None and betas.k != graph.k:
         raise ParseError(f"got {betas.k} betas for {graph.k} views")
     config = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
-                             seed=args.seed, update_form=args.update_form)
+                             seed=args.seed)
     normalize_views = not args.no_normalize_views
     used_betas = betas if betas is not None else default_betas(graph)
     # mvne_embed's two steps, keeping the combined view for --export-combined
@@ -161,7 +154,6 @@ def cmd_embed(args) -> int:
             "normalize_views": normalize_views,
             "d": args.dim,
             "seed": args.seed,
-            "update_form": args.update_form,
             "wall_time_s": time.perf_counter() - t0,
         })
         write_run_metadata(args.meta, meta)
@@ -246,10 +238,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ParseError("--threads must be >= 1")
+        argv, config_lines = _expand_config(argv)
+        args, extras = parser.parse_known_args(argv)
+        for tok in extras:
+            if tok in config_lines:
+                raise ParseError(f"unknown config key {tok[2:].split('=')[0]!r}", config_lines[tok])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return COMMANDS[args.command](args)
     except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"mvne: {exc}", file=sys.stderr)

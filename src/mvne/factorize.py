@@ -43,8 +43,6 @@ import scipy.sparse as sp
 
 from .graph import SparseAdjacency
 
-UPDATE_FORMS = ("ratio", "literal-log")
-
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (8 MB at d = 64).
 _BLOCK = 16384
@@ -65,7 +63,6 @@ class FactorizeConfig:
     rel_tol: float = 1e-6
     seed: int = 42
     epsilon: float = 1e-12
-    update_form: str = "ratio"
 
     def __post_init__(self):
         if self.d < 1:
@@ -76,8 +73,6 @@ class FactorizeConfig:
             raise ValueError("rel_tol must be >= 0")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.update_form not in UPDATE_FORMS:
-            raise ValueError(f"update_form must be one of {UPDATE_FORMS}")
 
 
 @dataclass
@@ -264,41 +259,15 @@ def _update_ratio(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
     return Factorization(H_new, lam_new, mass=mass_new)
 
 
-def _update_literal_log(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
-                        epsilon: float) -> Factorization:
-    # Literal transcription of the log-kernel update, for fidelity
-    # experiments only: the log factor can be negative, so the numerators
-    # are clamped at zero before normalization. No monotonicity guarantee.
-    yhat = np.maximum(yhat, epsilon)
-    logr = np.log(np.maximum(adj.values, epsilon) / yhat)
-    L = sp.csr_array((logr, adj.indices, adj.indptr), shape=(adj.n, adj.n))
-    LH = L @ fac.H
-    H_num = np.maximum(fac.H * LH * fac.lam[None, :], 0.0)
-    lam_num = np.maximum(fac.lam * np.einsum("ip,ip->p", fac.H, LH), 0.0)
-    H_new = fac.H.copy()
-    active = _active_mask(adj)
-    rowsum = H_num[active].sum(axis=1, keepdims=True)
-    ok = rowsum.ravel() > 0
-    idx = np.flatnonzero(active)[ok]
-    H_new[idx] = H_num[idx] / rowsum[ok]
-    lam_total = lam_num.sum()
-    lam_new = lam_num * (adj.total_weight / lam_total) if lam_total > 0 else fac.lam.copy()
-    return Factorization(H_new, lam_new)
-
-
-_UPDATES = {"ratio": _update_ratio, "literal-log": _update_literal_log}
-
-
 def update_step(adj: SparseAdjacency, fac: Factorization,
                 config: FactorizeConfig | None = None) -> Factorization:
     """One multiplicative update of the factorization.
 
-    The default ratio form does not increase kl_objective and preserves the
+    The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
     """
     epsilon = config.epsilon if config else 1e-12
-    update = _UPDATES[config.update_form if config else "ratio"]
-    return update(adj, fac, _yhat_at_edges(adj, fac), epsilon)
+    return _update_ratio(adj, fac, _yhat_at_edges(adj, fac), epsilon)
 
 
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
@@ -306,37 +275,35 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
 
     Stops when the relative objective improvement drops below
     config.rel_tol or after config.max_iters iterations, and returns the
-    best-objective iterate with run metadata attached.
+    last iterate with run metadata attached, so run.objective equals
+    run.objective_trace[-1]. The update does not increase the objective, and
+    a rise from float rounding ends the loop at once.
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
-    update = _UPDATES[config.update_form]
     fac = init_factorization(adj.n, config, adj.total_weight)
     yhat = _yhat_at_edges(adj, fac)
     obj = _objective(adj, fac, yhat, config.epsilon)
     trace = [obj]
-    best_obj, best_fac = obj, fac
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        fac = update(adj, fac, yhat, config.epsilon)
+        fac = _update_ratio(adj, fac, yhat, config.epsilon)
         yhat = _yhat_at_edges(adj, fac)
         prev, obj = obj, _objective(adj, fac, yhat, config.epsilon)
         trace.append(obj)
-        if obj < best_obj:
-            best_obj, best_fac = obj, fac
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             stop_reason = "tolerance"
             break
     degenerate = np.flatnonzero(~_active_mask(adj))
-    best_fac.run = RunMetadata(
+    fac.run = RunMetadata(
         iterations=it,
-        objective=best_obj,
+        objective=obj,
         objective_trace=trace,
         degenerate_nodes=[int(x) for x in degenerate],
         stop_reason=stop_reason,
         final_rel_improvement=(prev - obj) / max(abs(prev), 1e-300),
     )
-    return best_fac
+    return fac
 
 
 def embedding(fac: Factorization) -> np.ndarray:
@@ -380,7 +347,7 @@ def read_embedding(path):
             rows.append([float(v) for v in parts[1:]])
     if len(names) != n:
         raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
-    return names, np.asarray(rows, dtype=np.float64)
+    return names, np.asarray(rows, dtype=np.float64).reshape(n, d)
 
 
 def write_run_metadata(path, meta: dict) -> None:

@@ -13,6 +13,7 @@ View manifest: ``view_name<TAB>path``, one view per line.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -38,7 +39,8 @@ class NodeRegistry:
 
     Indices are assigned in first-appearance order, which makes every run
     reproducible from identical inputs. Identifiers are non-empty and free of
-    whitespace, because the embedding file separates fields by whitespace.
+    whitespace, because the embedding file separates fields by whitespace,
+    and do not start with ``#``, which would make an edge-list line a comment.
     """
 
     def __init__(self):
@@ -48,13 +50,14 @@ class NodeRegistry:
     def intern(self, name: str) -> int:
         """Return the index for ``name``, registering it if unseen.
 
-        Raises ValueError for an unseen ``name`` that is empty or holds
-        whitespace.
+        Raises ValueError for an unseen ``name`` that is empty, holds
+        whitespace or starts with ``#``.
         """
         idx = self._index.get(name)
         if idx is None:
-            if name.split() != [name]:
-                raise ValueError(f"node identifier {name!r} is empty or contains whitespace")
+            if name.split() != [name] or name.startswith("#"):
+                raise ValueError(f"node identifier {name!r} is empty, contains "
+                                 "whitespace or starts with '#'")
             idx = len(self._names)
             self._index[name] = idx
             self._names.append(name)
@@ -187,9 +190,6 @@ class SparseAdjacency:
     def degrees(self):
         """Number of stored entries per row (self-loop counts once)."""
         return np.diff(self.mat.indptr)
-
-    def weighted_degrees(self):
-        return np.asarray(self.mat.sum(axis=1)).ravel()
 
     def active_nodes(self):
         """Indices of nodes with degree > 0 in this view."""
@@ -331,7 +331,7 @@ def parse_edges(source, registry: NodeRegistry, weighted: bool = True):
                     w = float(parts[2])
                 except ValueError:
                     raise ParseError(f"bad weight {parts[2]!r}", line_no) from None
-                if not np.isfinite(w) or w <= 0:
+                if not math.isfinite(w) or w <= 0:
                     raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
             else:
                 raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", line_no)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorize import Factorization, FactorizeConfig, init_factorization
-from .graph import LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency
+from .graph import (LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency,
+                    write_edge_list)
 
 ORACLE_MAX_NODES = 64
 
@@ -76,7 +77,8 @@ def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorizat
     """Reference implementation of factorize() on a dense matrix.
 
     Guarded to small graphs; shares init_factorization with the sparse path
-    so the trajectories can be compared step by step.
+    so the trajectories can be compared step by step, and like factorize()
+    returns the last iterate.
     """
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[0]
@@ -87,15 +89,12 @@ def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorizat
         raise ValueError("graph has no edges; total weight is zero")
     fac = init_factorization(n, config, total)
     obj = dense_kl_objective(W, fac, config.epsilon)
-    best_obj, best_fac = obj, fac
     for _ in range(config.max_iters):
         fac = dense_update_step(W, fac, config.epsilon)
         prev, obj = obj, dense_kl_objective(W, fac, config.epsilon)
-        if obj < best_obj:
-            best_obj, best_fac = obj, fac
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             break
-    return best_fac
+    return fac
 
 
 def generate_multiview_sbm(spec: SbmSpec):
@@ -162,18 +161,7 @@ def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
         for name, adj in zip(graph.view_names, graph.views):
             fname = f"{name}.edges"
             mf.write(f"{name}\t{fname}\n")
-            with open(os.path.join(out_dir, fname), "w", encoding="utf-8") as ef:
-                rows, cols = adj.coo_rows, adj.indices
-                vals = adj.values
-                for e in range(adj.nnz):
-                    i, j = int(rows[e]), int(cols[e])
-                    if i > j:
-                        continue
-                    w = float(vals[e])
-                    line = f"{graph.registry.name_of(i)}\t{graph.registry.name_of(j)}"
-                    if w != 1.0:
-                        line += f"\t{w!r}"
-                    ef.write(line + "\n")
+            write_edge_list(adj, graph.registry, os.path.join(out_dir, fname))
     covered = set()
     for adj in graph.views:
         covered.update(int(x) for x in adj.active_nodes())

@@ -230,9 +230,31 @@ class TestMisc:
         assert run(["embed", "--edges", dataset / "view0.edges",
                     "--config", cfg, "--out", tmp_path / "e.txt"]) == 2
 
-    def test_threads_flag_does_not_change_results(self, tmp_path, dataset):
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        for out, threads in ((a, 1), (b, 4)):
-            assert run(["embed", "--edges", dataset / "view0.edges", "-d", 4,
-                        "--seed", 3, "--threads", threads, "--out", out]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_config_equals_form_is_read(self, tmp_path, dataset):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim=4\n")
+        out = tmp_path / "e.txt"
+        assert run(["embed", "--edges", dataset / "view0.edges",
+                    f"--config={cfg}", "--out", out]) == 0
+        assert out.read_text().splitlines()[0].endswith(" 4")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("# defaults\nseed=3\ndimm=5\n", 3, "dimm"),
+        ("repeats=3\n", 1, "repeats"),  # an option of `mvne eval` only
+    ])
+    def test_unknown_config_key_exits_2_naming_the_line(self, tmp_path, dataset, capsys,
+                                                         text, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run(["embed", "--edges", dataset / "view0.edges",
+                    "--config", cfg, "--out", tmp_path / "e.txt"]) == 2
+        assert f"line {line}: unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, normalized", [("true", False), ("off", True)])
+    def test_config_sets_store_true_flag(self, tmp_path, dataset, value, normalized):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no-normalize-views={value}\ndim=3\n")
+        meta = tmp_path / "meta.json"
+        assert run(["embed", "--manifest", dataset / "views.manifest", "--config", cfg,
+                    "--out", tmp_path / "e.txt", "--meta", meta]) == 0
+        assert json.loads(meta.read_text())["normalize_views"] is normalized

@@ -233,16 +233,6 @@ class TestUpdateStep:
             assert (fac.lam >= 0).all()
             assert (fac.mass >= 0).all()
 
-    def test_literal_log_form_keeps_state_in_domain(self):
-        adj = mvne.random_weighted_graph(10, 0.4, 1)
-        cfg = small_config(3, seed=1, update_form="literal-log")
-        fac = mvne.init_factorization(10, cfg, adj.total_weight)
-        for _ in range(10):
-            fac = mvne.update_step(adj, fac, cfg)
-            assert np.abs(fac.H.sum(axis=1) - 1.0).max() <= 1e-9
-            assert fac.lam.sum() == pytest.approx(adj.total_weight, rel=1e-9)
-            assert np.isfinite(fac.H).all()
-
 
 class TestFactorize:
     def test_single_edge_d1_closed_form(self):
@@ -273,6 +263,13 @@ class TestFactorize:
         assert np.array_equal(a.H, b.H)
         assert np.array_equal(a.lam, b.lam)
         assert a.run.objective_trace == b.run.objective_trace
+
+    @pytest.mark.parametrize("seed, max_iters", [(1, 500), (2, 500), (3, 7)])
+    def test_returns_the_iterate_its_metadata_describes(self, seed, max_iters):
+        adj = mvne.random_weighted_graph(25, 0.25, seed)
+        fac = mvne.factorize(adj, small_config(4, seed=seed, max_iters=max_iters))
+        assert fac.run.objective == fac.run.objective_trace[-1]
+        assert mvne.kl_objective(adj, fac) == pytest.approx(fac.run.objective, rel=1e-12)
 
     def test_stop_reason_tolerance(self):
         adj, _ = make_adjacency("a\tb\t1\n")
@@ -396,7 +393,7 @@ class TestEmbeddingFile:
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         dict(d=0), dict(d=2, max_iters=0), dict(d=2, rel_tol=-1.0),
-        dict(d=2, epsilon=0.0), dict(d=2, update_form="newton"),
+        dict(d=2, epsilon=0.0),
     ])
     def test_invalid_config_rejected(self, kw):
         with pytest.raises(ValueError):

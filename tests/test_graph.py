@@ -63,9 +63,12 @@ class TestLoadEdgeList:
         ("a\tb c\t2.0\n", 1),
         ("a\t\t2.0\n", 1),
         ("a\u00a0b\tc\n", 1),
+        ("c\t#a\nd\t#a\n", 1),
+        ("x\ty\na #b 2.0\n", 2),
     ])
     def test_node_id_with_whitespace_rejected(self, text, line):
-        # the embedding file is whitespace-separated, so such ids cannot round-trip
+        # the embedding file is whitespace-separated and a written edge-list line
+        # starting with # reads as a comment, so such ids cannot round-trip
         with pytest.raises(ParseError, match=f"line {line}: node identifier"):
             make_adjacency(text)
 
