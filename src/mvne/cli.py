@@ -34,14 +34,18 @@ def _parse_floats(text):
 
 
 def build_parser():
+    # allow_abbrev=False everywhere: a flag, and so a --config key, must be
+    # written out in full (`max=2` would otherwise set --max-iters)
     parser = argparse.ArgumentParser(
         prog="mvne",
         description="Sparse-graph node embeddings via shared-community factorization",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"mvne {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("embed", help="embed a single view or a view manifest")
+    p = sub.add_parser("embed", allow_abbrev=False,
+                       help="embed a single view or a view manifest")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--edges", help="edge-list file (single view)")
     src.add_argument("--manifest", help="view manifest file (multi-view)")
@@ -59,7 +63,8 @@ def build_parser():
                    help="write the combined view as an edge list for inspection")
     _add_common(p)
 
-    p = sub.add_parser("eval", help="score an embedding on node-label prediction")
+    p = sub.add_parser("eval", allow_abbrev=False,
+                       help="score an embedding on node-label prediction")
     p.add_argument("--embedding", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
@@ -69,14 +74,16 @@ def build_parser():
     p.add_argument("--tsv", help="plot-ready TSV output path")
     _add_common(p)
 
-    p = sub.add_parser("stats", help="per-view node/edge statistics")
+    p = sub.add_parser("stats", allow_abbrev=False,
+                       help="per-view node/edge statistics")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--edges")
     src.add_argument("--manifest")
     p.add_argument("--json", help="stats JSON output path")
     _add_common(p)
 
-    p = sub.add_parser("synth", help="generate a synthetic multi-view dataset")
+    p = sub.add_parser("synth", allow_abbrev=False,
+                       help="generate a synthetic multi-view dataset")
     p.add_argument("--nodes", type=int, default=200)
     p.add_argument("--communities", type=int, default=4)
     p.add_argument("--p-in", type=float, default=0.3)
@@ -101,7 +108,7 @@ def _expand_config(argv):
     explicit flags later on the command line win. Returns the new argv and a
     map from each inserted flag to its line number.
     """
-    pre = argparse.ArgumentParser(prog="mvne", add_help=False)
+    pre = argparse.ArgumentParser(prog="mvne", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     at = next((k for k, tok in enumerate(argv) if tok in COMMANDS), None)

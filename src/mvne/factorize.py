@@ -27,10 +27,20 @@ their initial values and they are flagged in the run metadata.
 W must be bit-exactly symmetric in structure and values; the edge kernel
 raises ValueError otherwise. One iteration costs one pass over the stored
 entries with i <= j, which evaluates yhat once per iterate in blocks of
-_BLOCK = 16384 entries and mirrors it to the lower half, plus one
-sparse-dense product R @ B. Temporaries are O(_BLOCK d), not O(|E| d). The
-same yhat serves the objective of the iterate and the update that follows
-it. The objective's mass term is an O(n d) column sum.
+_BLOCK = 2048 entries and mirrors it to the lower half, plus one
+sparse-dense product R @ B. The same yhat serves the objective of the
+iterate and the update that follows it. The objective's mass term is an
+O(n d) column sum.
+
+factorize builds what does not change between iterates once per fit (an
+_EdgePlan): the i <= j rows, columns and mirror positions as int32, the
+active rows, the ratio matrix R whose data array each iterate overwrites,
+and the yhat and gather buffers. The loop carries plain arrays, updates H in
+place, and checks one Factorization at return. The public update_step and
+kl_objective build a plan per call and run the same code. What a fit holds
+beyond B and H is O(|E| + _BLOCK d) for the plan and O(n d) for the update's
+new B and its active rows; nothing is O(|E| d), and nothing grows with the
+iteration count.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ import scipy.sparse as sp
 from .graph import SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
-# _BLOCK x d floats each (8 MB at d = 64).
-_BLOCK = 16384
+# _BLOCK x d floats each (1 MB at d = 64), allocated once per fit.
+_BLOCK = 2048
 # Embedding rows formatted per write; their strings stay under 0.4 MB at d = 128.
 _WRITE_ROWS = 128
 
@@ -184,31 +194,100 @@ def reconstruct_dense(fac: Factorization) -> np.ndarray:
     return (fac.mass / lam_safe[None, :]) @ fac.mass.T
 
 
-def _yhat_at_edges(adj: SparseAdjacency, fac: Factorization) -> np.ndarray:
-    """yhat_ij at every stored entry of W, in CSR data order.
+class _EdgePlan:
+    """What the edge kernel and the ratio update reuse between iterates.
 
-    A sampled dense-dense product: only the entries with i <= j are
-    evaluated, _BLOCK at a time, and copied to their transposes.
+    factorize builds one per fit; the public update_step and kl_objective
+    build one per call. It holds the stored entries with i <= j (rows,
+    columns, CSR positions and the positions of their transposes, as int32
+    unless the graph is too large for it), the active rows, the ratio matrix
+    R whose data array every ratio() call overwrites, and the yhat and
+    gather buffers.
     """
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    Bl = fac.mass / lam_safe[None, :]
-    upper = adj.upper
-    rows, cols = adj.coo_rows[upper], adj.indices[upper]
-    half = np.empty(upper.size)
-    left = np.empty((min(_BLOCK, upper.size), fac.d))
-    right = np.empty_like(left)
-    for s in range(0, upper.size, _BLOCK):
-        e = min(s + _BLOCK, upper.size)
-        k = e - s
-        # CSR indices are in range; mode="clip" spares take() the bounds
-        # check that makes it gather through an extra buffer.
-        np.take(Bl, rows[s:e], axis=0, out=left[:k], mode="clip")
-        np.take(fac.mass, cols[s:e], axis=0, out=right[:k], mode="clip")
-        np.einsum("ep,ep->e", left[:k], right[:k], out=half[s:e])
-    yhat = np.empty(adj.nnz)
-    yhat[upper] = half
-    yhat[adj.transpose_perm[upper]] = half
-    return yhat
+
+    def __init__(self, adj: SparseAdjacency, d: int, epsilon: float):
+        upper = adj.upper
+        itype = np.int32 if max(adj.n, adj.nnz) <= np.iinfo(np.int32).max else np.int64
+        self.upper = upper.astype(itype)
+        self.rows = adj.coo_rows[upper].astype(itype)
+        self.cols = adj.indices[upper].astype(itype)
+        self.mirror = adj.transpose_perm[upper].astype(itype)
+        self.active = np.flatnonzero(adj.degrees() > 0)
+        self.w = adj.values
+        # max(w, epsilon) is w itself unless a weight is below epsilon
+        self.w_floor = self.w if (self.w >= epsilon).all() else np.maximum(self.w, epsilon)
+        self.total_weight = adj.total_weight
+        self.epsilon = epsilon
+        self.R = sp.csr_array((np.empty(adj.nnz), adj.indices, adj.indptr),
+                              shape=(adj.n, adj.n))
+        self.yhat = np.empty(adj.nnz)
+        self.left = np.empty((min(_BLOCK, upper.size), d))
+        self.right = np.empty_like(self.left)
+        self.half = np.empty(self.left.shape[0])
+
+    def reconstruct(self, mass: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """max(yhat_ij, epsilon) at every stored entry, in CSR data order.
+
+        A sampled dense-dense product: only the entries with i <= j are
+        evaluated, _BLOCK at a time, and copied to their transposes. The
+        result is self.yhat, which the next call overwrites.
+        """
+        Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
+        left, right, half, yhat = self.left, self.right, self.half, self.yhat
+        for s in range(0, self.rows.size, _BLOCK):
+            e = min(s + _BLOCK, self.rows.size)
+            k = e - s
+            # CSR indices are in range; mode="clip" spares take() the bounds
+            # check that makes it gather through an extra buffer.
+            np.take(Bl, self.rows[s:e], axis=0, out=left[:k], mode="clip")
+            np.take(mass, self.cols[s:e], axis=0, out=right[:k], mode="clip")
+            np.einsum("ep,ep->e", left[:k], right[:k], out=half[:k])
+            yhat[self.upper[s:e]] = half[:k]
+            yhat[self.mirror[s:e]] = half[:k]
+        return np.maximum(yhat, self.epsilon, out=yhat)
+
+    def ratio(self, yhat: np.ndarray) -> None:
+        """Set R_ij = w_ij / yhat_ij, the ratio the next update multiplies by."""
+        np.divide(self.w, yhat, out=self.R.data)
+
+    def objective(self, mass: np.ndarray, lam: np.ndarray) -> float:
+        """kl_objective of (mass, lam) from its reconstruct(); overwrites self.yhat."""
+        t = self.yhat
+        np.divide(self.w_floor, t, out=t)
+        np.log(t, out=t)
+        t *= self.w
+        t -= self.w
+        data_term = float(t.sum())
+        col = mass.sum(axis=0)
+        lam_safe = np.maximum(lam, self.epsilon)
+        mass_term = float(np.sum(np.where(col > 0, col * col / lam_safe, 0.0)))
+        return data_term + mass_term
+
+    def measure(self, mass: np.ndarray, lam: np.ndarray) -> float:
+        """The objective of (mass, lam), with R set for the update from it."""
+        self.ratio(self.reconstruct(mass, lam))
+        return self.objective(mass, lam)
+
+    def update(self, mass: np.ndarray, lam: np.ndarray, H: np.ndarray):
+        """The ratio update from (mass, lam) with the R that ratio() set.
+
+        Returns the new (mass, lam) as new arrays and rewrites the active
+        rows of H in place; the rows of isolated nodes keep their values.
+        """
+        new = self.R @ mass
+        new *= mass
+        new /= np.where(lam > 0, lam, np.inf)
+        total = new.sum()
+        if total <= 0:
+            raise ValueError("update collapsed all mass; is the graph edgeless?")
+        new *= self.total_weight / total
+        rowsum = new.sum(axis=1)[self.active]
+        ok = rowsum > 0  # a fully underflowed row keeps its last memberships
+        idx = self.active[ok]
+        h = new[idx]
+        h /= rowsum[ok, None]
+        H[idx] = h
+        return new, new.sum(axis=0)
 
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
@@ -220,43 +299,9 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
     stored entries, and the total reconstructed mass folds to
     sum_p colsum(B)_p^2 / lam_p, so the cost is O(|E| d + n d).
     """
-    return _objective(adj, fac, _yhat_at_edges(adj, fac), epsilon)
-
-
-def _objective(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
-               epsilon: float) -> float:
-    w = adj.values
-    yhat = np.maximum(yhat, epsilon)
-    data_term = float(np.sum(w * np.log(np.maximum(w, epsilon) / yhat) - w)) if adj.nnz else 0.0
-    col = fac.mass.sum(axis=0)
-    lam_safe = np.maximum(fac.lam, epsilon)
-    mass_term = float(np.sum(np.where(col > 0, col * col / lam_safe, 0.0)))
-    return data_term + mass_term
-
-
-def _active_mask(adj: SparseAdjacency) -> np.ndarray:
-    return np.diff(adj.indptr) > 0
-
-
-def _update_ratio(adj: SparseAdjacency, fac: Factorization, yhat: np.ndarray,
-                  epsilon: float) -> Factorization:
-    # R holds w_ij / yhat_ij on the support of W
-    r = adj.values / np.maximum(yhat, epsilon)
-    R = sp.csr_array((r, adj.indices, adj.indptr), shape=(adj.n, adj.n))
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    mass_new = fac.mass * (R @ fac.mass) / lam_safe[None, :]
-    total = mass_new.sum()
-    if total <= 0:
-        raise ValueError("update collapsed all mass; is the graph edgeless?")
-    mass_new *= adj.total_weight / total
-    lam_new = mass_new.sum(axis=0)
-    H_new = fac.H.copy()
-    active = _active_mask(adj)
-    rowsum = mass_new[active].sum(axis=1, keepdims=True)
-    ok = rowsum.ravel() > 0  # a fully underflowed row keeps its last memberships
-    idx = np.flatnonzero(active)[ok]
-    H_new[idx] = mass_new[idx] / rowsum[ok]
-    return Factorization(H_new, lam_new, mass=mass_new)
+    plan = _EdgePlan(adj, fac.d, epsilon)
+    plan.reconstruct(fac.mass, fac.lam)
+    return plan.objective(fac.mass, fac.lam)
 
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
@@ -266,8 +311,11 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
     """
-    epsilon = config.epsilon if config else 1e-12
-    return _update_ratio(adj, fac, _yhat_at_edges(adj, fac), epsilon)
+    plan = _EdgePlan(adj, fac.d, config.epsilon if config else 1e-12)
+    plan.ratio(plan.reconstruct(fac.mass, fac.lam))
+    H = fac.H.copy()
+    mass, lam = plan.update(fac.mass, fac.lam, H)
+    return Factorization(H, lam, mass=mass)
 
 
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
@@ -281,29 +329,29 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
-    fac = init_factorization(adj.n, config, adj.total_weight)
-    yhat = _yhat_at_edges(adj, fac)
-    obj = _objective(adj, fac, yhat, config.epsilon)
+    init = init_factorization(adj.n, config, adj.total_weight)
+    H, lam, mass = init.H, init.lam, init.mass
+    del init  # the first update frees the initial mass
+    plan = _EdgePlan(adj, config.d, config.epsilon)
+    obj = plan.measure(mass, lam)
     trace = [obj]
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        fac = _update_ratio(adj, fac, yhat, config.epsilon)
-        yhat = _yhat_at_edges(adj, fac)
-        prev, obj = obj, _objective(adj, fac, yhat, config.epsilon)
+        mass, lam = plan.update(mass, lam, H)
+        prev, obj = obj, plan.measure(mass, lam)
         trace.append(obj)
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             stop_reason = "tolerance"
             break
-    degenerate = np.flatnonzero(~_active_mask(adj))
-    fac.run = RunMetadata(
+    run = RunMetadata(
         iterations=it,
         objective=obj,
         objective_trace=trace,
-        degenerate_nodes=[int(x) for x in degenerate],
+        degenerate_nodes=[int(x) for x in np.flatnonzero(adj.degrees() == 0)],
         stop_reason=stop_reason,
         final_rel_improvement=(prev - obj) / max(abs(prev), 1e-300),
     )
-    return fac
+    return Factorization(H, lam, mass=mass, run=run)
 
 
 def embedding(fac: Factorization) -> np.ndarray:

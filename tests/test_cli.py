@@ -241,6 +241,8 @@ class TestMisc:
     @pytest.mark.parametrize("text, line, key", [
         ("# defaults\nseed=3\ndimm=5\n", 3, "dimm"),
         ("repeats=3\n", 1, "repeats"),  # an option of `mvne eval` only
+        ("max=2\n", 1, "max"),  # a prefix of --max-iters
+        ("di=3\n", 1, "di"),  # a prefix of --dim
     ])
     def test_unknown_config_key_exits_2_naming_the_line(self, tmp_path, dataset, capsys,
                                                          text, line, key):

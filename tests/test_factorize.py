@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mvne
-from mvne.factorize import _BLOCK, _yhat_at_edges
+from mvne.factorize import _BLOCK, _EdgePlan
 
 from conftest import make_adjacency
 
@@ -15,6 +15,40 @@ factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize i
 
 def small_config(d, seed=0, **kw):
     return mvne.FactorizeConfig(d=d, seed=seed, **kw)
+
+
+def loops_and_isolated_node(n, density, seed, loops):
+    """A random graph on n nodes with `loops` self-loops, plus isolated node n."""
+    rng = np.random.default_rng(seed)
+    W = np.triu(mvne.random_weighted_graph(n, density, seed).mat.toarray())
+    at = rng.choice(n, loops, replace=False)
+    W[at, at] = rng.uniform(0.5, 2.0, loops)
+    return mvne.SparseAdjacency.from_undirected(*np.nonzero(W), W[np.nonzero(W)], n + 1)
+
+
+def assert_fit_matches_stepwise(adj, cfg):
+    """factorize equals update_step/kl_objective iterated by hand, bit for bit."""
+    fit = mvne.factorize(adj, cfg)
+    fac = mvne.init_factorization(adj.n, cfg, adj.total_weight)
+    trace = [mvne.kl_objective(adj, fac, cfg.epsilon)]
+    for _ in range(fit.run.iterations):
+        fac = mvne.update_step(adj, fac, cfg)
+        trace.append(mvne.kl_objective(adj, fac, cfg.epsilon))
+    assert fit.run.objective_trace == trace
+    assert np.array_equal(fit.H, fac.H)
+    assert np.array_equal(fit.lam, fac.lam)
+    assert np.array_equal(fit.mass, fac.mass)
+
+
+def edges_150k():
+    """n = 4000 nodes, 150k random edge draws: nnz is about 300k."""
+    n = 4000
+    rng = np.random.default_rng(5)
+    adj = mvne.SparseAdjacency.from_undirected(
+        rng.integers(0, n, 150_000), rng.integers(0, n, 150_000), np.ones(150_000), n)
+    assert adj.nnz > 16 * _BLOCK
+    adj.upper  # the symmetry cache is built once per adjacency, not per fit
+    return adj
 
 
 class TestInit:
@@ -112,31 +146,27 @@ class TestEdgeKernel:
     def test_matches_dense_reconstruction_across_blocks(self):
         # more than one block of upper-half entries, plus self-loops
         n = 300
-        rng = np.random.default_rng(41)
-        base = mvne.random_weighted_graph(n, 0.4, 41)
-        W = np.triu(base.mat.toarray())
-        loops = rng.choice(n, 25, replace=False)
-        W[loops, loops] = rng.uniform(0.5, 2.0, loops.size)
-        adj = mvne.SparseAdjacency.from_undirected(*np.nonzero(W), W[np.nonzero(W)], n)
+        adj = loops_and_isolated_node(n, 0.4, 41, 25)
         assert adj.upper.size > _BLOCK
         cfg = small_config(6, seed=41)
-        fac = mvne.update_step(adj, mvne.init_factorization(n, cfg, adj.total_weight), cfg)
-        ref = mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices]
-        got = _yhat_at_edges(adj, fac)
+        fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
+        ref = np.maximum(mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices], cfg.epsilon)
+        got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass, fac.lam)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.array_equal(got, got[adj.transpose_perm])
 
     def test_factorize_trace_matches_stepwise(self):
         adj = mvne.random_weighted_graph(40, 0.3, 23)
-        cfg = small_config(5, seed=23, max_iters=30)
-        run = mvne.factorize(adj, cfg).run
-        fac = mvne.init_factorization(adj.n, cfg, adj.total_weight)
-        trace = [mvne.kl_objective(adj, fac, cfg.epsilon)]
-        for _ in range(run.iterations):
-            fac = mvne.update_step(adj, fac, cfg)
-            trace.append(mvne.kl_objective(adj, fac, cfg.epsilon))
-        assert len(trace) == len(run.objective_trace)
-        assert np.allclose(run.objective_trace, trace, rtol=1e-12, atol=0.0)
+        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30))
+
+    @pytest.mark.parametrize("n, block", [(40, 7), (300, _BLOCK)])
+    def test_factorize_trace_matches_stepwise_loops_isolated_blocks(self, monkeypatch,
+                                                                    n, block):
+        monkeypatch.setattr(factorize_module, "_BLOCK", block)
+        adj = loops_and_isolated_node(n, 0.3, 23, 6)
+        assert adj.upper.size > block
+        assert adj.degrees()[-1] == 0
+        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30))
 
     @pytest.mark.parametrize("rows, cols, weights", [
         ([0, 1], [1, 2], [1.0, 1.0]),  # structure
@@ -148,14 +178,10 @@ class TestEdgeKernel:
             mvne.factorize(adj, small_config(2))
 
     def test_update_step_temporaries_bounded_by_block(self):
-        n, d = 4000, 32
-        rng = np.random.default_rng(5)
-        adj = mvne.SparseAdjacency.from_undirected(
-            rng.integers(0, n, 150_000), rng.integers(0, n, 150_000), np.ones(150_000), n)
-        assert adj.nnz > 16 * _BLOCK
+        d = 32
+        adj = edges_150k()
         cfg = small_config(d, seed=5)
-        fac = mvne.init_factorization(n, cfg, adj.total_weight)
-        adj.upper  # the symmetry cache is built once per adjacency, not per step
+        fac = mvne.init_factorization(adj.n, cfg, adj.total_weight)
         tracemalloc.start()
         try:
             mvne.update_step(adj, fac, cfg)
@@ -164,6 +190,23 @@ class TestEdgeKernel:
             tracemalloc.stop()
         # |E| x d gathers alone would take 2 * nnz * d * 8 bytes
         assert peak < 0.5 * adj.nnz * d * 8
+
+    @pytest.mark.parametrize("max_iters", [5, 10])
+    def test_factorize_workspace_bounded_and_flat(self, max_iters):
+        d = 32
+        adj = edges_150k()
+        cfg = small_config(d, seed=5, max_iters=max_iters, rel_tol=0.0)
+        tracemalloc.start()
+        try:
+            run = mvne.factorize(adj, cfg).run
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert run.iterations == max_iters
+        # The same bound at 5 and 10 iterations: nothing piles up per
+        # iterate. Measured 3.7x; 6.2x when every iterate built its own plan.
+        assert peak < 5 * (adj.n * d + adj.nnz) * 8
+        assert peak < 0.25 * adj.nnz * d * 8
 
 
 class TestUpdateStep:

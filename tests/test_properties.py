@@ -1,4 +1,5 @@
-"""Property tests: any legal input round-trips through the text formats."""
+"""Property tests: any legal input round-trips through the text formats, and
+the ratio update keeps its invariants on any small graph."""
 
 import io
 import os
@@ -43,12 +44,13 @@ def write(adj, reg):
 @settings(deadline=None)
 @given(edge_lists())
 @example("c\t#a\nd\t#a\n")  # used to write the line "#a\td\t1.0", a comment on reload
+@example("0\t#'\n")  # the error message quotes this id with double quotes
 def test_edge_list_round_trip(text):
     try:
         adj, reg = mvne.load_edge_list(io.StringIO(text))
     except ParseError as exc:
         # the one refused id: a leading '#' would make a written line a comment
-        assert "node identifier '#" in str(exc)
+        assert "node identifier '#" in str(exc) or 'node identifier "#' in str(exc)
         return
     adj.upper  # raises unless structure and values are bit-exactly symmetric
     first = write(adj, reg)
@@ -78,3 +80,37 @@ def test_embedding_round_trip(case):
     assert names2 == names
     assert X2.shape == X.shape
     assert np.array_equal(X2, X)
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on up to 8 nodes with self-loops and isolated nodes, and a step count."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.floats(1e-3, 1e3)), min_size=1, max_size=20))
+    i, j, w = (np.array(x) for x in zip(*edges))
+    extra = draw(st.integers(0, 2))  # isolated nodes past the last one drawn
+    adj = mvne.SparseAdjacency.from_undirected(i, j, w, n + extra)
+    d, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+    return adj, mvne.FactorizeConfig(d=d, seed=seed), draw(st.integers(1, 5))
+
+
+@settings(deadline=None)
+@given(small_graphs())
+def test_update_step_keeps_invariants(case):
+    adj, config, steps = case
+    active = adj.degrees() > 0
+    fac = mvne.init_factorization(adj.n, config, adj.total_weight)
+    isolated = fac.H[~active]
+    obj = mvne.kl_objective(adj, fac, config.epsilon)
+    for _ in range(steps):
+        fac = mvne.update_step(adj, fac, config)
+        assert np.isfinite(fac.mass).all() and (fac.mass >= 0).all()
+        assert np.abs(fac.H[active].sum(axis=1) - 1.0).max() <= 1e-9
+        assert abs(fac.lam.sum() - adj.total_weight) <= 1e-9 * adj.total_weight
+        assert np.array_equal(fac.H[~active], isolated)
+        prev, obj = obj, mvne.kl_objective(adj, fac, config.epsilon)
+        # Relative to the size of the summed terms: after an update the
+        # mass term equals the total weight, and an exact fit has objective 0
+        # give or take rounding at that scale (seen: +-1e-13 at weight 1e3).
+        assert obj <= prev + 1e-9 * max(abs(prev), adj.total_weight)
