@@ -2,8 +2,11 @@
 
 Subcommands: embed, eval, stats, synth. Every run is reproducible from its
 flags: all randomness flows from --seed, and identical flags and inputs give
-byte-identical output files. Exit codes: 0 success, 2 input/validation
-error, 1 runtime error.
+byte-identical output files. Files are read by the library's own readers
+(eval keys graph.load_labels by the embedding's names), and flag values are
+checked by the config objects, so a NaN or infinite --rel-tol, --reg or
+--beta is an input error. Exit codes: 0 success, 2 input/validation error,
+1 runtime error.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from . import __version__
 from .evaluate import EvalProtocol, run_protocol
 from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
                         write_embedding, write_run_metadata)
-from .graph import (LabelStore, MultiViewGraph, ParseError, _iter_data_lines,
-                    build_multiview, read_manifest, view_stats, write_edge_list)
+from .graph import (MultiViewGraph, ParseError, _iter_data_lines, build_multiview,
+                    load_labels, read_manifest, view_stats, write_edge_list)
 from .multiview import ViewWeights, combine_views, default_betas
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
@@ -171,30 +174,7 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     names, X = read_embedding(args.embedding)
-    index = {name: i for i, name in enumerate(names)}
-
-    labels = LabelStore()
-    missing = []
-    with open(args.labels, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) == 1:
-                parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ParseError("expected `node<TAB>labels`", line_no)
-            name, labs = parts
-            if name not in index:
-                missing.append(name)
-                continue
-            labels.add(index[name], [x.strip() for x in labs.split(",") if x.strip()])
-    if missing:
-        shown = ", ".join(missing[:10])
-        raise ParseError(f"{len(missing)} labeled node(s) missing from the "
-                         f"embedding: {shown}")
-
+    labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     protocol = EvalProtocol(fractions=tuple(_parse_floats(args.fractions)),
                             repeats=args.repeats, seed=args.seed, reg=args.reg)
     report = run_protocol(X, labels, protocol)

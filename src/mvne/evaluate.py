@@ -17,6 +17,7 @@ identical inputs always produce identical reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from .graph import LabelStore
 
 NEG_CONST = -1e30  # score of the constant-negative classifier
 _ARMIJO_HALVINGS = 50  # step sizes down to 2**-49 before a label stops
+_GRAD_TOL = 1e-6  # a label stops once its gradient norm falls below this
+_NEWTON_ITERS = 100
 
 
 @dataclass
@@ -44,17 +47,16 @@ class EvalProtocol:
             raise ValueError("train fractions must lie strictly in (0, 1)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.reg < 0:
-            raise ValueError("reg must be >= 0")
+        if not (math.isfinite(self.reg) and self.reg >= 0):
+            raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
 
 
 class OvrModel:
     """One binary classifier per label: weights (L x d) and biases (L,)."""
 
-    def __init__(self, weights: np.ndarray, biases: np.ndarray, reg: float):
+    def __init__(self, weights: np.ndarray, biases: np.ndarray):
         self.weights = weights
         self.biases = biases
-        self.reg = reg
 
     @property
     def num_labels(self) -> int:
@@ -85,14 +87,13 @@ def split_labeled(nodes, fraction: float, seed: int):
     return train, test
 
 
-def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float,
-             grad_tol: float = 1e-6, max_iters: int = 100):
+def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float):
     """Fit one logistic regression per column of the m x L indicator Y, at once.
 
     Label l minimizes mean log-loss of Y[:, l] given X + reg * ||w_l||^2 / 2;
     its bias is not regularized. All labels share one batched, damped Newton
     iteration: one product gives every label's margins and one its gradient,
-    then each label whose gradient norm is still at least grad_tol gets its
+    then each label whose gradient norm is still at least _GRAD_TOL gets its
     own (d+1) x (d+1) Hessian (built label by label, so no m x d x L
     temporary exists) and all steps come from one batched solve. A ridge of
     1e-10 times the mean Hessian diagonal keeps the solve defined at reg = 0,
@@ -117,13 +118,13 @@ def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float,
                 + 0.5 * (penalty @ (Wc * Wc)))
 
     active = np.arange(Y.shape[1])
-    for _ in range(max_iters):
+    for _ in range(_NEWTON_ITERS):
         Wa, sa = W[:, active], sign[:, active]
         margins = sa * (Xa @ Wa)
         loss_pos, loss_neg = np.logaddexp(0.0, margins), np.logaddexp(0.0, -margins)
         q = np.exp(-loss_pos)  # sigmoid(-margin), overflow-safe
         grad = Xa.T @ (-sa * q) / m + penalty[:, None] * Wa
-        go = np.sqrt((grad * grad).sum(axis=0)) >= grad_tol
+        go = np.sqrt((grad * grad).sum(axis=0)) >= _GRAD_TOL
         if not go.any():
             break
         active, Wa, sa, grad = active[go], Wa[:, go], sa[:, go], grad[:, go]
@@ -155,13 +156,6 @@ def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float,
     return W[:d].T, W[d]
 
 
-def _fit_binary(X: np.ndarray, y: np.ndarray, reg: float,
-                grad_tol: float = 1e-6, max_iters: int = 100):
-    """One label's fit: the one-column case of _fit_ovr; returns (w, b)."""
-    W, b = _fit_ovr(X, np.asarray(y)[:, None], reg, grad_tol, max_iters)
-    return W[0], float(b[0])
-
-
 def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes, reg: float = 0.01) -> OvrModel:
     """Fit one binary classifier per vocabulary label on the train nodes.
 
@@ -180,7 +174,7 @@ def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes, reg: float = 0.01)
     weights = np.zeros((L, X.shape[1]))
     biases = np.full(L, NEG_CONST)
     weights[present], biases[present] = _fit_ovr(X[train_nodes], Y[:, present], reg)
-    return OvrModel(weights, biases, reg)
+    return OvrModel(weights, biases)
 
 
 def predict_multilabel(model: OvrModel, x: np.ndarray, k: int):

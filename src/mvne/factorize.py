@@ -45,13 +45,15 @@ iteration count.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import SparseAdjacency
+from .graph import ParseError, SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (1 MB at d = 64), allocated once per fit.
@@ -79,10 +81,10 @@ class FactorizeConfig:
             raise ValueError("d must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
 
 
 @dataclass
@@ -102,14 +104,7 @@ class RunMetadata:
     final_rel_improvement: float = float("nan")
 
     def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "objective": self.objective,
-            "objective_trace": self.objective_trace,
-            "degenerate_nodes": self.degenerate_nodes,
-            "stop_reason": self.stop_reason,
-            "final_rel_improvement": self.final_rel_improvement,
-        }
+        return asdict(self)
 
 
 def _factor_array(name: str, a) -> np.ndarray:
@@ -150,15 +145,6 @@ class Factorization:
     @property
     def d(self) -> int:
         return self.H.shape[1]
-
-    def check_invariants(self, total_weight: float | None = None,
-                         row_tol: float = 1e-9, lam_tol: float = 1e-6):
-        rows = self.H.sum(axis=1)
-        if np.abs(rows - 1.0).max() > row_tol:
-            raise ValueError("membership rows do not sum to 1")
-        if total_weight is not None:
-            if abs(self.lam.sum() - total_weight) > lam_tol * max(abs(total_weight), 1e-300):
-                raise ValueError("sum(lam) does not match the graph weight")
 
 
 def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> Factorization:
@@ -377,12 +363,25 @@ def write_embedding(path, X: np.ndarray, names) -> None:
             fh.write("".join([line % (name, *row) for row, name in zip(rows, names)]))
 
 
+def _row_line(path, row: int) -> int:
+    """The file line holding embedding row ``row``; blank lines hold no row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        lines = (no for no, line in enumerate(fh, start=2) if line.split())
+        return next(itertools.islice(lines, row, None))
+
+
 def read_embedding(path):
-    """Read the write_embedding() format; returns (names, X)."""
+    """Read the write_embedding() format; returns (names, X).
+
+    Node names must be unique and values finite: a repeated name, a value
+    that is not a float, NaN or +-inf raises ParseError naming the line. The
+    checks run once over the whole file; only a failure looks up its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("embedding file: bad header line")
+        if len(header) != 2 or not all(h.isdecimal() for h in header):
+            raise ParseError("embedding file: bad header line, expected `n d`", 1)
         n, d = int(header[0]), int(header[1])
         names, rows = [], []
         for line in fh:
@@ -390,12 +389,25 @@ def read_embedding(path):
             if not parts:
                 continue
             if len(parts) != d + 1:
-                raise ValueError(f"embedding file: expected {d + 1} fields per row")
+                raise ParseError(f"embedding file: expected {d + 1} fields per row",
+                                 _row_line(path, len(names)))
             names.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise ParseError(f"embedding file: {exc}", _row_line(path, len(rows))) from None
     if len(names) != n:
         raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
-    return names, np.asarray(rows, dtype=np.float64).reshape(n, d)
+    if len(set(names)) < n:
+        first = {}
+        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
+        raise ParseError(f"embedding file: repeated node {names[r]!r}", _row_line(path, r))
+    X = np.asarray(rows, dtype=np.float64).reshape(n, d)
+    if not np.isfinite(X).all():
+        r = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ParseError(f"embedding file: node {names[r]!r} has a NaN or infinite value",
+                         _row_line(path, r))
+    return names, X
 
 
 def write_run_metadata(path, meta: dict) -> None:

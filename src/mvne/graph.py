@@ -4,10 +4,15 @@ Graphs are undirected and weighted. Every view of a multi-view graph is
 indexed against one shared node registry, so embeddings computed on any
 combination of views line up row-by-row with the original identifiers.
 
+SparseAdjacency holds every view and the combined view. ``from_undirected``
+builds it from one triple per undirected edge and mirrors each summed weight,
+so it is bit-exactly symmetric, which ``upper`` checks before a fit. Ingest
+rejects weights that are not finite and positive.
+
 File formats
 ------------
 Edge list   : ``src<TAB>dst[<TAB>weight]``, one edge per line, ``#`` comments.
-Label file  : ``node<TAB>label1,label2,...``.
+Label file  : ``node<TAB>label1,label2,...``; every node must be known.
 View manifest: ``view_name<TAB>path``, one view per line.
 """
 
@@ -67,8 +72,9 @@ class NodeRegistry:
         """Return the index for a known ``name`` (KeyError if absent)."""
         return self._index[name]
 
-    def __contains__(self, name) -> bool:
-        return name in self._index
+    def get(self, name: str):
+        """Return the index for ``name``, or None if it is unknown."""
+        return self._index.get(name)
 
     def __len__(self) -> int:
         return len(self._names)
@@ -98,16 +104,6 @@ class SparseAdjacency:
         self._coo_rows = None
         self._upper = None
         self._transpose_perm = None
-
-    @classmethod
-    def from_coo(cls, rows, cols, weights, n: int) -> "SparseAdjacency":
-        """Build from already-symmetrized COO triples (duplicates summed)."""
-        mat = sp.coo_array(
-            (np.asarray(weights, dtype=np.float64),
-             (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-            shape=(n, n),
-        ).tocsr()
-        return cls(mat)
 
     @classmethod
     def from_undirected(cls, rows, cols, weights, n: int) -> "SparseAdjacency":
@@ -200,33 +196,6 @@ class SparseAdjacency:
         diag_nnz = int(np.count_nonzero(self.mat.diagonal()))
         return (self.nnz - diag_nnz) // 2 + diag_nnz
 
-    def with_n(self, n: int) -> "SparseAdjacency":
-        """Return a copy reindexed into a larger node space."""
-        if n < self.n:
-            raise ValueError(f"cannot shrink adjacency from {self.n} to {n} nodes")
-        if n == self.n:
-            return self
-        mat = sp.csr_array((self.values.copy(), self.indices.copy(), self.indptr.copy()),
-                           shape=(self.n, self.n))
-        mat.resize((n, n))
-        return SparseAdjacency(mat)
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        diff = (self.mat - self.mat.T).tocoo()
-        if diff.nnz == 0:
-            return True
-        return bool(np.abs(diff.data).max() <= tol)
-
-    def validate(self):
-        """Check structural invariants; raises ValueError on violation."""
-        if self.nnz and self.values.min() <= 0:
-            raise ValueError("adjacency stores a non-positive weight")
-        if not self.is_symmetric():
-            raise ValueError("adjacency is not symmetric")
-        total = float(self.values.sum()) if self.nnz else 0.0
-        if abs(total - self.total_weight) > 1e-12 * max(1.0, abs(total)):
-            raise ValueError("total_weight out of sync with stored values")
-
 
 @dataclass
 class MultiViewGraph:
@@ -284,10 +253,6 @@ class LabelStore:
     def num_labels(self) -> int:
         return len(self._vocab_names)
 
-    @property
-    def vocabulary(self) -> list:
-        return list(self._vocab_names)
-
     def label_name(self, lid: int) -> str:
         return self._vocab_names[lid]
 
@@ -301,14 +266,14 @@ def _iter_data_lines(source):
         yield line_no, line
 
 
-def _open_maybe(source):
+def _open_maybe(source, mode="r"):
     """Accept a path or an open text stream; returns (stream, needs_close)."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8"), True
+        return open(source, mode, encoding="utf-8"), True
     return source, False
 
 
-def parse_edges(source, registry: NodeRegistry, weighted: bool = True):
+def parse_edges(source, registry: NodeRegistry):
     """Parse an edge-list stream into one COO triple per line.
 
     The triples are direction-agnostic (symmetrization happens when the
@@ -325,8 +290,6 @@ def parse_edges(source, registry: NodeRegistry, weighted: bool = True):
             if len(parts) == 2:
                 w = 1.0
             elif len(parts) == 3:
-                if not weighted:
-                    raise ParseError("weight column present in unweighted load", line_no)
                 try:
                     w = float(parts[2])
                 except ValueError:
@@ -347,8 +310,7 @@ def parse_edges(source, registry: NodeRegistry, weighted: bool = True):
     return rows, cols, weights
 
 
-def load_edge_list(source, registry: NodeRegistry | None = None,
-                   weighted: bool = True):
+def load_edge_list(source, registry: NodeRegistry | None = None):
     """Load one edge list into a symmetric adjacency.
 
     Duplicate edges sum their weights; self-loops are retained as single
@@ -356,15 +318,14 @@ def load_edge_list(source, registry: NodeRegistry | None = None,
     """
     if registry is None:
         registry = NodeRegistry()
-    rows, cols, weights = parse_edges(source, registry, weighted=weighted)
+    rows, cols, weights = parse_edges(source, registry)
     adj = SparseAdjacency.from_undirected(rows, cols, weights, len(registry))
     return adj, registry
 
 
 def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
     """Write the upper triangle (plus self-loops) so a reload round-trips."""
-    stream, close = (open(sink, "w", encoding="utf-8"), True) \
-        if isinstance(sink, (str, os.PathLike)) else (sink, False)
+    stream, close = _open_maybe(sink, "w")
     try:
         rows, cols, vals = adj.coo_rows, adj.indices, adj.values
         names = registry.names
@@ -378,13 +339,17 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
             stream.close()
 
 
-def load_labels(source, registry: NodeRegistry) -> LabelStore:
-    """Load a multi-label file keyed by registered node identifiers.
+def load_labels(source, index) -> LabelStore:
+    """Load a multi-label file keyed by node identifiers.
 
-    Repeated lines for one node union their label sets. Unknown node
-    identifiers are rejected.
+    ``index`` maps each known identifier to its row through ``index.get``: a
+    NodeRegistry, or a dict such as the embedding's name -> row map.
+    Repeated lines for one node union their label sets. Unknown identifiers
+    are collected and rejected together, in one ParseError that gives their
+    count, the first 10 of them and the line of the first.
     """
     store = LabelStore()
+    missing = []  # (line, identifier)
     stream, close = _open_maybe(source)
     try:
         for line_no, line in _iter_data_lines(stream):
@@ -394,13 +359,17 @@ def load_labels(source, registry: NodeRegistry) -> LabelStore:
             if len(parts) != 2:
                 raise ParseError("expected `node<TAB>label1,label2,...`", line_no)
             name, labels = parts
-            if name not in registry:
-                raise ParseError(f"unknown node identifier {name!r}", line_no)
-            names = [x.strip() for x in labels.split(",") if x.strip()]
-            store.add(registry.index_of(name), names)
+            row = index.get(name)
+            if row is None:
+                missing.append((line_no, name))
+                continue
+            store.add(row, [x.strip() for x in labels.split(",") if x.strip()])
     finally:
         if close:
             stream.close()
+    if missing:
+        shown = ", ".join(repr(name) for _, name in missing[:10])
+        raise ParseError(f"{len(missing)} unknown node identifier(s): {shown}", missing[0][0])
     return store
 
 

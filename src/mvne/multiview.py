@@ -30,11 +30,11 @@ class ViewWeights:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError("beta must be a non-empty vector")
-        if (beta < 0).any():
-            raise ValueError("beta entries must be nonnegative")
+        if not (np.isfinite(beta).all() and (beta >= 0).all()):
+            raise ValueError(f"beta entries must be finite and nonnegative, got {beta.tolist()}")
         total = beta.sum()
-        if total <= 0:
-            raise ValueError("beta must have positive total")
+        if not (0 < total < np.inf):
+            raise ValueError("beta must have a positive, finite total")
         if abs(total - 1.0) > 1e-12:
             warnings.warn(f"view weights sum to {total:.6g}; renormalizing to 1",
                           stacklevel=2)

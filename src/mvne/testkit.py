@@ -135,12 +135,9 @@ def generate_multiview_sbm(spec: SbmSpec):
             vj = np.concatenate([vj, hi])
         # collapse duplicates (kept-base vs noise collisions) to unit weight
         pair_ids = np.unique(vi.astype(np.int64) * n + vj.astype(np.int64))
-        vi, vj = pair_ids // n, pair_ids % n
-        rows = np.concatenate([vi, vj])
-        cols = np.concatenate([vj, vi])
-        weights = np.ones(rows.size)
         names.append(f"view{view}")
-        views.append(SparseAdjacency.from_coo(rows, cols, weights, n))
+        views.append(SparseAdjacency.from_undirected(pair_ids // n, pair_ids % n,
+                                                     np.ones(pair_ids.size), n))
 
     labels = LabelStore()
     for v in range(n):
@@ -173,19 +170,10 @@ def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
     return manifest_path
 
 
-def random_weighted_graph(n: int, density: float, seed: int,
-                          weighted: bool = True) -> SparseAdjacency:
-    """Erdos-Renyi-style symmetric test graph with optional random weights."""
+def random_weighted_graph(n: int, density: float, seed: int) -> SparseAdjacency:
+    """Erdos-Renyi-style symmetric test graph with weights uniform in [0.5, 2)."""
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < density
-    i, j = iu[mask], ju[mask]
-    w = rng.uniform(0.5, 2.0, size=i.size) if weighted else np.ones(i.size)
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    weights = np.concatenate([w, w])
-    return SparseAdjacency.from_coo(rows, cols, weights, n)
-
-
-def dense_of(adj: SparseAdjacency) -> np.ndarray:
-    return adj.mat.toarray()
+    return SparseAdjacency.from_undirected(iu[mask], ju[mask],
+                                           rng.uniform(0.5, 2.0, size=mask.sum()), n)

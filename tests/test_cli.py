@@ -116,6 +116,19 @@ class TestEmbed:
         assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4,
                     "--beta", "0.5,0.3,0.2", "--out", tmp_path / "e.txt"]) == 2
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--rel-tol", "nan", "rel_tol"),
+        ("--rel-tol", "inf", "rel_tol"),
+        ("--beta", "nan,1", "beta"),
+        ("--beta", "inf,1", "beta"),
+    ])
+    def test_non_finite_flag_exits_2_naming_the_field(self, tmp_path, dataset, capsys,
+                                                       flag, value, field):
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2,
+                    flag, value, "--out", tmp_path / "e.txt"]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["embed", "--edges", tmp_path / "nope.edges",
                     "--out", tmp_path / "e.txt"]) == 2
@@ -172,6 +185,30 @@ class TestEval:
         assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
         err = capsys.readouterr().err
         assert "ghost0" in err and "ghost9" in err and "ghost10" not in err
+
+    @pytest.mark.parametrize("rows, line, what", [
+        (["a 0.5 0.5", "b 0.5 0.5", "a 0.5 nan"], 4, "repeated node 'a'"),
+        (["a 0.5 0.5", "", "b nan 0.5", "c 1 0"], 4, "node 'b' has a NaN"),
+        (["a 0.5 0.5", "b 0.5 -inf", "c 1 0"], 3, "node 'b' has a NaN or infinite"),
+        (["a 0.5 0.5", "b 0.5 0.5", "c 1e999 0"], 4, "node 'c' has a NaN or infinite"),
+        (["a 0.5 0.5", "b x1 0.5", "c 1 0"], 3, "could not convert string to float: 'x1'"),
+    ])
+    def test_bad_embedding_exits_2_naming_the_line(self, tmp_path, capsys, rows, line, what):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        emb.write_text("3 2\n" + "\n".join(rows) + "\n")
+        labels.write_text("a\tc0\nb\tc1\n")
+        assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: " in err and what in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reg_exits_2_naming_the_field(self, tmp_path, capsys, value):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
+        labels.write_text("n0\tc0\nn1\tc1\n")
+        assert run(["eval", "--embedding", emb, "--labels", labels, "--reg", value]) == 2
+        err = capsys.readouterr().err
+        assert "reg must be finite" in err
 
 
 class TestStats:

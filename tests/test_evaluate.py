@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mvne
-from mvne.evaluate import _fit_binary, _fit_ovr
+from mvne.evaluate import _fit_ovr
 
 from conftest import community_array
 
@@ -83,7 +83,7 @@ class TestTrainOvr:
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, (40, 4))
         y = rng.random(40) < 0.4
-        w, b = _fit_binary(X, y, reg=0.01)
+        (w,), (b,) = _fit_ovr(X, y[:, None], reg=0.01)
         sign = np.where(y, 1.0, -1.0)
         coef = -sign / (1.0 + np.exp(sign * (X @ w + b)))
         gw = X.T @ coef / 40 + 0.01 * w
@@ -98,7 +98,7 @@ class TestTrainOvr:
             if not y.any():
                 continue
             reg = float(rng.uniform(1e-4, 1.0))
-            w, b = _fit_binary(X, y, reg)
+            (w,), (b,) = _fit_ovr(X, y[:, None], reg)
             sign = np.where(y, 1.0, -1.0)
 
             def obj(w_, b_):
@@ -138,7 +138,7 @@ class TestNewtonSolver:
         W, b = _fit_ovr(X, Y, reg=0.01)
         assert W.shape == (5, 6) and b.shape == (5,)
         for l in range(5):
-            w, bl = _fit_binary(X, Y[:, l], reg=0.01)
+            (w,), (bl,) = _fit_ovr(X, Y[:, l, None], reg=0.01)
             assert np.abs(W[l] - w).max() <= 1e-10
             assert abs(b[l] - bl) <= 1e-10
 
@@ -181,7 +181,7 @@ class TestNewtonSolver:
         for reg in (1e-8, 0.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                w, b = _fit_binary(X, y, reg)
+                (w,), (b,) = _fit_ovr(X, y[:, None], reg)
             assert np.isfinite(w).all() and np.isfinite(b)
             assert logistic_objective(X, y, w, b, reg) < logistic_objective(X, y, np.zeros(2), 0.0, reg)
             assert logistic_gradient_norm(X, y, w, b, reg) < 1e-6
@@ -231,7 +231,7 @@ class TestPredict:
     def make_model(self, scores):
         # one feature; weight chosen so scores(x=[1]) equals the given values
         L = len(scores)
-        return mvne.OvrModel(np.array(scores)[:, None], np.zeros(L), reg=0.0)
+        return mvne.OvrModel(np.array(scores)[:, None], np.zeros(L))
 
     def test_top_k(self):
         model = self.make_model([0.9, 0.2, 0.8])

@@ -1,12 +1,15 @@
 import importlib
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mvne
 from mvne.factorize import _BLOCK, _EdgePlan
+from mvne.graph import ParseError
 
 from conftest import make_adjacency
 
@@ -173,7 +176,7 @@ class TestEdgeKernel:
         ([0, 1], [1, 0], [1.0, 2.0]),  # values
     ])
     def test_non_symmetric_adjacency_rejected(self, rows, cols, weights):
-        adj = mvne.SparseAdjacency.from_coo(rows, cols, weights, 3)
+        adj = mvne.SparseAdjacency(sp.csr_array((weights, (rows, cols)), shape=(3, 3)))
         with pytest.raises(ValueError, match="symmetric"):
             mvne.factorize(adj, small_config(2))
 
@@ -343,16 +346,18 @@ class TestFactorize:
     def test_result_passes_invariant_checker(self):
         adj = mvne.random_weighted_graph(14, 0.4, 17)
         fac = mvne.factorize(adj, small_config(3, seed=17))
-        fac.check_invariants(total_weight=adj.total_weight)
+        assert np.abs(fac.H.sum(axis=1) - 1.0).max() <= 1e-9
+        assert abs(fac.lam.sum() - adj.total_weight) <= 1e-6 * adj.total_weight
 
     def test_degenerate_rows_flagged_and_frozen(self):
-        # node d is registered via an edge list mentioning it only in comments;
-        # use a labels-free construction: c-d edge in view, then drop it
-        adj, reg = make_adjacency("a\tb\nb\tc\n")
-        bigger = adj.with_n(5)  # nodes 3, 4 have no edges
+        reg = mvne.NodeRegistry()
+        for name in ("a", "b", "c", "x", "y"):
+            reg.intern(name)
+        adj, _ = mvne.load_edge_list(io.StringIO("a\tb\nb\tc\n"), reg)
+        assert adj.n == 5  # nodes 3, 4 have no edges
         cfg = small_config(2, seed=6)
-        fac = mvne.factorize(bigger, cfg)
-        init = mvne.init_factorization(5, cfg, bigger.total_weight)
+        fac = mvne.factorize(adj, cfg)
+        init = mvne.init_factorization(5, cfg, adj.total_weight)
         assert fac.run.degenerate_nodes == [3, 4]
         assert np.array_equal(fac.H[3:], init.H[3:])
 
@@ -365,7 +370,8 @@ class TestFactorize:
         P = np.zeros((n, n))
         P[np.arange(n), perm] = 1.0  # row i of PWP^T is row perm[i] of W
         Wp = P @ adj.mat.toarray() @ P.T
-        adj_p = mvne.SparseAdjacency.from_coo(*np.nonzero(Wp), Wp[np.nonzero(Wp)], n)
+        i, j = np.nonzero(np.triu(Wp))
+        adj_p = mvne.SparseAdjacency.from_undirected(i, j, Wp[i, j], n)
 
         fac = mvne.init_factorization(n, cfg, adj.total_weight)
         fac_p = mvne.Factorization(fac.H[perm], fac.lam.copy())
@@ -430,6 +436,9 @@ class TestEmbeddingFile:
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nn0 0.5 0.5\n")
         with pytest.raises(ValueError, match="promised 2"):
+            mvne.read_embedding(path)
+        path.write_text("x 2\nn0 0.5 0.5\n")
+        with pytest.raises(ParseError, match="line 1: embedding file: bad header"):
             mvne.read_embedding(path)
 
 

@@ -1,11 +1,15 @@
-"""Property tests: any legal input round-trips through the text formats, and
-the ratio update keeps its invariants on any small graph."""
+"""Property tests: any legal input round-trips through the text formats,
+config constructors accept exactly the finite, valid values, and the ratio
+update keeps its invariants on any small graph."""
 
 import io
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -76,10 +80,90 @@ def test_embedding_round_trip(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")
         mvne.write_embedding(path, X, names)
+        if len(set(names)) < len(names):  # names must be unique
+            with pytest.raises(ParseError, match="repeated node"):
+                mvne.read_embedding(path)
+            return
         names2, X2 = mvne.read_embedding(path)
     assert names2 == names
     assert X2.shape == X.shape
     assert np.array_equal(X2, X)
+
+
+@st.composite
+def label_files(draw):
+    """Known ids, and label-file text over known and unknown ids."""
+    registered = node_ids.filter(lambda s: not s.startswith("#"))
+    known = draw(st.lists(registered, min_size=1, max_size=5, unique=True))
+    name = st.sampled_from(known) | node_ids
+    line = (st.tuples(name, st.text("ab,", max_size=4)).map("\t".join) | name)
+    return known, "".join(f"{x}\n" for x in draw(st.lists(line, max_size=8)))
+
+
+@settings(deadline=None)
+@given(label_files())
+def test_load_labels_same_for_registry_and_dict(case):
+    known, text = case
+    registry = mvne.NodeRegistry()
+    for name in known:
+        registry.intern(name)
+    results = []
+    for index in (registry, {name: i for i, name in enumerate(known)}):
+        try:
+            store = mvne.load_labels(io.StringIO(text), index)
+        except ParseError as exc:
+            results.append(("error", exc.line_no, str(exc)))
+            continue
+        results.append([sorted(store.label_name(l) for l in store.labels_of(v))
+                        for v in range(len(known))])
+    assert results[0] == results[1]
+
+
+@settings(deadline=None)
+@given(st.integers(-1, 3), st.integers(-1, 3), st.floats(), st.floats())
+@example(2, 5, math.nan, 1e-12)
+@example(2, 5, 1e-6, math.inf)
+def test_factorize_config_accepts_exactly_finite_valid_values(d, max_iters, rel_tol, epsilon):
+    valid = (d >= 1 and max_iters >= 1 and math.isfinite(rel_tol) and rel_tol >= 0
+             and math.isfinite(epsilon) and epsilon > 0)
+    try:
+        mvne.FactorizeConfig(d=d, max_iters=max_iters, rel_tol=rel_tol, epsilon=epsilon)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2) | st.lists(st.floats(), max_size=3),
+       st.integers(0, 2), st.floats())
+@example([0.5], 1, math.nan)
+def test_eval_protocol_accepts_exactly_finite_valid_values(fractions, repeats, reg):
+    valid = (fractions and all(0 < f < 1 for f in fractions) and repeats >= 1
+             and math.isfinite(reg) and reg >= 0)
+    try:
+        mvne.EvalProtocol(fractions=fractions, repeats=repeats, reg=reg)
+    except ValueError:
+        assert not valid
+        return
+    assert valid
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(), max_size=4))
+@example([math.nan, 1.0])
+@example([math.inf, 1.0])
+@example([1e308, 1e308])  # the total overflows
+def test_view_weights_are_finite_convex_or_rejected(beta):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            weights = mvne.ViewWeights(beta)
+    except ValueError:
+        assert not (beta and all(0 <= b < 1e300 for b in beta) and sum(beta) > 0)
+        return
+    assert np.isfinite(weights.beta).all() and (weights.beta >= 0).all()
+    assert abs(weights.beta.sum() - 1.0) <= 1e-12
 
 
 @st.composite
