@@ -13,8 +13,7 @@ from .evaluate import (EvalProtocol, EvalReport, OvrModel, macro_f1, micro_f1,
                        train_ovr)
 from .factorize import (Factorization, FactorizeConfig, embedding, factorize,
                         init_factorization, kl_objective, read_embedding,
-                        reconstruct_dense, reconstruct_entry, update_step,
-                        write_embedding)
+                        reconstruct_entry, update_step, write_embedding)
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, ParseError,
                     SparseAdjacency, build_multiview, load_edge_list,
                     load_labels, read_manifest, view_stats, write_edge_list)
@@ -22,14 +21,14 @@ from .multiview import (MvneConfig, ViewWeights, combine_views, default_betas,
                         mvne_embed, svne_embed)
 from .testkit import (SbmSpec, dense_factorize_oracle, dense_kl_objective,
                       dense_update_step, dump_dataset, generate_multiview_sbm,
-                      random_weighted_graph)
+                      random_weighted_graph, reconstruct_dense)
 
 __all__ = [
     "EvalProtocol", "EvalReport", "OvrModel", "macro_f1", "micro_f1",
     "predict_multilabel", "run_protocol", "split_labeled", "train_ovr",
     "Factorization", "FactorizeConfig", "embedding", "factorize",
     "init_factorization", "kl_objective", "read_embedding",
-    "reconstruct_dense", "reconstruct_entry", "update_step", "write_embedding",
+    "reconstruct_entry", "update_step", "write_embedding",
     "LabelStore", "MultiViewGraph", "NodeRegistry", "ParseError",
     "SparseAdjacency", "build_multiview", "load_edge_list", "load_labels",
     "read_manifest", "view_stats", "write_edge_list",
@@ -37,5 +36,5 @@ __all__ = [
     "mvne_embed", "svne_embed",
     "SbmSpec", "dense_factorize_oracle", "dense_kl_objective",
     "dense_update_step", "dump_dataset", "generate_multiview_sbm",
-    "random_weighted_graph",
+    "random_weighted_graph", "reconstruct_dense",
 ]

@@ -45,6 +45,9 @@ class EvalProtocol:
             raise ValueError("need at least one train fraction")
         if any(not (0.0 < f < 1.0) for f in self.fractions):
             raise ValueError("train fractions must lie strictly in (0, 1)")
+        if len({f"{f:g}" for f in self.fractions}) < len(self.fractions):
+            raise ValueError("fractions must give distinct report keys (6 significant "
+                             f"digits), got {list(self.fractions)}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not (math.isfinite(self.reg) and self.reg >= 0):

@@ -32,15 +32,15 @@ sparse-dense product R @ B. The same yhat serves the objective of the
 iterate and the update that follows it. The objective's mass term is an
 O(n d) column sum.
 
-factorize builds what does not change between iterates once per fit (an
-_EdgePlan): the i <= j rows, columns and mirror positions as int32, the
-active rows, the ratio matrix R whose data array each iterate overwrites,
-and the yhat and gather buffers. The loop carries plain arrays, updates H in
-place, and checks one Factorization at return. The public update_step and
-kl_objective build a plan per call and run the same code. What a fit holds
-beyond B and H is O(|E| + _BLOCK d) for the plan and O(n d) for the update's
-new B and its active rows; nothing is O(|E| d), and nothing grows with the
-iteration count.
+The i <= j edge index belongs to the adjacency: int32 while n and nnz fit,
+built once per adjacency and never copied. factorize builds what else does
+not change between iterates once per fit (an _EdgePlan): the active rows,
+the ratio matrix R whose data array each iterate overwrites, and the yhat
+and gather buffers. The loop carries plain arrays, updates H in place, and
+checks one Factorization at return. The public update_step and kl_objective
+build a plan per call and run the same code. What a fit holds beyond B and H
+is O(|E| + _BLOCK d) for the plan and O(n d) for the update's new B and its
+active rows; nothing is O(|E| d), and nothing grows with the iteration count.
 """
 
 from __future__ import annotations
@@ -174,30 +174,18 @@ def reconstruct_entry(fac: Factorization, i: int, j: int) -> float:
     return float(np.sum(fac.mass[i] * fac.mass[j] / lam_safe))
 
 
-def reconstruct_dense(fac: Factorization) -> np.ndarray:
-    """Full n x n reconstruction (small graphs / tests)."""
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    return (fac.mass / lam_safe[None, :]) @ fac.mass.T
-
-
 class _EdgePlan:
     """What the edge kernel and the ratio update reuse between iterates.
 
     factorize builds one per fit; the public update_step and kl_objective
-    build one per call. It holds the stored entries with i <= j (rows,
-    columns, CSR positions and the positions of their transposes, as int32
-    unless the graph is too large for it), the active rows, the ratio matrix
-    R whose data array every ratio() call overwrites, and the yhat and
-    gather buffers.
+    build one per call. It reads the adjacency's i <= j edge index (CSR
+    positions, rows, columns and mirror positions) by reference, without a
+    copy, and holds the active rows, the ratio matrix R whose data array
+    every ratio() call overwrites, and the yhat and gather buffers.
     """
 
     def __init__(self, adj: SparseAdjacency, d: int, epsilon: float):
-        upper = adj.upper
-        itype = np.int32 if max(adj.n, adj.nnz) <= np.iinfo(np.int32).max else np.int64
-        self.upper = upper.astype(itype)
-        self.rows = adj.coo_rows[upper].astype(itype)
-        self.cols = adj.indices[upper].astype(itype)
-        self.mirror = adj.transpose_perm[upper].astype(itype)
+        self.pos, self.rows, self.cols, self.mirror = adj.upper_index
         self.active = np.flatnonzero(adj.degrees() > 0)
         self.w = adj.values
         # max(w, epsilon) is w itself unless a weight is below epsilon
@@ -207,7 +195,7 @@ class _EdgePlan:
         self.R = sp.csr_array((np.empty(adj.nnz), adj.indices, adj.indptr),
                               shape=(adj.n, adj.n))
         self.yhat = np.empty(adj.nnz)
-        self.left = np.empty((min(_BLOCK, upper.size), d))
+        self.left = np.empty((min(_BLOCK, self.rows.size), d))
         self.right = np.empty_like(self.left)
         self.half = np.empty(self.left.shape[0])
 
@@ -228,7 +216,7 @@ class _EdgePlan:
             np.take(Bl, self.rows[s:e], axis=0, out=left[:k], mode="clip")
             np.take(mass, self.cols[s:e], axis=0, out=right[:k], mode="clip")
             np.einsum("ep,ep->e", left[:k], right[:k], out=half[:k])
-            yhat[self.upper[s:e]] = half[:k]
+            yhat[self.pos[s:e]] = half[:k]
             yhat[self.mirror[s:e]] = half[:k]
         return np.maximum(yhat, self.epsilon, out=yhat)
 

@@ -6,8 +6,10 @@ combination of views line up row-by-row with the original identifiers.
 
 SparseAdjacency holds every view and the combined view. ``from_undirected``
 builds it from one triple per undirected edge and mirrors each summed weight,
-so it is bit-exactly symmetric, which ``upper`` checks before a fit. Ingest
-rejects weights that are not finite and positive.
+so it is bit-exactly symmetric, with int32 CSR indices while n and nnz fit.
+The adjacency owns the one i <= j edge index a fit iterates over
+(``upper_index``, in the CSR's index dtype); building it checks the symmetry.
+Ingest rejects weights that are not finite and positive.
 
 File formats
 ------------
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +91,11 @@ class NodeRegistry:
         return list(self._names)
 
 
+# The stored entries (rows[k], cols[k]) with i <= j: pos[k] is the CSR data
+# position of each and mirror[k] that of its transpose (j, i).
+UpperIndex = namedtuple("UpperIndex", "pos rows cols mirror")
+
+
 class SparseAdjacency:
     """Symmetric weighted adjacency of one view in CSR form.
 
@@ -101,9 +110,7 @@ class SparseAdjacency:
         mat.sort_indices()
         self.mat = mat
         self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
-        self._coo_rows = None
-        self._upper = None
-        self._transpose_perm = None
+        self._upper_index = None
 
     @classmethod
     def from_undirected(cls, rows, cols, weights, n: int) -> "SparseAdjacency":
@@ -112,18 +119,15 @@ class SparseAdjacency:
         Duplicates are summed once per undirected edge and the summed value
         is mirrored to both directions, so symmetry is bit-exact.
         """
-        i = np.asarray(rows, dtype=np.int64)
-        j = np.asarray(cols, dtype=np.int64)
+        itype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        i = np.asarray(rows, dtype=itype)
+        j = np.asarray(cols, dtype=itype)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         upper = sp.coo_array(
             (np.asarray(weights, dtype=np.float64), (lo, hi)), shape=(n, n)
         ).tocsr()
         upper.sum_duplicates()
         return cls(upper + sp.triu(upper, k=1).T)
-
-    @classmethod
-    def empty(cls, n: int) -> "SparseAdjacency":
-        return cls(sp.csr_array((n, n), dtype=np.float64))
 
     @property
     def n(self) -> int:
@@ -147,15 +151,17 @@ class SparseAdjacency:
 
     @property
     def coo_rows(self):
-        """Row index of every stored entry, in CSR data order (cached)."""
-        if self._coo_rows is None:
-            self._coo_rows = np.repeat(
-                np.arange(self.n, dtype=np.int64), np.diff(self.mat.indptr)
-            )
-        return self._coo_rows
+        """Row index of every stored entry, in CSR data order."""
+        return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def _symmetric_halves(self):
-        if self._upper is None:
+    @property
+    def upper_index(self) -> UpperIndex:
+        """The stored entries with i <= j, in CSR data order (cached).
+
+        Its four arrays have the CSR's index dtype. Raises ValueError unless
+        structure and values are bit-exactly symmetric.
+        """
+        if self._upper_index is None:
             rows, cols = self.coo_rows, self.indices
             # CSR rows are sorted, so a stable sort by column lists the
             # entries in CSR order of the transpose.
@@ -163,25 +169,10 @@ class SparseAdjacency:
             if not (np.array_equal(cols[perm], rows) and np.array_equal(rows[perm], cols)
                     and np.array_equal(self.values[perm], self.values)):
                 raise ValueError("adjacency is not bit-exactly symmetric")
-            self._upper = np.flatnonzero(rows <= cols)
-            self._transpose_perm = perm
-        return self._upper, self._transpose_perm
-
-    @property
-    def upper(self):
-        """Positions of the stored entries with i <= j, in CSR data order (cached).
-
-        Raises ValueError unless structure and values are bit-exactly symmetric.
-        """
-        return self._symmetric_halves()[0]
-
-    @property
-    def transpose_perm(self):
-        """Position of entry (j, i) for every stored entry (i, j) (cached).
-
-        Raises ValueError unless structure and values are bit-exactly symmetric.
-        """
-        return self._symmetric_halves()[1]
+            pos = np.flatnonzero(rows <= cols).astype(cols.dtype)
+            self._upper_index = UpperIndex(pos, rows[pos], cols[pos],
+                                           perm[pos].astype(cols.dtype))
+        return self._upper_index
 
     def degrees(self):
         """Number of stored entries per row (self-loop counts once)."""
@@ -266,11 +257,14 @@ def _iter_data_lines(source):
         yield line_no, line
 
 
-def _open_maybe(source, mode="r"):
-    """Accept a path or an open text stream; returns (stream, needs_close)."""
+@contextmanager
+def _opened(source, mode="r"):
+    """Yield a path opened as UTF-8 and close it on exit, or an open stream left open."""
     if isinstance(source, (str, os.PathLike)):
-        return open(source, mode, encoding="utf-8"), True
-    return source, False
+        with open(source, mode, encoding="utf-8") as stream:
+            yield stream
+    else:
+        yield source
 
 
 def parse_edges(source, registry: NodeRegistry):
@@ -280,9 +274,8 @@ def parse_edges(source, registry: NodeRegistry):
     adjacency is materialized). The registry is extended with unseen
     identifiers in first-appearance order.
     """
-    stream, close = _open_maybe(source)
     rows, cols, weights = [], [], []
-    try:
+    with _opened(source) as stream:
         for line_no, line in _iter_data_lines(stream):
             parts = line.split("\t")
             if len(parts) == 1:
@@ -304,9 +297,6 @@ def parse_edges(source, registry: NodeRegistry):
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
             rows.append(i); cols.append(j); weights.append(w)
-    finally:
-        if close:
-            stream.close()
     return rows, cols, weights
 
 
@@ -325,8 +315,7 @@ def load_edge_list(source, registry: NodeRegistry | None = None):
 
 def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
     """Write the upper triangle (plus self-loops) so a reload round-trips."""
-    stream, close = _open_maybe(sink, "w")
-    try:
+    with _opened(sink, "w") as stream:
         rows, cols, vals = adj.coo_rows, adj.indices, adj.values
         names = registry.names
         for start in range(0, adj.nnz, _WRITE_ENTRIES):
@@ -334,9 +323,6 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
             keep = np.flatnonzero(rows[block] <= cols[block]) + start
             stream.write("".join([f"{names[i]}\t{names[j]}\t{w!r}\n" for i, j, w in zip(
                 rows[keep].tolist(), cols[keep].tolist(), vals[keep].tolist())]))
-    finally:
-        if close:
-            stream.close()
 
 
 def load_labels(source, index) -> LabelStore:
@@ -350,8 +336,7 @@ def load_labels(source, index) -> LabelStore:
     """
     store = LabelStore()
     missing = []  # (line, identifier)
-    stream, close = _open_maybe(source)
-    try:
+    with _opened(source) as stream:
         for line_no, line in _iter_data_lines(stream):
             parts = line.split("\t")
             if len(parts) == 1:
@@ -364,9 +349,6 @@ def load_labels(source, index) -> LabelStore:
                 missing.append((line_no, name))
                 continue
             store.add(row, [x.strip() for x in labels.split(",") if x.strip()])
-    finally:
-        if close:
-            stream.close()
     if missing:
         shown = ", ".join(repr(name) for _, name in missing[:10])
         raise ParseError(f"{len(missing)} unknown node identifier(s): {shown}", missing[0][0])

@@ -43,10 +43,15 @@ class SbmSpec:
             raise ValueError("keep and noise rates must lie in [0, 1]")
 
 
+def reconstruct_dense(fac: Factorization) -> np.ndarray:
+    """Full n x n reconstruction sum_p b_ip * b_jp / lam_p (small graphs / tests)."""
+    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
+    return (fac.mass / lam_safe[None, :]) @ fac.mass.T
+
+
 def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12) -> float:
     """Generalized KL divergence by brute force over all n^2 pairs."""
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    Yhat = (fac.mass / lam_safe[None, :]) @ fac.mass.T
+    Yhat = reconstruct_dense(fac)
     mask = W > 0
     Yf = np.maximum(Yhat, epsilon)
     data = float(np.sum(W[mask] * np.log(W[mask] / Yf[mask]) - W[mask]))
@@ -56,8 +61,7 @@ def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12
 def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12) -> Factorization:
     """Full-matrix twin of the sparse ratio-form update."""
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    Yhat = (fac.mass / lam_safe[None, :]) @ fac.mass.T
-    R = np.where(W > 0, W / np.maximum(Yhat, epsilon), 0.0)
+    R = np.where(W > 0, W / np.maximum(reconstruct_dense(fac), epsilon), 0.0)
     mass_new = fac.mass * (R @ fac.mass) / lam_safe[None, :]
     total = mass_new.sum()
     if total <= 0:

@@ -210,6 +210,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert "reg must be finite" in err
 
+    @pytest.mark.parametrize("fractions", ["0.1,0.10000001", "0.5,0.5"])
+    def test_fractions_sharing_a_report_key_exit_2(self, tmp_path, capsys, fractions):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
+        labels.write_text("n0\tc0\nn1\tc1\n")
+        rep = tmp_path / "r.json"
+        assert run(["eval", "--embedding", emb, "--labels", labels,
+                    "--fractions", fractions, "--json", rep]) == 2
+        assert "fractions must give distinct report keys" in capsys.readouterr().err
+        assert not rep.exists()
+
 
 class TestStats:
     def test_triangle_fixture(self, tmp_path, capsys):

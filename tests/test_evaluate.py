@@ -205,21 +205,26 @@ class TestNewtonSolver:
     def test_protocol_matches_gradient_descent_record(self):
         """F1 lists recorded with the former first-order solver (grad norm < 1e-6).
 
+        The input is a pinned embedding file: mvne_embed of the SBM below
+        (d=16, seed 42), so the record tests the OvR solver alone, whatever
+        the fit does.
+
         One split differs: at fraction 0.1, repeat 3, the former solver stopped
         about 4e-5 from the minimizer, and one test node's two top scores came
         out 1.9e-6 apart; at the minimizer (gradient norm 1e-13) they are
         7.8e-7 apart the other way, which the Newton fit reproduces.
         """
-        record = json.loads((pathlib.Path(__file__).parent / "data" /
-                             "sbm_protocol_f1_gradient_descent.json").read_text())
+        data = pathlib.Path(__file__).parent / "data"
+        record = json.loads((data / "sbm_protocol_f1_gradient_descent.json").read_text())
         near_tie = {("micro_f1", "0.1", 3): 0.8, ("macro_f1", "0.1", 3): 0.7850539016206182}
         spec = mvne.SbmSpec(n=200, communities=4, p_in=0.3, p_out=0.01, views=3,
                             keep=0.4, noise=0.2, seed=0)
         graph, labels = mvne.generate_multiview_sbm(spec)
-        fac = mvne.mvne_embed(graph, mvne.MvneConfig(factorize=mvne.FactorizeConfig(d=16, seed=42)))
+        names, H = mvne.read_embedding(data / "sbm_protocol_f1_embedding.txt")
+        assert names == graph.registry.names
         protocol = mvne.EvalProtocol(fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
                                      repeats=5, seed=7)
-        doc = mvne.run_protocol(fac.H, labels, protocol).to_dict()
+        doc = mvne.run_protocol(H, labels, protocol).to_dict()
         for metric in ("micro_f1", "macro_f1"):
             assert sorted(doc[metric]) == sorted(record[metric])
             for f, scores in record[metric].items():

@@ -50,7 +50,7 @@ def edges_150k():
     adj = mvne.SparseAdjacency.from_undirected(
         rng.integers(0, n, 150_000), rng.integers(0, n, 150_000), np.ones(150_000), n)
     assert adj.nnz > 16 * _BLOCK
-    adj.upper  # the symmetry cache is built once per adjacency, not per fit
+    adj.upper_index  # the symmetry cache is built once per adjacency, not per fit
     return adj
 
 
@@ -150,13 +150,21 @@ class TestEdgeKernel:
         # more than one block of upper-half entries, plus self-loops
         n = 300
         adj = loops_and_isolated_node(n, 0.4, 41, 25)
-        assert adj.upper.size > _BLOCK
+        assert adj.upper_index.pos.size > _BLOCK
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
         ref = np.maximum(mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices], cfg.epsilon)
         got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass, fac.lam)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert np.array_equal(got, got[adj.transpose_perm])
+        pos, _, _, mirror = adj.upper_index
+        assert np.array_equal(got[pos], got[mirror])
+
+    def test_plan_reads_the_adjacency_index_without_a_copy(self):
+        adj = mvne.random_weighted_graph(40, 0.3, 23)
+        plan = _EdgePlan(adj, 4, 1e-12)
+        for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror),
+                               adj.upper_index):
+            assert np.shares_memory(mine, owned)
 
     def test_factorize_trace_matches_stepwise(self):
         adj = mvne.random_weighted_graph(40, 0.3, 23)
@@ -167,7 +175,7 @@ class TestEdgeKernel:
                                                                     n, block):
         monkeypatch.setattr(factorize_module, "_BLOCK", block)
         adj = loops_and_isolated_node(n, 0.3, 23, 6)
-        assert adj.upper.size > block
+        assert adj.upper_index.pos.size > block
         assert adj.degrees()[-1] == 0
         assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30))
 
@@ -339,7 +347,7 @@ class TestFactorize:
         assert run.to_dict()["stop_reason"] == "max_iters"
 
     def test_edgeless_rejected(self):
-        adj = mvne.SparseAdjacency.empty(4)
+        adj = mvne.SparseAdjacency(sp.csr_array((4, 4)))
         with pytest.raises(ValueError, match="no edges"):
             mvne.factorize(adj, small_config(2))
 

@@ -96,7 +96,7 @@ class TestRoundTrip:
                 w = float(rng.uniform(0.1, 5.0))
                 lines.append(f"n{i}\tn{j}\t{w!r}")
             adj, reg = make_adjacency("\n".join(lines) + "\n")
-            adj.upper  # raises unless bit-exactly symmetric
+            adj.upper_index  # raises unless bit-exactly symmetric
             assert (adj.values > 0).all()
             assert abs(adj.total_weight - adj.values.sum()) <= 1e-12 * max(1.0, adj.total_weight)
             buf = io.StringIO()
@@ -112,6 +112,32 @@ def per_entry_edge_list(adj, reg):
     rows, cols, vals = adj.coo_rows, adj.indices, adj.values
     return "".join(f"{reg.name_of(int(rows[e]))}\t{reg.name_of(int(cols[e]))}\t{float(vals[e])!r}\n"
                    for e in range(adj.nnz) if rows[e] <= cols[e])
+
+
+class TestUpperIndex:
+    def test_library_adjacencies_keep_int32_indices(self, tmp_path):
+        loaded, _ = make_adjacency("a\tb\nb\tc\t2\nc\tc\n")
+        spec = mvne.SbmSpec(n=40, communities=2, p_in=0.4, p_out=0.05,
+                            views=2, keep=0.7, noise=0.1, seed=3)
+        generated, labels = mvne.generate_multiview_sbm(spec)
+        built = mvne.build_multiview(mvne.read_manifest(
+            mvne.dump_dataset(generated, labels, tmp_path)))
+        combined = mvne.combine_views(built, mvne.default_betas(built))
+        for adj in [loaded, *generated.views, *built.views, combined,
+                    mvne.random_weighted_graph(30, 0.3, 1)]:
+            for a in (adj.indices, adj.indptr, *adj.upper_index):
+                assert a.dtype == np.int32
+
+    def test_lists_each_upper_entry_with_its_mirror(self):
+        adj = mvne.random_weighted_graph(30, 0.3, 2)
+        pos, rows, cols, mirror = adj.upper_index
+        dense = adj.mat.toarray()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == \
+            sorted(zip(*np.nonzero(np.triu(dense))))
+        assert np.array_equal(adj.coo_rows[pos], rows)
+        assert np.array_equal(adj.indices[pos], cols)
+        assert np.array_equal(adj.coo_rows[mirror], cols)
+        assert np.array_equal(adj.indices[mirror], rows)
 
 
 class TestWriteEdgeListBlocks:

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mvne
 
@@ -66,7 +67,7 @@ class TestDefaultBetas:
         reg = mvne.NodeRegistry()
         reg.intern("a")
         g = mvne.MultiViewGraph(registry=reg, view_names=["e"],
-                                views=[mvne.SparseAdjacency.empty(1)])
+                                views=[mvne.SparseAdjacency(sp.csr_array((1, 1)))])
         with pytest.raises(ValueError, match="empty"):
             mvne.default_betas(g)
 
@@ -146,7 +147,7 @@ class TestCombineViews:
             reg.intern(c)
         full, _ = make_adjacency("a\tb\n")
         g = mvne.MultiViewGraph(registry=reg, view_names=["v", "empty"],
-                                views=[full, mvne.SparseAdjacency.empty(2)])
+                                views=[full, mvne.SparseAdjacency(sp.csr_array((2, 2)))])
         combined = mvne.combine_views(g, mvne.ViewWeights([0.5, 0.5]))
         assert combined.nnz == 2
         assert combined.total_weight == pytest.approx(0.5, rel=1e-12)

@@ -56,11 +56,11 @@ def test_edge_list_round_trip(text):
         # the one refused id: a leading '#' would make a written line a comment
         assert "node identifier '#" in str(exc) or 'node identifier "#' in str(exc)
         return
-    adj.upper  # raises unless structure and values are bit-exactly symmetric
+    adj.upper_index  # raises unless structure and values are bit-exactly symmetric
     first = write(adj, reg)
 
     again, reg2 = mvne.load_edge_list(io.StringIO(first))
-    again.upper
+    again.upper_index
     assert triples(again, reg2) == triples(adj, reg)
 
     # Line order follows registry order, so the byte-level check reloads
@@ -138,9 +138,12 @@ def test_factorize_config_accepts_exactly_finite_valid_values(d, max_iters, rel_
 @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2) | st.lists(st.floats(), max_size=3),
        st.integers(0, 2), st.floats())
 @example([0.5], 1, math.nan)
+@example([0.5, 0.5], 1, 0.01)
+@example([0.1, 0.10000001], 1, 0.01)
 def test_eval_protocol_accepts_exactly_finite_valid_values(fractions, repeats, reg):
     valid = (fractions and all(0 < f < 1 for f in fractions) and repeats >= 1
-             and math.isfinite(reg) and reg >= 0)
+             and math.isfinite(reg) and reg >= 0
+             and len({f"{f:g}" for f in fractions}) == len(fractions))
     try:
         mvne.EvalProtocol(fractions=fractions, repeats=repeats, reg=reg)
     except ValueError:

@@ -97,7 +97,7 @@ class TestGenerator:
                             views=3, keep=0.5, noise=0.2, seed=4)
         graph, labels = mvne.generate_multiview_sbm(spec)
         for adj in graph.views:
-            adj.upper  # raises unless bit-exactly symmetric
+            adj.upper_index  # raises unless bit-exactly symmetric
             assert (adj.values > 0).all()
         sizes = np.bincount(community_array(labels, 50), minlength=2)
         assert sizes.sum() == 50
