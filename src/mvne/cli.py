@@ -32,8 +32,12 @@ def _add_common(parser):
                         help="key=value defaults file; flags override it")
 
 
-def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_floats(flag, text):
+    fields = text.split(",")
+    if not all(x.strip() for x in fields):
+        raise ParseError(f"{flag} has an empty field in {text!r}; "
+                         "expected comma-separated finite numbers")
+    return [float(x) for x in fields]
 
 
 def build_parser():
@@ -140,7 +144,7 @@ def _load_graph(args) -> MultiViewGraph:
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
     graph = _load_graph(args)
-    betas = ViewWeights(_parse_floats(args.beta)) if args.beta else None
+    betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     if betas is not None and betas.k != graph.k:
         raise ParseError(f"got {betas.k} betas for {graph.k} views")
     config = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
@@ -175,7 +179,7 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
-    protocol = EvalProtocol(fractions=tuple(_parse_floats(args.fractions)),
+    protocol = EvalProtocol(fractions=tuple(_parse_floats("--fractions", args.fractions)),
                             repeats=args.repeats, seed=args.seed, reg=args.reg)
     report = run_protocol(X, labels, protocol)
     if args.json:

@@ -17,30 +17,31 @@ with the multiplicative ratio-kernel update
 
 which is a majorize-minimize step: the objective is non-increasing at every
 iteration, mass stays nonnegative, and sum(lam) = sum(W) holds after each
-update. The exposed factorization keeps the row-normalized memberships
-H = B / rowsum(B) (each row a distribution over communities) together with
-the community masses lam; H is the per-node embedding.
+update. B is the whole state of a fit: a Factorization holds B and reads
+lam = colsum(B) and the row-normalized memberships H = B / rowsum(B) (each
+row a distribution over communities) from it; H is the per-node embedding.
 
-Zero-degree nodes receive no update signal: their membership rows stay at
-their initial values and they are flagged in the run metadata.
+A node with no mass in B, such as a zero-degree node after the first update,
+has the uniform membership row 1/d; factorize flags zero-degree nodes in the
+run metadata.
 
 W must be bit-exactly symmetric in structure and values; the edge kernel
 raises ValueError otherwise. One iteration costs one pass over the stored
 entries with i <= j, which evaluates yhat once per iterate in blocks of
 _BLOCK = 2048 entries and mirrors it to the lower half, plus one
 sparse-dense product R @ B. The same yhat serves the objective of the
-iterate and the update that follows it. The objective's mass term is an
-O(n d) column sum.
+iterate and the update that follows it. Since lam = colsum(B), the
+objective's mass term sum_ij yhat_ij is sum(B).
 
 The i <= j edge index belongs to the adjacency: int32 while n and nnz fit,
 built once per adjacency and never copied. factorize builds what else does
-not change between iterates once per fit (an _EdgePlan): the active rows,
-the ratio matrix R whose data array each iterate overwrites, and the yhat
-and gather buffers. The loop carries plain arrays, updates H in place, and
-checks one Factorization at return. The public update_step and kl_objective
-build a plan per call and run the same code. What a fit holds beyond B and H
-is O(|E| + _BLOCK d) for the plan and O(n d) for the update's new B and its
-active rows; nothing is O(|E| d), and nothing grows with the iteration count.
+not change between iterates once per fit (an _EdgePlan): the ratio matrix R
+whose data array each iterate overwrites, and the yhat and gather buffers.
+The loop carries B alone and builds one Factorization at return. The public
+update_step and kl_objective build a plan per call and run the same code.
+What a fit holds beyond B is O(|E| + _BLOCK d) for the plan and O(n d) for
+the update's new B; nothing is O(|E| d), and nothing grows with the
+iteration count.
 """
 
 from __future__ import annotations
@@ -107,68 +108,61 @@ class RunMetadata:
         return asdict(self)
 
 
-def _factor_array(name: str, a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has a NaN or infinite entry")
-    if (a < 0).any():
-        raise ValueError(f"{name} has a negative entry; factor entries must be nonnegative")
-    return a
-
-
 class Factorization:
-    """Row-stochastic memberships H (n x d) plus community masses lam.
+    """The node-community mass matrix B (n x d) of a fit, and what it implies.
 
-    ``mass`` is the underlying nonnegative node-community mass matrix B that
-    the reconstruction and the updates operate on. Building a factorization
-    directly from (H, lam) takes B = H * lam, the mass split implied by the
-    memberships.
+    ``mass`` is B, the one state the reconstruction and the updates operate
+    on; it must be 2-D, finite and nonnegative. ``lam`` = colsum(B) are the
+    community masses and ``H`` = B / rowsum(B) the row-stochastic
+    memberships, with the uniform row 1/d for a row of B with no mass.
     """
 
-    def __init__(self, H: np.ndarray, lam: np.ndarray, mass: np.ndarray | None = None,
-                 run: RunMetadata | None = None):
-        H = _factor_array("H", H)
-        lam = _factor_array("lam", lam)
-        if H.ndim != 2:
-            raise ValueError("H must be 2-D")
-        if lam.shape != (H.shape[1],):
-            raise ValueError("lam length must equal the number of columns of H")
-        self.H = H
-        self.lam = lam
-        self.mass = H * lam[None, :] if mass is None else _factor_array("mass", mass)
+    def __init__(self, mass: np.ndarray, *, run: RunMetadata | None = None):
+        mass = np.asarray(mass, dtype=np.float64)
+        if mass.ndim != 2 or mass.shape[1] < 1:
+            raise ValueError("mass must be 2-D with at least one column")
+        if not np.isfinite(mass).all():
+            raise ValueError("mass has a NaN or infinite entry")
+        if (mass < 0).any():
+            raise ValueError("mass has a negative entry; factor entries must be nonnegative")
+        self.mass = mass
+        self.lam = mass.sum(axis=0)
+        rowsum = mass.sum(axis=1, keepdims=True)
+        self.H = np.divide(mass, rowsum, out=np.full(mass.shape, 1.0 / mass.shape[1]),
+                           where=rowsum > 0)
         self.run = run
 
     @property
     def n(self) -> int:
-        return self.H.shape[0]
+        return self.mass.shape[0]
 
     @property
     def d(self) -> int:
-        return self.H.shape[1]
+        return self.mass.shape[1]
 
 
 def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> Factorization:
-    """Uniform-positive random memberships, uniform masses.
+    """Uniform-positive random memberships H0 with uniform masses total/d.
 
-    H rows are drawn uniform-positive then row-normalized; lam is split
-    evenly so that sum(lam) equals the supplied total weight. Deterministic
-    given config.seed.
+    H0 rows are drawn uniform-positive then row-normalized; B0 scales column
+    p of H0 by (total/d) colsum(H0)_p, the one B whose reconstruction
+    B diag(1/colsum B) B^T is H0 diag(total/d) H0^T. Deterministic given
+    config.seed.
     """
     if n < 1:
         raise ValueError("need at least one node")
     rng = np.random.default_rng(config.seed)
-    H = rng.uniform(0.1, 1.0, size=(n, config.d))
-    H /= H.sum(axis=1, keepdims=True)
-    lam = np.full(config.d, total_weight / config.d, dtype=np.float64)
-    return Factorization(H, lam)
+    B = rng.uniform(0.1, 1.0, size=(n, config.d))
+    B /= B.sum(axis=1, keepdims=True)  # H0
+    B *= total_weight / config.d * B.sum(axis=0)
+    return Factorization(B)
 
 
 def reconstruct_entry(fac: Factorization, i: int, j: int) -> float:
     """Reconstructed weight between nodes i and j.
 
-    Equals sum_p h_ip * lam_p * h_jp for a factorization built from (H, lam);
-    along an optimization trajectory it is the model's two-hop path weight
-    sum_p b_ip * b_jp / lam_p.
+    The model's two-hop path weight sum_p b_ip * b_jp / lam_p, read from the
+    mass matrix B; a community with no mass contributes nothing.
     """
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
     return float(np.sum(fac.mass[i] * fac.mass[j] / lam_safe))
@@ -180,13 +174,13 @@ class _EdgePlan:
     factorize builds one per fit; the public update_step and kl_objective
     build one per call. It reads the adjacency's i <= j edge index (CSR
     positions, rows, columns and mirror positions) by reference, without a
-    copy, and holds the active rows, the ratio matrix R whose data array
-    every ratio() call overwrites, and the yhat and gather buffers.
+    copy, and holds the ratio matrix R whose data array every ratio() call
+    overwrites, and the yhat and gather buffers. Its methods take the mass
+    matrix B alone and read lam = colsum(B) from it.
     """
 
     def __init__(self, adj: SparseAdjacency, d: int, epsilon: float):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
-        self.active = np.flatnonzero(adj.degrees() > 0)
         self.w = adj.values
         # max(w, epsilon) is w itself unless a weight is below epsilon
         self.w_floor = self.w if (self.w >= epsilon).all() else np.maximum(self.w, epsilon)
@@ -199,13 +193,14 @@ class _EdgePlan:
         self.right = np.empty_like(self.left)
         self.half = np.empty(self.left.shape[0])
 
-    def reconstruct(self, mass: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def reconstruct(self, mass: np.ndarray) -> np.ndarray:
         """max(yhat_ij, epsilon) at every stored entry, in CSR data order.
 
         A sampled dense-dense product: only the entries with i <= j are
         evaluated, _BLOCK at a time, and copied to their transposes. The
         result is self.yhat, which the next call overwrites.
         """
+        lam = mass.sum(axis=0)
         Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
         left, right, half, yhat = self.left, self.right, self.half, self.yhat
         for s in range(0, self.rows.size, _BLOCK):
@@ -224,30 +219,24 @@ class _EdgePlan:
         """Set R_ij = w_ij / yhat_ij, the ratio the next update multiplies by."""
         np.divide(self.w, yhat, out=self.R.data)
 
-    def objective(self, mass: np.ndarray, lam: np.ndarray) -> float:
-        """kl_objective of (mass, lam) from its reconstruct(); overwrites self.yhat."""
+    def objective(self, mass: np.ndarray) -> float:
+        """kl_objective of mass from its reconstruct(); overwrites self.yhat."""
         t = self.yhat
         np.divide(self.w_floor, t, out=t)
         np.log(t, out=t)
         t *= self.w
         t -= self.w
-        data_term = float(t.sum())
-        col = mass.sum(axis=0)
-        lam_safe = np.maximum(lam, self.epsilon)
-        mass_term = float(np.sum(np.where(col > 0, col * col / lam_safe, 0.0)))
-        return data_term + mass_term
+        # sum_ij yhat_ij = sum_p colsum(B)_p^2 / lam_p = sum(B)
+        return float(t.sum()) + float(mass.sum())
 
-    def measure(self, mass: np.ndarray, lam: np.ndarray) -> float:
-        """The objective of (mass, lam), with R set for the update from it."""
-        self.ratio(self.reconstruct(mass, lam))
-        return self.objective(mass, lam)
+    def measure(self, mass: np.ndarray) -> float:
+        """The objective of mass, with R set for the update from it."""
+        self.ratio(self.reconstruct(mass))
+        return self.objective(mass)
 
-    def update(self, mass: np.ndarray, lam: np.ndarray, H: np.ndarray):
-        """The ratio update from (mass, lam) with the R that ratio() set.
-
-        Returns the new (mass, lam) as new arrays and rewrites the active
-        rows of H in place; the rows of isolated nodes keep their values.
-        """
+    def update(self, mass: np.ndarray) -> np.ndarray:
+        """The ratio update from mass with the R that ratio() set, as a new B."""
+        lam = mass.sum(axis=0)
         new = self.R @ mass
         new *= mass
         new /= np.where(lam > 0, lam, np.inf)
@@ -255,13 +244,7 @@ class _EdgePlan:
         if total <= 0:
             raise ValueError("update collapsed all mass; is the graph edgeless?")
         new *= self.total_weight / total
-        rowsum = new.sum(axis=1)[self.active]
-        ok = rowsum > 0  # a fully underflowed row keeps its last memberships
-        idx = self.active[ok]
-        h = new[idx]
-        h /= rowsum[ok, None]
-        H[idx] = h
-        return new, new.sum(axis=0)
+        return new
 
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
@@ -270,12 +253,13 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
 
     The sum runs over all n^2 pairs; zero-weight pairs contribute their
     reconstructed weight. Evaluated sparsely: the data terms only touch
-    stored entries, and the total reconstructed mass folds to
-    sum_p colsum(B)_p^2 / lam_p, so the cost is O(|E| d + n d).
+    stored entries, and the total reconstructed mass
+    sum_p colsum(B)_p^2 / lam_p folds to sum(B) since lam = colsum(B), so
+    the cost is O(|E| d + n d).
     """
     plan = _EdgePlan(adj, fac.d, epsilon)
-    plan.reconstruct(fac.mass, fac.lam)
-    return plan.objective(fac.mass, fac.lam)
+    plan.reconstruct(fac.mass)
+    return plan.objective(fac.mass)
 
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
@@ -286,10 +270,8 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     row-sum and mass constraints exactly (up to float rounding).
     """
     plan = _EdgePlan(adj, fac.d, config.epsilon if config else 1e-12)
-    plan.ratio(plan.reconstruct(fac.mass, fac.lam))
-    H = fac.H.copy()
-    mass, lam = plan.update(fac.mass, fac.lam, H)
-    return Factorization(H, lam, mass=mass)
+    plan.ratio(plan.reconstruct(fac.mass))
+    return Factorization(plan.update(fac.mass))
 
 
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
@@ -303,16 +285,14 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
-    init = init_factorization(adj.n, config, adj.total_weight)
-    H, lam, mass = init.H, init.lam, init.mass
-    del init  # the first update frees the initial mass
+    mass = init_factorization(adj.n, config, adj.total_weight).mass
     plan = _EdgePlan(adj, config.d, config.epsilon)
-    obj = plan.measure(mass, lam)
+    obj = plan.measure(mass)
     trace = [obj]
     stop_reason = "max_iters"
     for it in range(1, config.max_iters + 1):
-        mass, lam = plan.update(mass, lam, H)
-        prev, obj = obj, plan.measure(mass, lam)
+        mass = plan.update(mass)
+        prev, obj = obj, plan.measure(mass)
         trace.append(obj)
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             stop_reason = "tolerance"
@@ -325,7 +305,7 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
         stop_reason=stop_reason,
         final_rel_improvement=(prev - obj) / max(abs(prev), 1e-300),
     )
-    return Factorization(H, lam, mass=mass, run=run)
+    return Factorization(mass, run=run)
 
 
 def embedding(fac: Factorization) -> np.ndarray:

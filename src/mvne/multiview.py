@@ -1,7 +1,7 @@
 """Multi-view embedding: view weighting, combination, shared factorization.
 
 The views are merged into a single adjacency W~ = sum_i beta_i W^(i) over
-the shared node registry, and one factorization (H, lam) is fitted to the
+the shared node registry, and one factorization B is fitted to the
 combination, so every view is explained by the same latent communities.
 View weights beta default to the per-view active-node counts, normalized to
 sum 1; per-view total weights can differ by orders of magnitude, so each
@@ -94,7 +94,7 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
     """Shared factorization of the combined view.
 
     The returned embedding covers every registry node; nodes absent from all
-    positive-weight views keep their initial membership rows and are listed
+    positive-weight views get the uniform membership row 1/d and are listed
     in the run metadata.
     """
     if graph.k == 0:

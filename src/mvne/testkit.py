@@ -67,14 +67,7 @@ def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12)
     if total <= 0:
         raise ValueError("update collapsed all mass; is the graph edgeless?")
     mass_new *= W.sum() / total
-    lam_new = mass_new.sum(axis=0)
-    H_new = fac.H.copy()
-    active = W.sum(axis=1) > 0
-    rowsum = mass_new[active].sum(axis=1, keepdims=True)
-    ok = rowsum.ravel() > 0
-    idx = np.flatnonzero(active)[ok]
-    H_new[idx] = mass_new[idx] / rowsum[ok]
-    return Factorization(H_new, lam_new, mass=mass_new)
+    return Factorization(mass_new)
 
 
 def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorization:

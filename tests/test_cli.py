@@ -121,6 +121,8 @@ class TestEmbed:
         ("--rel-tol", "inf", "rel_tol"),
         ("--beta", "nan,1", "beta"),
         ("--beta", "inf,1", "beta"),
+        ("--beta", "", "beta"),  # an empty field, not the default betas
+        ("--beta", "0.5,,0.3,0.2", "beta"),
     ])
     def test_non_finite_flag_exits_2_naming_the_field(self, tmp_path, dataset, capsys,
                                                        flag, value, field):
@@ -128,6 +130,20 @@ class TestEmbed:
                     flag, value, "--out", tmp_path / "e.txt"]) == 2
         err = capsys.readouterr().err
         assert field in err and "finite" in err
+
+    def test_nodes_only_in_zero_weight_views_embed_uniform(self, tmp_path, dataset):
+        # view1 gains nodes that view0 lacks; with beta 0 they have no edges
+        extra = tmp_path / "extra.edges"
+        extra.write_text((dataset / "view1.edges").read_text() + "z0\tz1\nz1\tz2\n")
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text(f"view0\t{dataset / 'view0.edges'}\nview1\t{extra}\n")
+        out, meta = tmp_path / "emb.txt", tmp_path / "meta.json"
+        assert run(["embed", "--manifest", manifest, "-d", 4, "--beta", "1,0",
+                    "--out", out, "--meta", meta]) == 0
+        names, X = mvne.read_embedding(out)
+        degenerate = json.loads(meta.read_text())["degenerate_nodes"]
+        assert [names[v] for v in degenerate if names[v].startswith("z")] == ["z0", "z1", "z2"]
+        assert (X[degenerate] == 0.25).all()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["embed", "--edges", tmp_path / "nope.edges",
@@ -210,15 +226,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert "reg must be finite" in err
 
-    @pytest.mark.parametrize("fractions", ["0.1,0.10000001", "0.5,0.5"])
-    def test_fractions_sharing_a_report_key_exit_2(self, tmp_path, capsys, fractions):
+    @pytest.mark.parametrize("fractions, error", [
+        ("0.1,0.10000001", "fractions must give distinct report keys"),
+        ("0.5,0.5", "fractions must give distinct report keys"),
+        ("0.5,,0.7", "--fractions has an empty field"),  # no longer read as 0.5,0.7
+    ], ids=["0.1,0.10000001", "0.5,0.5", "0.5,,0.7"])
+    def test_fractions_sharing_a_report_key_exit_2(self, tmp_path, capsys, fractions, error):
         emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
         mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
         labels.write_text("n0\tc0\nn1\tc1\n")
         rep = tmp_path / "r.json"
         assert run(["eval", "--embedding", emb, "--labels", labels,
                     "--fractions", fractions, "--json", rep]) == 2
-        assert "fractions must give distinct report keys" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not rep.exists()
 
 

@@ -67,8 +67,11 @@ class TestInit:
         assert np.array_equal(a.lam, b.lam)
 
     def test_uniform_mass_split(self):
+        # B0 reconstructs to H0 diag(total/d) H0^T, with H0 redrawn from the seed
         fac = mvne.init_factorization(3, small_config(4), total_weight=8.0)
-        assert np.array_equal(fac.lam, [2.0, 2.0, 2.0, 2.0])
+        H0 = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 4))
+        H0 /= H0.sum(axis=1, keepdims=True)
+        assert np.abs(mvne.reconstruct_dense(fac) - (H0 * 2.0) @ H0.T).max() <= 1e-12
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -88,18 +91,26 @@ class TestFactorizationChecks:
         ([[0.5, 0.5]], [1.0, 1.0], [[0.5, -0.5]]),
     ])
     def test_non_finite_or_negative_rejected(self, H, lam, mass):
+        # each case's mass matrix: the given one, else the split H * lam
+        with np.errstate(invalid="ignore"):
+            B = np.multiply(H, lam) if mass is None else mass
         with pytest.raises(ValueError):
-            mvne.Factorization(H, lam, mass=mass)
+            mvne.Factorization(B)
+
+    @pytest.mark.parametrize("mass", [[1.0, 2.0], [[[1.0]]], np.empty((2, 0))])
+    def test_mass_shape_checked(self, mass):
+        with pytest.raises(ValueError, match="2-D"):
+            mvne.Factorization(mass)
 
 
 class TestReconstruct:
     def test_identity_like_rows(self):
-        fac = mvne.Factorization(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0]))
+        fac = mvne.Factorization(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert mvne.reconstruct_entry(fac, 0, 1) == 0.0
         assert mvne.reconstruct_entry(fac, 0, 0) == 1.0
 
     def test_uniform_memberships(self):
-        fac = mvne.Factorization(np.full((2, 2), 0.5), np.array([1.0, 1.0]))
+        fac = mvne.Factorization(np.full((2, 2), 0.5))
         for i in range(2):
             for j in range(2):
                 assert mvne.reconstruct_entry(fac, i, j) == pytest.approx(0.5, abs=1e-15)
@@ -109,7 +120,8 @@ class TestReconstruct:
         H = rng.uniform(0.1, 1.0, (4, 2))
         H /= H.sum(axis=1, keepdims=True)
         lam = rng.uniform(0.5, 2.0, 2)
-        fac = mvne.Factorization(H, lam)
+        # the one mass matrix whose reconstruction is H diag(lam) H^T
+        fac = mvne.Factorization(H * (lam * H.sum(axis=0)))
         ref = (H * lam) @ H.T
         got = mvne.reconstruct_dense(fac)
         assert np.abs(got - ref).max() <= 1e-12
@@ -123,12 +135,12 @@ class TestObjective:
     def test_exact_reconstruction_is_zero(self):
         # all-ones W including self-loops is exactly reconstructible at d=1
         adj, _ = make_adjacency("a\ta\t1\nb\tb\t1\na\tb\t1\n")
-        fac = mvne.Factorization(np.array([[1.0], [1.0]]), np.array([1.0]))
+        fac = mvne.Factorization(np.array([[2.0], [2.0]]))
         assert mvne.kl_objective(adj, fac) == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_two_node_value(self):
         adj, _ = make_adjacency("a\tb\t1\n")
-        fac = mvne.Factorization(np.full((2, 2), 0.5), np.array([1.0, 1.0]))
+        fac = mvne.Factorization(np.full((2, 2), 0.5))
         expect = 2 * math.log(2)  # 2(log 2 - 0.5) + 2*0.5, all four pairs
         assert mvne.kl_objective(adj, fac) == pytest.approx(expect, rel=1e-12)
         W = adj.mat.toarray()
@@ -154,7 +166,7 @@ class TestEdgeKernel:
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
         ref = np.maximum(mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices], cfg.epsilon)
-        got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass, fac.lam)
+        got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index
         assert np.array_equal(got[pos], got[mirror])
@@ -357,7 +369,7 @@ class TestFactorize:
         assert np.abs(fac.H.sum(axis=1) - 1.0).max() <= 1e-9
         assert abs(fac.lam.sum() - adj.total_weight) <= 1e-6 * adj.total_weight
 
-    def test_degenerate_rows_flagged_and_frozen(self):
+    def test_degenerate_rows_flagged_and_uniform(self):
         reg = mvne.NodeRegistry()
         for name in ("a", "b", "c", "x", "y"):
             reg.intern(name)
@@ -365,9 +377,9 @@ class TestFactorize:
         assert adj.n == 5  # nodes 3, 4 have no edges
         cfg = small_config(2, seed=6)
         fac = mvne.factorize(adj, cfg)
-        init = mvne.init_factorization(5, cfg, adj.total_weight)
         assert fac.run.degenerate_nodes == [3, 4]
-        assert np.array_equal(fac.H[3:], init.H[3:])
+        assert (fac.mass[3:] == 0).all()
+        assert np.array_equal(fac.H[3:], np.full((2, 2), 0.5))
 
     def test_permutation_equivariance(self):
         adj = mvne.random_weighted_graph(12, 0.4, 13)
@@ -382,7 +394,7 @@ class TestFactorize:
         adj_p = mvne.SparseAdjacency.from_undirected(i, j, Wp[i, j], n)
 
         fac = mvne.init_factorization(n, cfg, adj.total_weight)
-        fac_p = mvne.Factorization(fac.H[perm], fac.lam.copy())
+        fac_p = mvne.Factorization(fac.mass[perm])
         for _ in range(25):
             fac = mvne.update_step(adj, fac, cfg)
             fac_p = mvne.update_step(adj_p, fac_p, cfg)

@@ -1,4 +1,6 @@
 import io
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -192,3 +194,27 @@ class TestMvneEmbed:
         b = mvne.factorize(scaled, cfg)
         assert np.abs(a.H - b.H).max() <= 1e-10
         assert np.abs(b.lam - c * a.lam).max() <= 1e-10 * max(1.0, c * a.lam.max())
+
+    def test_sbm_fit_matches_pinned_trace(self):
+        """mvne_embed of the criterion-6 SBM (gseed 0, d=16, seed 42) against records.
+
+        tests/data/sbm_fit_trace.json holds the iteration count and objective
+        trace, and sbm_protocol_f1_embedding.txt the H, of this fit as the
+        earlier three-array state (H, lam, B) computed it. The B-only state
+        starts from the B0 with the same reconstruction, so it must follow
+        the same trajectory up to rounding.
+        """
+        data = pathlib.Path(__file__).parent / "data"
+        record = json.loads((data / "sbm_fit_trace.json").read_text())
+        spec = mvne.SbmSpec(n=200, communities=4, p_in=0.3, p_out=0.01, views=3,
+                            keep=0.4, noise=0.2, seed=0)
+        graph, _ = mvne.generate_multiview_sbm(spec)
+        cfg = mvne.MvneConfig(factorize=mvne.FactorizeConfig(d=16, seed=42))
+        fac = mvne.mvne_embed(graph, cfg)
+        assert fac.run.iterations == record["iterations"]
+        trace, pinned = np.array(fac.run.objective_trace), np.array(record["objective_trace"])
+        assert trace.shape == pinned.shape
+        assert (np.abs(trace - pinned) <= 1e-12 * np.abs(pinned)).all()
+        names, H = mvne.read_embedding(data / "sbm_protocol_f1_embedding.txt")
+        assert names == graph.registry.names
+        assert np.abs(fac.H - H).max() <= 1e-10
