@@ -15,9 +15,17 @@ with the multiplicative ratio-kernel update
 
     B <- B * (R @ B) / lam,     R_ij = w_ij / yhat_ij at stored entries
 
-which is a majorize-minimize step: the objective is non-increasing at every
-iteration, mass stays nonnegative, and sum(lam) = sum(W) holds after each
-update. B is the whole state of a fit: a Factorization holds B and reads
+which is a majorize-minimize step: the objective does not increase, mass
+stays nonnegative, and sum(lam) = sum(W) holds after each update.
+
+factorize over-relaxes this step in the sense of Fevotte & Idier (Neural
+Computation 2011). With the update factor G = (R @ B) / lam it tries
+B * G^t, renormalized to sum(W), for an exponent t in [1, 4], keeps it only
+if the objective falls strictly, and otherwise takes the plain step. t
+starts at 1 (the plain step alone), halves down to 1 after a rejected
+candidate, and otherwise grows by 1.2 up to 4.
+
+B is the whole state of a fit: a Factorization holds B and reads
 lam = colsum(B) and the row-normalized memberships H = B / rowsum(B) (each
 row a distribution over communities) from it; H is the per-node embedding.
 
@@ -26,22 +34,25 @@ has the uniform membership row 1/d; factorize flags zero-degree nodes in the
 run metadata.
 
 W must be bit-exactly symmetric in structure and values; the edge kernel
-raises ValueError otherwise. One iteration costs one pass over the stored
-entries with i <= j, which evaluates yhat once per iterate in blocks of
-_BLOCK = 2048 entries and mirrors it to the lower half, plus one
-sparse-dense product R @ B. The same yhat serves the objective of the
-iterate and the update that follows it. Since lam = colsum(B), the
-objective's mass term sum_ij yhat_ij is sum(B).
+raises ValueError otherwise. A kernel pass over the stored entries with
+i <= j evaluates yhat once per iterate in blocks of _BLOCK = 2048 entries
+and mirrors it to the lower half; the same yhat serves the objective of the
+iterate and the update that follows it, one sparse-dense product R @ B.
+An iteration costs one pass, two when its candidate is rejected and the
+plain step is measured too, so a fit makes iterations + 1 + rejected_steps
+passes. Since lam = colsum(B), the objective's mass term sum_ij yhat_ij is
+sum(B).
 
 The i <= j edge index belongs to the adjacency: int32 while n and nnz fit,
 built once per adjacency and never copied. factorize builds what else does
 not change between iterates once per fit (an _EdgePlan): the ratio matrix R
 whose data array each iterate overwrites, and the yhat and gather buffers.
-The loop carries B alone and builds one Factorization at return. The public
-update_step and kl_objective build a plan per call and run the same code.
-What a fit holds beyond B is O(|E| + _BLOCK d) for the plan and O(n d) for
-the update's new B; nothing is O(|E| d), and nothing grows with the
-iteration count.
+The loop carries B alone, builds the relaxed candidate in B's own array,
+and builds one Factorization at return. The public update_step and
+kl_objective build a plan per call and run the plain step's code. What a
+fit holds beyond B is O(|E| + _BLOCK d) for the plan and O(n d) for the
+plain step and the reconstruction's B / lam; nothing is O(|E| d), and
+nothing grows with the iteration count.
 """
 
 from __future__ import annotations
@@ -61,6 +72,14 @@ from .graph import ParseError, SparseAdjacency
 _BLOCK = 2048
 # Embedding rows formatted per write; their strings stay under 0.4 MB at d = 128.
 _WRITE_ROWS = 128
+# Characters of whole lines the embedding reader splits at once; their
+# tokens take well under 1 MB.
+_READ_BYTES = 1 << 16
+# The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
+# and growth 1.1 and 1.5 were measured too (CHANGES.md).
+_GROW = 1.2
+_MAX_EXPONENT = 4.0
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass
@@ -95,6 +114,8 @@ class RunMetadata:
     stop_reason is "tolerance" when the relative improvement of the last
     iteration fell below rel_tol, else "max_iters"; final_rel_improvement is
     that last improvement, (previous - final objective) / |previous|.
+    rejected_steps counts relaxed candidates that did not lower the
+    objective; each cost one extra kernel pass.
     """
 
     iterations: int = 0
@@ -103,6 +124,7 @@ class RunMetadata:
     degenerate_nodes: list = field(default_factory=list)
     stop_reason: str = ""
     final_rel_improvement: float = float("nan")
+    rejected_steps: int = 0
 
     def to_dict(self):
         return asdict(self)
@@ -246,6 +268,21 @@ class _EdgePlan:
         new *= self.total_weight / total
         return new
 
+    def relax(self, mass: np.ndarray, step: np.ndarray, t: float) -> np.ndarray:
+        """Overwrite mass with the relaxed candidate step * (step / mass)^(t - 1).
+
+        step is update(mass), so the candidate is mass * G^t for the update
+        factor G = (R @ B) / lam up to rounding, renormalized to the total
+        weight. A zero of mass stays zero. Returns mass: the fit keeps either
+        the candidate or step, never the old mass, so no buffer is needed.
+        """
+        np.maximum(mass, _TINY, out=mass)
+        np.divide(step, mass, out=mass)
+        np.power(mass, t - 1.0, out=mass)
+        mass *= step
+        mass *= self.total_weight / mass.sum()
+        return mass
+
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
                  epsilon: float = 1e-12) -> float:
@@ -264,7 +301,7 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
                 config: FactorizeConfig | None = None) -> Factorization:
-    """One multiplicative update of the factorization.
+    """One plain multiplicative update of the factorization.
 
     The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
@@ -275,13 +312,15 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
 
 
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
-    """Fit the factorization by iterating update_step from a random init.
+    """Fit the factorization from a random init by guarded relaxed steps.
 
-    Stops when the relative objective improvement drops below
-    config.rel_tol or after config.max_iters iterations, and returns the
+    Each iteration takes the relaxed candidate if it lowers the objective,
+    else the plain update_step (see the module docstring). Stops when the
+    relative objective improvement of an accepted step drops below
+    config.rel_tol or after config.max_iters accepted steps, and returns the
     last iterate with run metadata attached, so run.objective equals
-    run.objective_trace[-1]. The update does not increase the objective, and
-    a rise from float rounding ends the loop at once.
+    run.objective_trace[-1]. Neither step increases the objective, and a
+    rise from float rounding ends the loop at once.
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
@@ -290,9 +329,19 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     obj = plan.measure(mass)
     trace = [obj]
     stop_reason = "max_iters"
+    t, rejected = 1.0, 0
     for it in range(1, config.max_iters + 1):
-        mass = plan.update(mass)
-        prev, obj = obj, plan.measure(mass)
+        step, prev = plan.update(mass), obj
+        if t > 1:
+            mass = plan.relax(mass, step, t)
+            obj = plan.measure(mass)
+        if t > 1 and obj < prev:
+            t = min(_GROW * t, _MAX_EXPONENT)
+        else:
+            rejected += t > 1
+            t = max(t / 2, 1.0) if t > 1 else _GROW
+            mass = step
+            obj = plan.measure(mass)
         trace.append(obj)
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             stop_reason = "tolerance"
@@ -304,6 +353,7 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
         degenerate_nodes=[int(x) for x in np.flatnonzero(adj.degrees() == 0)],
         stop_reason=stop_reason,
         final_rel_improvement=(prev - obj) / max(abs(prev), 1e-300),
+        rejected_steps=rejected,
     )
     return Factorization(mass, run=run)
 
@@ -344,13 +394,38 @@ def read_embedding(path):
 
     Node names must be unique and values finite: a repeated name, a value
     that is not a float, NaN or +-inf raises ParseError naming the line. The
+    values are read in bulk; on any input the bulk reader cannot vouch for,
+    the per-line reader _read_rows, which defines the legal input, reads the
+    file again and names the faulty line. The uniqueness and finiteness
     checks run once over the whole file; only a failure looks up its line.
     """
+    try:
+        names, X = _read_rows_bulk(path)
+    except ValueError:
+        names, X = _read_rows(path)
+    n = len(names)
+    if len(set(names)) < n:
+        first = {}
+        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
+        raise ParseError(f"embedding file: repeated node {names[r]!r}", _row_line(path, r))
+    if not np.isfinite(X).all():
+        r = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ParseError(f"embedding file: node {names[r]!r} has a NaN or infinite value",
+                         _row_line(path, r))
+    return names, X
+
+
+def _read_header(fh):
+    header = fh.readline().split()
+    if len(header) != 2 or not all(h.isdecimal() for h in header):
+        raise ParseError("embedding file: bad header line, expected `n d`", 1)
+    return int(header[0]), int(header[1])
+
+
+def _read_rows(path):
+    """Names and values line by line; raises ParseError naming a bad line."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(h.isdecimal() for h in header):
-            raise ParseError("embedding file: bad header line, expected `n d`", 1)
-        n, d = int(header[0]), int(header[1])
+        n, d = _read_header(fh)
         names, rows = [], []
         for line in fh:
             parts = line.split()
@@ -366,15 +441,31 @@ def read_embedding(path):
                 raise ParseError(f"embedding file: {exc}", _row_line(path, len(rows))) from None
     if len(names) != n:
         raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
-    if len(set(names)) < n:
-        first = {}
-        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
-        raise ParseError(f"embedding file: repeated node {names[r]!r}", _row_line(path, r))
-    X = np.asarray(rows, dtype=np.float64).reshape(n, d)
-    if not np.isfinite(X).all():
-        r = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ParseError(f"embedding file: node {names[r]!r} has a NaN or infinite value",
-                         _row_line(path, r))
+    return names, np.asarray(rows, dtype=np.float64).reshape(n, d)
+
+
+def _read_rows_bulk(path):
+    """Names and values as _read_rows gives them, or ValueError.
+
+    The names come from split() over blocks of whole lines, and the values
+    from one np.loadtxt, which needs at least d + 1 fields on each of the n
+    non-blank rows; with n (d + 1) fields in all, each row has exactly
+    d + 1, so its first field is its name.
+    """
+    names, fields = [], 0
+    with open(path, "r", encoding="utf-8") as fh:
+        n, d = _read_header(fh)
+        for block in iter(lambda: fh.readlines(_READ_BYTES), []):
+            tokens = "".join(block).split()
+            fields += len(tokens)
+            names += tokens[::d + 1]
+    # an empty file, or d = 0, is left to the per-line loop: loadtxt warns on it
+    if n * d == 0 or fields != n * (d + 1):
+        raise ValueError("not n rows of d + 1 fields")
+    X = np.loadtxt(path, skiprows=1, usecols=range(1, d + 1), comments=None, ndmin=2,
+                   encoding="utf-8")
+    if X.shape[0] != n:
+        raise ValueError("not n rows of d + 1 fields")
     return names, X
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import Factorization, FactorizeConfig, init_factorization
+from .factorize import (_GROW, _MAX_EXPONENT, Factorization, FactorizeConfig,
+                        init_factorization)
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency,
                     write_edge_list)
 
@@ -58,11 +59,16 @@ def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12
     return data + float(Yhat.sum())
 
 
-def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12) -> Factorization:
-    """Full-matrix twin of the sparse ratio-form update."""
+def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12,
+                      t: float = 1.0) -> Factorization:
+    """Full-matrix twin of the sparse ratio-form update, B * G^t renormalized.
+
+    G = (R @ B) / lam is the update factor; t = 1 is the plain update and
+    t > 1 the over-relaxed candidate of factorize.
+    """
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
     R = np.where(W > 0, W / np.maximum(reconstruct_dense(fac), epsilon), 0.0)
-    mass_new = fac.mass * (R @ fac.mass) / lam_safe[None, :]
+    mass_new = fac.mass * ((R @ fac.mass) / lam_safe[None, :]) ** t
     total = mass_new.sum()
     if total <= 0:
         raise ValueError("update collapsed all mass; is the graph edgeless?")
@@ -75,7 +81,8 @@ def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorizat
 
     Guarded to small graphs; shares init_factorization with the sparse path
     so the trajectories can be compared step by step, and like factorize()
-    returns the last iterate.
+    tries the relaxed step with exponent t > 1 first, keeps it only if the
+    objective falls, and returns the last iterate.
     """
     W = np.asarray(W, dtype=np.float64)
     n = W.shape[0]
@@ -86,9 +93,18 @@ def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorizat
         raise ValueError("graph has no edges; total weight is zero")
     fac = init_factorization(n, config, total)
     obj = dense_kl_objective(W, fac, config.epsilon)
+    t = 1.0
     for _ in range(config.max_iters):
-        fac = dense_update_step(W, fac, config.epsilon)
-        prev, obj = obj, dense_kl_objective(W, fac, config.epsilon)
+        prev = obj
+        if t > 1:
+            cand = dense_update_step(W, fac, config.epsilon, t)
+            obj = dense_kl_objective(W, cand, config.epsilon)
+        if t > 1 and obj < prev:
+            fac, t = cand, min(_GROW * t, _MAX_EXPONENT)
+        else:
+            t = max(t / 2, 1.0) if t > 1 else _GROW
+            fac = dense_update_step(W, fac, config.epsilon)
+            obj = dense_kl_objective(W, fac, config.epsilon)
         if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
             break
     return fac

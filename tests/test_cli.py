@@ -76,6 +76,7 @@ class TestEmbed:
         assert "wall_time_s" in doc and "objective_trace" in doc
         assert doc["stop_reason"] in ("tolerance", "max_iters")
         assert "final_rel_improvement" in doc
+        assert doc["rejected_steps"] >= 0
 
     def test_node_id_with_space_exits_2(self, tmp_path, capsys):
         edges = tmp_path / "g.edges"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import math
@@ -29,18 +30,45 @@ def loops_and_isolated_node(n, density, seed, loops):
     return mvne.SparseAdjacency.from_undirected(*np.nonzero(W), W[np.nonzero(W)], n + 1)
 
 
-def assert_fit_matches_stepwise(adj, cfg):
-    """factorize equals update_step/kl_objective iterated by hand, bit for bit."""
+def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
+    """Each accepted iterate of factorize is, bit for bit, update_step of the
+    one before or the relaxed candidate built from it with the exponent t
+    the loop's schedule gives; the trace does not rise; and the kernel
+    passes are one per accepted step, one for the init and one per
+    rejected candidate. Returns the fit's run metadata.
+    """
+    measure, passes = _EdgePlan.measure, []
+    monkeypatch.setattr(_EdgePlan, "measure",
+                        lambda plan, mass: passes.append(1) or measure(plan, mass))
     fit = mvne.factorize(adj, cfg)
-    fac = mvne.init_factorization(adj.n, cfg, adj.total_weight)
-    trace = [mvne.kl_objective(adj, fac, cfg.epsilon)]
-    for _ in range(fit.run.iterations):
-        fac = mvne.update_step(adj, fac, cfg)
-        trace.append(mvne.kl_objective(adj, fac, cfg.epsilon))
-    assert fit.run.objective_trace == trace
-    assert np.array_equal(fit.H, fac.H)
-    assert np.array_equal(fit.lam, fac.lam)
-    assert np.array_equal(fit.mass, fac.mass)
+    monkeypatch.setattr(_EdgePlan, "measure", measure)
+    run = fit.run
+    assert len(passes) == run.iterations + 1 + run.rejected_steps
+    assert all(b <= a for a, b in zip(run.objective_trace, run.objective_trace[1:]))
+
+    prev = mvne.init_factorization(adj.n, cfg, adj.total_weight)
+    assert run.objective_trace[0] == mvne.kl_objective(adj, prev, cfg.epsilon)
+    t, rejected = 1.0, 0
+    for k in range(1, run.iterations + 1):
+        # factorize is deterministic, so stopping it after k accepted steps
+        # gives its k-th iterate
+        cur = mvne.factorize(adj, dataclasses.replace(cfg, max_iters=k))
+        assert cur.run.objective_trace == run.objective_trace[:k + 1]
+        step = mvne.update_step(adj, prev, cfg).mass
+        if t > 1 and not np.array_equal(cur.mass, step):
+            cand = _EdgePlan(adj, cfg.d, cfg.epsilon).relax(prev.mass.copy(), step, t)
+            assert np.array_equal(cur.mass, cand)
+            t = min(factorize_module._GROW * t, factorize_module._MAX_EXPONENT)
+        else:
+            assert np.array_equal(cur.mass, step)
+            rejected += t > 1
+            t = max(t / 2, 1.0) if t > 1 else factorize_module._GROW
+        assert run.objective_trace[k] == mvne.kl_objective(adj, cur, cfg.epsilon)
+        prev = cur
+    assert rejected == run.rejected_steps
+    for name in ("H", "lam", "mass"):
+        assert np.array_equal(getattr(fit, name), getattr(prev, name))
+    return run
 
 
 def edges_150k():
@@ -178,9 +206,16 @@ class TestEdgeKernel:
                                adj.upper_index):
             assert np.shares_memory(mine, owned)
 
-    def test_factorize_trace_matches_stepwise(self):
+    def test_factorize_trace_matches_stepwise(self, monkeypatch):
         adj = mvne.random_weighted_graph(40, 0.3, 23)
-        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30))
+        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30), monkeypatch)
+
+    def test_factorize_trace_matches_stepwise_to_tolerance(self, monkeypatch):
+        # a fit that stops at rel_tol, after at least one rejected candidate
+        adj = mvne.random_weighted_graph(20, 0.3, 7)
+        run = assert_fit_matches_stepwise(adj, small_config(4, seed=11), monkeypatch)
+        assert run.stop_reason == "tolerance"
+        assert run.rejected_steps >= 1
 
     @pytest.mark.parametrize("n, block", [(40, 7), (300, _BLOCK)])
     def test_factorize_trace_matches_stepwise_loops_isolated_blocks(self, monkeypatch,
@@ -189,7 +224,7 @@ class TestEdgeKernel:
         adj = loops_and_isolated_node(n, 0.3, 23, 6)
         assert adj.upper_index.pos.size > block
         assert adj.degrees()[-1] == 0
-        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30))
+        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30), monkeypatch)
 
     @pytest.mark.parametrize("rows, cols, weights", [
         ([0, 1], [1, 2], [1.0, 1.0]),  # structure

@@ -196,13 +196,14 @@ class TestMvneEmbed:
         assert np.abs(b.lam - c * a.lam).max() <= 1e-10 * max(1.0, c * a.lam.max())
 
     def test_sbm_fit_matches_pinned_trace(self):
-        """mvne_embed of the criterion-6 SBM (gseed 0, d=16, seed 42) against records.
+        """The criterion-6 SBM (gseed 0, d=16, seed 42) against records of its fit.
 
         tests/data/sbm_fit_trace.json holds the iteration count and objective
-        trace, and sbm_protocol_f1_embedding.txt the H, of this fit as the
-        earlier three-array state (H, lam, B) computed it. The B-only state
-        starts from the B0 with the same reconstruction, so it must follow
-        the same trajectory up to rounding.
+        trace, and sbm_protocol_f1_embedding.txt the H, of this fit as
+        iterated plain steps computed it, so update_step and kl_objective
+        replayed from init_factorization must reproduce them up to rounding.
+        factorize, which also tries the relaxed step, must descend
+        monotonically and reach the tolerance stop in fewer iterations.
         """
         data = pathlib.Path(__file__).parent / "data"
         record = json.loads((data / "sbm_fit_trace.json").read_text())
@@ -210,11 +211,21 @@ class TestMvneEmbed:
                             keep=0.4, noise=0.2, seed=0)
         graph, _ = mvne.generate_multiview_sbm(spec)
         cfg = mvne.MvneConfig(factorize=mvne.FactorizeConfig(d=16, seed=42))
-        fac = mvne.mvne_embed(graph, cfg)
-        assert fac.run.iterations == record["iterations"]
-        trace, pinned = np.array(fac.run.objective_trace), np.array(record["objective_trace"])
+        fcfg = cfg.factorize
+        combined = mvne.combine_views(graph, mvne.default_betas(graph), cfg.normalize_views)
+        fac = mvne.init_factorization(combined.n, fcfg, combined.total_weight)
+        trace = [mvne.kl_objective(combined, fac, fcfg.epsilon)]
+        for _ in range(record["iterations"]):
+            fac = mvne.update_step(combined, fac, fcfg)
+            trace.append(mvne.kl_objective(combined, fac, fcfg.epsilon))
+        trace, pinned = np.array(trace), np.array(record["objective_trace"])
         assert trace.shape == pinned.shape
         assert (np.abs(trace - pinned) <= 1e-12 * np.abs(pinned)).all()
         names, H = mvne.read_embedding(data / "sbm_protocol_f1_embedding.txt")
         assert names == graph.registry.names
         assert np.abs(fac.H - H).max() <= 1e-10
+
+        run = mvne.mvne_embed(graph, cfg).run
+        assert all(b <= a for a, b in zip(run.objective_trace, run.objective_trace[1:]))
+        assert run.stop_reason == "tolerance"
+        assert run.iterations < record["iterations"]

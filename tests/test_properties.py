@@ -1,12 +1,15 @@
 """Property tests: any legal input round-trips through the text formats,
-config constructors accept exactly the finite, valid values, and the ratio
-update keeps its invariants on any small graph."""
+the bulk embedding reader agrees with the per-line one, config constructors
+accept exactly the finite, valid values, and the ratio update and the fit
+keep their invariants on any small graph."""
 
+import importlib
 import io
 import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 import mvne
 from mvne.graph import ParseError
+
+factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
 # Non-empty ids without whitespace, drawn often from the formats' own
 # syntax characters; surrogates cannot be written as UTF-8.
@@ -88,6 +93,58 @@ def test_embedding_round_trip(case):
     assert names2 == names
     assert X2.shape == X.shape
     assert np.array_equal(X2, X)
+
+
+separators = st.sampled_from([" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
+                              "\u2028", "\u3000"])
+finite_values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+values = finite_values | st.floats().map(repr) | st.sampled_from(
+    ["nan", "-inf", "1e999", "1_0", "0x10", "\u0661", "1.", ".5", "+2", "1E5", "x1", '"1"'])
+
+
+@st.composite
+def embedding_texts(draw):
+    """Embedding-file text, mostly well formed: odd whitespace and line ends,
+    blank lines, and now and then a bad header, value or field or row count."""
+    n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    lines = [draw(st.sampled_from([f"{n} {d}"] * 4 + [f"{n}\t{d} ", "x 2", f"{n}"]))]
+    value = draw(st.sampled_from([finite_values, values]))
+    for _ in range(draw(st.sampled_from([n] * 8 + [n + 1, max(n - 1, 0)]))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(separators))
+        k = draw(st.sampled_from([d] * 8 + [d + 1, max(d - 1, 0)]))
+        fields = [draw(node_ids)] + draw(st.lists(value, min_size=k, max_size=k))
+        lines.append(draw(separators).join(fields))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def read_outcome(path):
+    try:
+        names, X = mvne.read_embedding(path)
+    except ParseError as exc:
+        return "error", exc.line_no, str(exc)
+    except ValueError as exc:
+        return "error", str(exc)
+    return names, X.shape, X.tobytes()
+
+
+@settings(deadline=None)
+@given(embedding_texts(), st.integers(1, 64))
+@example("2 2\na 1 2\n\nb 3 4", 1)
+@example("2 2\na 1 2 3\nb 4\n", 64)  # right field total, wrong rows
+@example("2 1\na 1 b 2\n", 64)  # right field total, one row short
+@example("1 2\na 1 2 3\n", 64)  # a field too many
+@example("1 2\na\x1c1\u20282\r\n", 64)  # whitespace that is no line end
+def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "emb.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        with mock.patch.object(factorize_module, "_READ_BYTES", read_bytes):
+            bulk = read_outcome(path)
+        with mock.patch.object(factorize_module, "_read_rows_bulk", side_effect=ValueError):
+            per_line = read_outcome(path)
+    assert bulk == per_line
 
 
 @st.composite
@@ -199,4 +256,34 @@ def test_update_step_keeps_invariants(case):
         # Relative to the size of the summed terms: after an update the
         # mass term equals the total weight, and an exact fit has objective 0
         # give or take rounding at that scale (seen: +-1e-13 at weight 1e3).
+        assert obj <= prev + 1e-9 * max(abs(prev), adj.total_weight)
+
+
+@st.composite
+def fit_cases(draw):
+    """A graph on up to 8 nodes with self-loops and isolated node n, and a fit config."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.floats(1e-3, 1e3)), min_size=1, max_size=20))
+    i, j, w = (np.array(x) for x in zip(*edges))
+    adj = mvne.SparseAdjacency.from_undirected(i, j, w, n + 1)
+    config = mvne.FactorizeConfig(d=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**32 - 1)),
+                                  rel_tol=draw(st.sampled_from([0.0, 1e-6])),
+                                  max_iters=draw(st.integers(1, 300)))
+    return adj, config
+
+
+@settings(deadline=None)
+@given(fit_cases())
+def test_factorize_keeps_invariants(case):
+    adj, config = case
+    fac = mvne.factorize(adj, config)
+    assert np.isfinite(fac.mass).all() and (fac.mass >= 0).all()
+    assert abs(fac.mass.sum() - adj.total_weight) <= 1e-9 * adj.total_weight
+    assert (fac.H[adj.degrees() == 0] == 1.0 / config.d).all()
+    trace = fac.run.objective_trace
+    assert len(trace) == fac.run.iterations + 1
+    # A relaxed step is kept only below the current objective; a plain step
+    # may rise by rounding, which ends the loop (scale as in the update test).
+    for prev, obj in zip(trace, trace[1:]):
         assert obj <= prev + 1e-9 * max(abs(prev), adj.total_weight)
