@@ -126,7 +126,6 @@ class SparseAdjacency:
         upper = sp.coo_array(
             (np.asarray(weights, dtype=np.float64), (lo, hi)), shape=(n, n)
         ).tocsr()
-        upper.sum_duplicates()
         return cls(upper + sp.triu(upper, k=1).T)
 
     @property
@@ -158,20 +157,20 @@ class SparseAdjacency:
     def upper_index(self) -> UpperIndex:
         """The stored entries with i <= j, in CSR data order (cached).
 
-        Its four arrays have the CSR's index dtype. Raises ValueError unless
-        structure and values are bit-exactly symmetric.
+        Arrays in the CSR's index dtype, mirrors read off an O(nnz) CSR transpose.
+        Raises ValueError unless structure and values are bit-exactly symmetric.
         """
         if self._upper_index is None:
             rows, cols = self.coo_rows, self.indices
-            # CSR rows are sorted, so a stable sort by column lists the
-            # entries in CSR order of the transpose.
-            perm = np.argsort(cols, kind="stable")
-            if not (np.array_equal(cols[perm], rows) and np.array_equal(rows[perm], cols)
+            # Transposing a CSR of positions gives each entry's mirror when the matrix is symmetric.
+            tr = sp.csr_array((np.arange(self.nnz, dtype=cols.dtype), cols, self.indptr),
+                              shape=self.mat.shape).T.tocsr()
+            perm = tr.data
+            if not (np.array_equal(tr.indptr, self.indptr) and np.array_equal(tr.indices, cols)
                     and np.array_equal(self.values[perm], self.values)):
                 raise ValueError("adjacency is not bit-exactly symmetric")
             pos = np.flatnonzero(rows <= cols).astype(cols.dtype)
-            self._upper_index = UpperIndex(pos, rows[pos], cols[pos],
-                                           perm[pos].astype(cols.dtype))
+            self._upper_index = UpperIndex(pos, rows[pos], cols[pos], perm[pos])
         return self._upper_index
 
     def degrees(self):
@@ -268,34 +267,40 @@ def _opened(source, mode="r"):
 
 
 def parse_edges(source, registry: NodeRegistry):
-    """Parse an edge-list stream into one COO triple per line.
+    """Parse an edge-list stream into one COO triple per data line.
 
-    The triples are direction-agnostic (symmetrization happens when the
-    adjacency is materialized). The registry is extended with unseen
-    identifiers in first-appearance order.
+    This one loop defines legal input: blank and ``#`` lines are skipped,
+    fields split on tabs (on whitespace if a line has none), weights are
+    finite and positive, and each ParseError names its line. The triples are
+    direction-agnostic; unseen ids extend the registry in first-appearance order.
     """
+    index = registry._index
     rows, cols, weights = [], [], []
     with _opened(source) as stream:
-        for line_no, line in _iter_data_lines(stream):
+        for line_no, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line or line[0] == "#":
+                continue
             parts = line.split("\t")
             if len(parts) == 1:
                 parts = line.split()
-            if len(parts) == 2:
-                w = 1.0
-            elif len(parts) == 3:
+            if len(parts) == 3:
                 try:
                     w = float(parts[2])
                 except ValueError:
                     raise ParseError(f"bad weight {parts[2]!r}", line_no) from None
-                if not math.isfinite(w) or w <= 0:
+                if not 0.0 < w < math.inf:
                     raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
+            elif len(parts) == 2:
+                w = 1.0
             else:
                 raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", line_no)
-            try:
-                i = registry.intern(parts[0])
-                j = registry.intern(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
+            i, j = index.get(parts[0]), index.get(parts[1])
+            if i is None or j is None:
+                try:
+                    i, j = registry.intern(parts[0]), registry.intern(parts[1])
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no) from None
             rows.append(i); cols.append(j); weights.append(w)
     return rows, cols, weights
 
@@ -314,15 +319,24 @@ def load_edge_list(source, registry: NodeRegistry | None = None):
 
 
 def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
-    """Write the upper triangle (plus self-loops) so a reload round-trips."""
+    """Write the i <= j entries so a reload round-trips.
+
+    Each weight's repr is made once, in a memo keyed by its float64 bits (0.0
+    and -0.0 compare equal but print apart) and emptied when it outgrows a block.
+    """
+    reprs = {}
     with _opened(sink, "w") as stream:
         rows, cols, vals = adj.coo_rows, adj.indices, adj.values
         names = registry.names
         for start in range(0, adj.nnz, _WRITE_ENTRIES):
             block = slice(start, start + _WRITE_ENTRIES)
             keep = np.flatnonzero(rows[block] <= cols[block]) + start
-            stream.write("".join([f"{names[i]}\t{names[j]}\t{w!r}\n" for i, j, w in zip(
-                rows[keep].tolist(), cols[keep].tolist(), vals[keep].tolist())]))
+            if len(reprs) > _WRITE_ENTRIES:
+                reprs.clear()
+            lines = [f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
+                     for i, j, b, x in zip(rows[keep].tolist(), cols[keep].tolist(),
+                                           vals[keep].view(np.int64).tolist(), vals[keep].tolist())]
+            stream.write("".join(lines))
 
 
 def load_labels(source, index) -> LabelStore:

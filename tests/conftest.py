@@ -11,6 +11,13 @@ def make_adjacency(text):
     return mvne.load_edge_list(io.StringIO(text))
 
 
+def per_entry_edge_list(adj, reg):
+    """The writer's format, one f-string per stored upper entry."""
+    rows, cols, vals = adj.coo_rows, adj.indices, adj.values
+    return "".join(f"{reg.name_of(int(rows[e]))}\t{reg.name_of(int(cols[e]))}\t{float(vals[e])!r}\n"
+                   for e in range(adj.nnz) if rows[e] <= cols[e])
+
+
 def argmax_purity(H, z, c):
     """Majority-true-label purity of the argmax community assignment."""
     km = np.asarray(H).argmax(axis=1)

@@ -6,6 +6,8 @@ import pytest
 import mvne
 from mvne.cli import main
 
+from conftest import per_entry_edge_list
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -112,6 +114,21 @@ class TestEmbed:
         adj, _ = mvne.load_edge_list(str(combined))
         # combined view is normalized per view then beta-weighted: total 1
         assert adj.total_weight == pytest.approx(1.0, rel=1e-9)
+
+    def test_export_combined_bytes_match_per_entry_format(self, tmp_path):
+        # two weighted views whose entries share weights, so the writer's
+        # per-weight repr memo is hit across views and rows
+        (tmp_path / "v0.edges").write_text("a\tb\t2\nb\tc\t2\nc\td\t0.5\na\ta\t2\nd\te\n")
+        (tmp_path / "v1.edges").write_text("a\tc\t3\nb\td\t3\r\ne\te\t3\nd\ta\t0.1\n")
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text("v0\tv0.edges\nv1\tv1.edges\n")
+        combined = tmp_path / "combined.edges"
+        assert run(["embed", "--manifest", manifest, "-d", 2, "--seed", 1,
+                    "--out", tmp_path / "emb.txt", "--export-combined", combined]) == 0
+        graph = mvne.build_multiview(mvne.read_manifest(str(manifest)))
+        adj = mvne.combine_views(graph, mvne.default_betas(graph))
+        assert len(set(adj.values.tolist())) < adj.nnz // 2
+        assert combined.read_bytes() == per_entry_edge_list(adj, graph.registry).encode()
 
     def test_beta_count_mismatch_exits_2(self, tmp_path, dataset):
         assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4,

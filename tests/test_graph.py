@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import mvne
 from mvne.graph import ParseError
 
-from conftest import make_adjacency
+from conftest import make_adjacency, per_entry_edge_list
 
 
 class TestLoadEdgeList:
@@ -107,13 +107,6 @@ class TestRoundTrip:
             assert np.array_equal(adj.indices, again.indices)
 
 
-def per_entry_edge_list(adj, reg):
-    """The writer's format, one f-string per stored upper entry."""
-    rows, cols, vals = adj.coo_rows, adj.indices, adj.values
-    return "".join(f"{reg.name_of(int(rows[e]))}\t{reg.name_of(int(cols[e]))}\t{float(vals[e])!r}\n"
-                   for e in range(adj.nnz) if rows[e] <= cols[e])
-
-
 class TestUpperIndex:
     def test_library_adjacencies_keep_int32_indices(self, tmp_path):
         loaded, _ = make_adjacency("a\tb\nb\tc\t2\nc\tc\n")
@@ -138,6 +131,14 @@ class TestUpperIndex:
         assert np.array_equal(adj.indices[pos], cols)
         assert np.array_equal(adj.coo_rows[mirror], cols)
         assert np.array_equal(adj.indices[mirror], rows)
+
+    def test_directed_cycle_with_symmetric_counts_raises(self):
+        # every row and column holds one entry of equal weight, so only the
+        # column indices tell the 3-cycle from a symmetric matrix
+        adj = mvne.SparseAdjacency(sp.csr_array(
+            (np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3)))
+        with pytest.raises(ValueError, match="not bit-exactly symmetric"):
+            adj.upper_index
 
 
 class TestWriteEdgeListBlocks:
@@ -178,6 +179,30 @@ class TestWriteEdgeListBlocks:
         mvne.write_edge_list(adj, reg, buf)
         assert buf.getvalue() == per_entry_edge_list(adj, reg)
         assert buf.getvalue() == "a\tb\t0.3333333333333333\nb\tc\t4.0\nc\tc\t1e-300\n"
+
+    def test_each_weight_formatted_once_keeps_signed_zero_and_nan(self, monkeypatch):
+        # the writer memoises repr per weight; 0.0 == -0.0 as floats and
+        # nan != nan, so a float-keyed memo would print -0.0 as 0.0
+        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 2)
+        reg = mvne.NodeRegistry()
+        for name in "abcdef":
+            reg.intern(name)
+        upper = [(0, 0, 0.0), (0, 1, -0.0), (0, 2, 0.5), (1, 1, 0.5), (1, 3, 0.0),
+                 (2, 3, -0.0), (2, 4, float("nan")), (3, 3, 0.5), (3, 5, float("nan")),
+                 (4, 4, -0.0), (4, 5, 0.1), (5, 5, 0.1)]
+        dense = np.zeros((6, 6))
+        mask = np.zeros((6, 6), dtype=bool)
+        for i, j, w in upper:
+            dense[i, j] = dense[j, i] = w
+            mask[i, j] = mask[j, i] = True
+        rows, cols = np.nonzero(mask)  # row-major: canonical CSR order, zeros kept
+        adj = mvne.SparseAdjacency(sp.csr_array((dense[rows, cols], (rows, cols)), shape=(6, 6)))
+        assert adj.nnz == 19
+        buf = io.StringIO()
+        mvne.write_edge_list(adj, reg, buf)
+        assert buf.getvalue() == per_entry_edge_list(adj, reg)
+        assert buf.getvalue().splitlines()[:3] == ["a\ta\t0.0", "a\tb\t-0.0", "a\tc\t0.5"]
+        assert buf.getvalue().count("\tnan\n") == 2 and buf.getvalue().count("\t-0.0\n") == 3
 
 
 class TestLabels:

@@ -1,7 +1,8 @@
 """Property tests: any legal input round-trips through the text formats,
-the bulk embedding reader agrees with the per-line one, config constructors
-accept exactly the finite, valid values, and the ratio update and the fit
-keep their invariants on any small graph."""
+the edge-list parser agrees with its per-line reference, the mirror index
+with a stable-argsort oracle and the bulk embedding reader with the per-line
+one, config constructors accept exactly the finite, valid values, and the
+ratio update and the fit keep their invariants on any small graph."""
 
 import importlib
 import io
@@ -13,12 +14,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mvne
-from mvne.graph import ParseError
+from mvne.graph import ParseError, parse_edges
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
@@ -74,6 +76,95 @@ def test_edge_list_round_trip(text):
     same, _ = mvne.load_edge_list(io.StringIO(first), reg)
     assert len(reg) == n
     assert write(same, reg) == first
+
+
+def per_line_parse_edges(source, registry):
+    """The edge-list parser as it was written before its loop was tightened,
+    kept as the reference for what the format accepts and how it fails."""
+
+    def _iter_data_lines(source):
+        for line_no, raw in enumerate(source, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield line_no, line
+
+    rows, cols, weights = [], [], []
+    for line_no, line in _iter_data_lines(source):
+        parts = line.split("\t")
+        if len(parts) == 1:
+            parts = line.split()
+        if len(parts) == 2:
+            w = 1.0
+        elif len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(f"bad weight {parts[2]!r}", line_no) from None
+            if not math.isfinite(w) or w <= 0:
+                raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
+        else:
+            raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", line_no)
+        try:
+            i = registry.intern(parts[0])
+            j = registry.intern(parts[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        rows.append(i); cols.append(j); weights.append(w)
+    return rows, cols, weights
+
+
+good_weights = st.sampled_from(["1", "2.5", "0.1", "1e-300", "+3", "1_0", " 4"]) \
+    | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+bad_weights = st.sampled_from(["0", "0.0", "-0.0", "-1", "nan", "inf", "-inf", "1e999", "x", "",
+                               "0x1"]) | st.floats().map(repr)
+
+
+@st.composite
+def raw_edge_lists(draw):
+    """Edge-list text, mostly legal: 2- and 3-field lines, tab or space
+    separated, comments, blank lines, CRLF ends, ids that start with '#',
+    and now and then a bad weight or a line of 1 or 4 fields. Also a set of
+    ids already in the registry."""
+    pool = draw(st.lists(st.sampled_from([node_ids] * 3 + [st.sampled_from(["#a", "#", "a#"])])
+                         .flatmap(lambda ids: ids), min_size=1, max_size=5, unique=True))
+    field = st.sampled_from(pool)
+    weight = st.sampled_from([good_weights] * 8 + [bad_weights]).flatmap(lambda w: w)
+    sep = st.sampled_from(["\t", "\t", " ", "  "])
+    edge = st.tuples(field, field) | st.tuples(field, field, weight)
+    odd = st.tuples(field) | st.tuples(field, field, weight, weight)
+    data = st.sampled_from([edge] * 10 + [odd]).flatmap(lambda f: st.tuples(f, sep)).map(
+        lambda fs: fs[1].join(fs[0]))
+    skipped = st.sampled_from(["", " ", "\t", "#", "# note", "#a\tb"])
+    line = st.sampled_from([data] * 4 + [skipped]).flatmap(lambda x: x)
+    lines = draw(st.lists(line, min_size=1, max_size=16))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    known = draw(st.lists(st.sampled_from(pool), unique=True)
+                 .map(lambda ids: [x for x in ids if x.split() == [x] and x[0] != "#"]))
+    return known, "".join(x + end for x in lines)
+
+
+def parse_outcome(parse, known, text):
+    registry = mvne.NodeRegistry()
+    for name in known:
+        registry.intern(name)
+    try:
+        result = parse(io.StringIO(text), registry)
+    except ParseError as exc:
+        result = ("error", exc.line_no, str(exc))
+    return result, registry.names
+
+
+@settings(deadline=None)
+@given(raw_edge_lists())
+@example(([], "a\tb\t0\n"))
+@example(([], "#a\tb\nb\t#a\n"))  # a comment, then a '#' id in the second column
+@example((["b"], "a b\r\nb\tc\tnan\r\n"))  # 'c' is never interned
+@example(([], "a\tb\tc\td\n"))
+def test_parse_edges_agrees_with_per_line_reference(case):
+    known, text = case
+    assert parse_outcome(parse_edges, known, text) == \
+        parse_outcome(per_line_parse_edges, known, text)
 
 
 @settings(deadline=None)
@@ -155,6 +246,41 @@ def label_files(draw):
     name = st.sampled_from(known) | node_ids
     line = (st.tuples(name, st.text("ab,", max_size=4)).map("\t".join) | name)
     return known, "".join(f"{x}\n" for x in draw(st.lists(line, max_size=8)))
+
+
+@st.composite
+def symmetric_dense(draw):
+    """A symmetric matrix on up to 7 nodes with self-loops, empty rows and no entries at all."""
+    n = draw(st.integers(0, 7))
+    dense = np.zeros((n, n))
+    if n:
+        node = st.integers(0, n - 1)
+        for i, j, w in draw(st.lists(st.tuples(node, node, st.floats(1e-3, 1e3)), max_size=15)):
+            dense[i, j] = dense[j, i] = w
+    return dense
+
+
+@settings(deadline=None)
+@given(symmetric_dense(), st.integers(0, 2**16))
+def test_upper_index_mirror_matches_stable_argsort(dense, pick):
+    adj = mvne.SparseAdjacency(sp.csr_array(dense))
+    rows, cols = adj.coo_rows, adj.indices
+    perm = np.argsort(cols, kind="stable")  # CSR rows are sorted: the transpose's order
+    pos = np.flatnonzero(rows <= cols)
+    got = adj.upper_index
+    for a, b in zip(got, (pos, rows[pos], cols[pos], perm[pos])):
+        assert a.dtype == cols.dtype and np.array_equal(a, b)
+
+    off = np.flatnonzero(rows != cols)
+    if off.size:
+        e = off[pick % off.size]
+        i, j = rows[e], cols[e]
+        nudged, dropped = dense.copy(), dense.copy()
+        nudged[i, j] = np.nextafter(dense[i, j], np.inf)  # one ulp off its mirror
+        dropped[i, j] = 0.0  # its mirror stays
+        for bad in (nudged, dropped):
+            with pytest.raises(ValueError, match="not bit-exactly symmetric"):
+                mvne.SparseAdjacency(sp.csr_array(bad)).upper_index
 
 
 @settings(deadline=None)
