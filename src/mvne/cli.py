@@ -5,14 +5,16 @@ flags: all randomness flows from --seed, and identical flags and inputs give
 byte-identical output files. Files are read by the library's own readers
 (eval keys graph.load_labels by the embedding's names), and flag values are
 checked by the config objects, so a NaN or infinite --rel-tol, --reg or
---beta is an input error. Exit codes: 0 success, 2 input/validation error,
-1 runtime error.
+--beta, or a negative --seed, is an input error. embed and eval check their
+flags, and embed the directories of its output paths, before they read any
+input. Exit codes: 0 success, 2 input/validation error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -141,14 +143,23 @@ def _load_graph(args) -> MultiViewGraph:
     return build_multiview([("view0", args.edges)])
 
 
+def _check_out_dirs(args, *flags):
+    """Raise ParseError naming the first output flag whose parent directory is missing."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ParseError(f"{flag}: directory {os.path.dirname(path)!r} does not exist")
+
+
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
-    graph = _load_graph(args)
-    betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
-    if betas is not None and betas.k != graph.k:
-        raise ParseError(f"got {betas.k} betas for {graph.k} views")
     config = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
                              seed=args.seed)
+    betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
+    _check_out_dirs(args, "--out", "--meta", "--export-combined")
+    graph = _load_graph(args)
+    if betas is not None and betas.k != graph.k:
+        raise ParseError(f"got {betas.k} betas for {graph.k} views")
     normalize_views = not args.no_normalize_views
     used_betas = betas if betas is not None else default_betas(graph)
     # mvne_embed's two steps, keeping the combined view for --export-combined
@@ -177,10 +188,10 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    names, X = read_embedding(args.embedding)
-    labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     protocol = EvalProtocol(fractions=tuple(_parse_floats("--fractions", args.fractions)),
                             repeats=args.repeats, seed=args.seed, reg=args.reg)
+    names, X = read_embedding(args.embedding)
+    labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -12,6 +12,14 @@ L2-regularized and the bias is not. With reg > 0 each label's objective is
 strictly convex; a label stops once its gradient norm falls below 1e-6,
 typically after about five steps. The computation is deterministic, so
 identical inputs always produce identical reports.
+
+Each split is scored with matrices. Its labels are one m x L boolean
+indicator matrix, built by the helper that also builds the fit's. One product
+gives every test node's label scores, one stable argsort of -scores marks
+each node's top k (ties go to the lower label id), and TP/FP/FN are counted
+once per label, as column sums, for both F1 scores. predict_multilabel,
+micro_f1 and macro_f1 adapt that same code to one feature vector and to
+{node: label set} maps.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -50,6 +59,8 @@ class EvalProtocol:
                              f"digits), got {list(self.fractions)}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.reg) and self.reg >= 0):
             raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
 
@@ -66,8 +77,8 @@ class OvrModel:
         return self.weights.shape[0]
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-label decision values for one feature vector."""
-        return self.weights @ x + self.biases
+        """Per-label decision values: one row per row of x, or one vector for a vector x."""
+        return x @ self.weights.T + self.biases
 
 
 def split_labeled(nodes, fraction: float, seed: int):
@@ -159,6 +170,26 @@ def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float):
     return W[:d].T, W[d]
 
 
+def _indicator(id_sets, num_labels: int) -> np.ndarray:
+    """The boolean matrix whose row r marks the label ids in the r-th set."""
+    id_sets = list(id_sets)
+    rows = np.repeat(np.arange(len(id_sets)), [len(ids) for ids in id_sets])
+    Y = np.zeros((len(id_sets), num_labels), dtype=bool)
+    Y[rows, list(chain(*id_sets))] = True
+    return Y
+
+
+def _ovr_model(X: np.ndarray, Y: np.ndarray, reg: float) -> OvrModel:
+    """Fit the columns of Y with a positive row; the rest get constant-negative classifiers."""
+    present = Y.any(axis=0)
+    if not present.any():
+        raise ValueError("no label is present in the train set")
+    weights = np.zeros((Y.shape[1], X.shape[1]))
+    biases = np.full(Y.shape[1], NEG_CONST)
+    weights[present], biases[present] = _fit_ovr(X, Y[:, present], reg)
+    return OvrModel(weights, biases)
+
+
 def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes, reg: float = 0.01) -> OvrModel:
     """Fit one binary classifier per vocabulary label on the train nodes.
 
@@ -167,17 +198,33 @@ def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes, reg: float = 0.01)
     train_nodes = list(train_nodes)
     if not train_nodes:
         raise ValueError("empty train set")
-    L = labels.num_labels
-    Y = np.zeros((len(train_nodes), L), dtype=bool)
-    for r, v in enumerate(train_nodes):
-        Y[r, list(labels.labels_of(v))] = True
-    present = Y.any(axis=0)
-    if not present.any():
-        raise ValueError("no label is present in the train set")
-    weights = np.zeros((L, X.shape[1]))
-    biases = np.full(L, NEG_CONST)
-    weights[present], biases[present] = _fit_ovr(X[train_nodes], Y[:, present], reg)
-    return OvrModel(weights, biases)
+    Y = _indicator(map(labels.labels_of, train_nodes), labels.num_labels)
+    return _ovr_model(X[train_nodes], Y, reg)
+
+
+def _top_k(scores: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mark the k[r] highest scores of each row; ties go to the lower label id."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(scores.shape[1]), axis=1)
+    return rank < k[:, None]
+
+
+def _f1(truth: np.ndarray, predicted: np.ndarray):
+    """(Micro-F1, Macro-F1) of two m x L boolean indicator matrices.
+
+    TP/FP/FN are counted once per label. Micro-F1 pools the integer totals;
+    Macro-F1 averages per-label F1, added in ascending label id, over the
+    labels with a true or predicted instance.
+    """
+    tp = (truth & predicted).sum(axis=0)
+    denom = truth.sum(axis=0) + predicted.sum(axis=0)  # 2 TP + FP + FN
+    pooled = int(denom.sum())
+    micro = 2 * int(tp.sum()) / pooled if pooled else 0.0
+    per_label = 2 * tp[denom > 0] / denom[denom > 0]
+    # added strictly left to right, which the pinned F1 record relies on; np.sum adds pairwise
+    macro = float(np.cumsum(per_label)[-1]) / per_label.size if per_label.size else 0.0
+    return micro, macro
 
 
 def predict_multilabel(model: OvrModel, x: np.ndarray, k: int):
@@ -186,34 +233,23 @@ def predict_multilabel(model: OvrModel, x: np.ndarray, k: int):
         raise ValueError("k must be >= 0")
     if k > model.num_labels:
         raise ValueError(f"k={k} exceeds the vocabulary size {model.num_labels}")
-    if k == 0:
-        return frozenset()
-    s = model.scores(x)
-    order = np.lexsort((np.arange(len(s)), -s))  # score desc, label id asc
-    return frozenset(int(l) for l in order[:k])
+    top = _top_k(model.scores(np.atleast_2d(x)), np.array([k]))[0]
+    return frozenset(np.flatnonzero(top).tolist())
 
 
-def _counts(truth: dict, predicted: dict):
+def _f1_of_maps(truth: dict, predicted: dict):
+    """_f1 of two {node: label set} maps, as indicators over one node order and vocabulary."""
     if set(truth) != set(predicted):
         raise ValueError("truth and prediction cover different node sets")
-    tp, fp, fn = {}, {}, {}
-    for node, t in truth.items():
-        p = predicted[node]
-        for l in p & t:
-            tp[l] = tp.get(l, 0) + 1
-        for l in p - t:
-            fp[l] = fp.get(l, 0) + 1
-        for l in t - p:
-            fn[l] = fn.get(l, 0) + 1
-    return tp, fp, fn
+    vocab = {l: i for i, l in enumerate(dict.fromkeys(chain(*truth.values(),
+                                                            *predicted.values())))}
+    return _f1(*(_indicator([[vocab[l] for l in sets[v]] for v in truth], len(vocab))
+                 for sets in (truth, predicted)))
 
 
 def micro_f1(truth: dict, predicted: dict) -> float:
     """F1 over globally pooled true/false positive/negative counts."""
-    tp, fp, fn = _counts(truth, predicted)
-    TP, FP, FN = sum(tp.values()), sum(fp.values()), sum(fn.values())
-    denom = 2 * TP + FP + FN
-    return 2 * TP / denom if denom else 0.0
+    return _f1_of_maps(truth, predicted)[0]
 
 
 def macro_f1(truth: dict, predicted: dict) -> float:
@@ -222,15 +258,7 @@ def macro_f1(truth: dict, predicted: dict) -> float:
     A label enters the mean if it has a true or predicted instance; a label
     with support but no true positives scores 0.
     """
-    tp, fp, fn = _counts(truth, predicted)
-    labels = set(tp) | set(fp) | set(fn)
-    if not labels:
-        return 0.0
-    total = 0.0
-    for l in labels:
-        denom = 2 * tp.get(l, 0) + fp.get(l, 0) + fn.get(l, 0)
-        total += 2 * tp.get(l, 0) / denom if denom else 0.0
-    return total / len(labels)
+    return _f1_of_maps(truth, predicted)[1]
 
 
 @dataclass
@@ -295,19 +323,18 @@ def run_protocol(X: np.ndarray, labels: LabelStore,
     protocol.seed + repeat index.
     """
     nodes = labels.labeled_nodes()
+    X, Y = X[nodes], _indicator(map(labels.labels_of, nodes), labels.num_labels)
     report = EvalReport(fractions=protocol.fractions, repeats=protocol.repeats,
                         seed=protocol.seed, reg=protocol.reg)
     for fraction in protocol.fractions:
         report.micro[fraction] = []
         report.macro[fraction] = []
         for rep in range(protocol.repeats):
-            train, test = split_labeled(nodes, fraction, protocol.seed + rep)
-            model = train_ovr(X, labels, train, protocol.reg)
-            truth = {v: set(labels.labels_of(v)) for v in test}
-            predicted = {
-                v: set(predict_multilabel(model, X[v], len(truth[v])))
-                for v in test
-            }
-            report.micro[fraction].append(micro_f1(truth, predicted))
-            report.macro[fraction].append(macro_f1(truth, predicted))
+            # split row positions: X and Y hold the labeled nodes' rows
+            train, test = split_labeled(range(len(nodes)), fraction, protocol.seed + rep)
+            model = _ovr_model(X[train], Y[train], protocol.reg)
+            truth = Y[test]
+            micro, macro = _f1(truth, _top_k(model.scores(X[test]), truth.sum(axis=1)))
+            report.micro[fraction].append(micro)
+            report.macro[fraction].append(macro)
     return report

@@ -1,58 +1,23 @@
 """Single-view graph factorization under the generalized KL divergence.
 
-The model approximates a symmetric nonnegative adjacency W by a low-rank
-bipartite construction: each node i carries a nonnegative mass vector over d
-latent communities, collected in a matrix B (n x d), and the reconstruction is
+The rows of B (n x d) are the nodes' nonnegative masses over d latent
+communities, and W is reconstructed as
 
-    yhat_ij = sum_p b_ip * b_jp / lam_p,      lam_p = sum_i b_ip
+    yhat_ij = sum_p b_ip * b_jp / lam_p,      lam_p = sum_i b_ip.
 
-i.e. the weight induced by two-hop paths through the latent communities. The
-fit minimizes the generalized KL divergence
+The fit minimizes L(W, Yhat) = sum_ij (w_ij log(w_ij / yhat_ij) - w_ij + yhat_ij)
+by the majorize-minimize update
 
-    L(W, Yhat) = sum_ij ( w_ij log(w_ij / yhat_ij) - w_ij + yhat_ij )
+    B <- B * (R @ B) / lam,     R_ij = w_ij / yhat_ij at stored entries,
 
-with the multiplicative ratio-kernel update
-
-    B <- B * (R @ B) / lam,     R_ij = w_ij / yhat_ij at stored entries
-
-which is a majorize-minimize step: the objective does not increase, mass
-stays nonnegative, and sum(lam) = sum(W) holds after each update.
-
-factorize over-relaxes this step in the sense of Fevotte & Idier (Neural
-Computation 2011). With the update factor G = (R @ B) / lam it tries
-B * G^t, renormalized to sum(W), for an exponent t in [1, 4], keeps it only
-if the objective falls strictly, and otherwise takes the plain step. t
-starts at 1 (the plain step alone), halves down to 1 after a rejected
-candidate, and otherwise grows by 1.2 up to 4.
-
-B is the whole state of a fit: a Factorization holds B and reads
-lam = colsum(B) and the row-normalized memberships H = B / rowsum(B) (each
-row a distribution over communities) from it; H is the per-node embedding.
-
-A node with no mass in B, such as a zero-degree node after the first update,
-has the uniform membership row 1/d; factorize flags zero-degree nodes in the
-run metadata.
-
-W must be bit-exactly symmetric in structure and values; the edge kernel
-raises ValueError otherwise. A kernel pass over the stored entries with
-i <= j evaluates yhat once per iterate in blocks of _BLOCK = 2048 entries
-and mirrors it to the lower half; the same yhat serves the objective of the
-iterate and the update that follows it, one sparse-dense product R @ B.
-An iteration costs one pass, two when its candidate is rejected and the
-plain step is measured too, so a fit makes iterations + 1 + rejected_steps
-passes. Since lam = colsum(B), the objective's mass term sum_ij yhat_ij is
-sum(B).
-
-The i <= j edge index belongs to the adjacency: int32 while n and nnz fit,
-built once per adjacency and never copied. factorize builds what else does
-not change between iterates once per fit (an _EdgePlan): the ratio matrix R
-whose data array each iterate overwrites, and the yhat and gather buffers.
-The loop carries B alone, builds the relaxed candidate in B's own array,
-and builds one Factorization at return. The public update_step and
-kl_objective build a plan per call and run the plain step's code. What a
-fit holds beyond B is O(|E| + _BLOCK d) for the plan and O(n d) for the
-plain step and the reconstruction's B / lam; nothing is O(|E| d), and
-nothing grows with the iteration count.
+which never raises L, keeps B nonnegative and keeps sum(lam) = sum(W).
+factorize over-relaxes it (Fevotte & Idier, Neural Computation 2011): with
+the update factor G = (R @ B) / lam it tries B * G^t, renormalized to
+sum(W), and keeps it only if L falls strictly. The exponent t starts at 1,
+where the plain step alone is taken, grows by 1.2 up to 4 after an accepted
+candidate and halves down to 1 after a rejected one. A rejected candidate
+costs a second kernel pass, for the plain step, so a fit makes
+iterations + 1 + rejected_steps passes.
 """
 
 from __future__ import annotations
@@ -101,6 +66,8 @@ class FactorizeConfig:
             raise ValueError("d must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
             raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):

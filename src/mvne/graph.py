@@ -109,7 +109,8 @@ class SparseAdjacency:
         mat.sum_duplicates()
         mat.sort_indices()
         self.mat = mat
-        self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
+        with np.errstate(over="ignore"):  # an overflowing total is inf; callers check it
+            self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
         self._upper_index = None
 
     @classmethod
@@ -379,14 +380,14 @@ def build_multiview(manifest) -> MultiViewGraph:
     if not manifest:
         raise ValueError("empty view manifest")
     registry = NodeRegistry()
-    parsed = []
-    for name, source in manifest:
-        parsed.append((name, parse_edges(source, registry)))
+    parsed = [parse_edges(source, registry) for _, source in manifest]
     n = len(registry)
-    names, views = [], []
-    for name, (rows, cols, weights) in parsed:
-        names.append(name)
-        views.append(SparseAdjacency.from_undirected(rows, cols, weights, n))
+    views = [SparseAdjacency.from_undirected(*triples, n) for triples in parsed]
+    for (name, source), adj in zip(manifest, views):
+        if not math.isfinite(adj.total_weight):
+            raise ValueError(f"view {name!r} ({source}): edge weights sum to "
+                             f"{adj.total_weight}, which is not finite")
+    names = [name for name, _ in manifest]
     return MultiViewGraph(registry=registry, view_names=names, views=views)
 
 

@@ -10,6 +10,7 @@ view is rescaled to unit total weight before combining unless disabled.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -69,25 +70,32 @@ def combine_views(graph: MultiViewGraph, weights: ViewWeights,
 
     Views with beta = 0 (or nothing stored) contribute nothing, also to the
     support. With normalize_views each view is first scaled to total weight
-    one.
+    one. A view or a sum whose total weight is not finite raises ValueError.
     """
     if weights.k != graph.k:
         raise ValueError(f"got {weights.k} weights for {graph.k} views")
-    n = graph.n
-    acc = None
-    for beta, adj in zip(weights.beta, graph.views):
+    return _weighted_sum(graph.view_names, graph.views, weights.beta, graph.n,
+                         normalize_views)
+
+
+def _weighted_sum(names, views, betas, n: int, normalize_views: bool) -> SparseAdjacency:
+    acc = sp.csr_array((n, n), dtype=np.float64)
+    for name, beta, adj in zip(names, betas, views):
         if beta == 0.0 or adj.nnz == 0:
             continue
         if adj.n != n:
             raise ValueError("view adjacency not indexed by the shared registry")
+        if not math.isfinite(adj.total_weight):
+            raise ValueError(f"view {name!r} has total weight {adj.total_weight}, "
+                             "which is not finite")
         scale = beta / adj.total_weight if normalize_views else beta
-        term = adj.mat * scale
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = sp.csr_array((n, n), dtype=np.float64)
-    acc = sp.csr_array(acc)
+        acc = acc + adj.mat * scale
     acc.eliminate_zeros()
-    return SparseAdjacency(acc)
+    combined = SparseAdjacency(acc)
+    if not math.isfinite(combined.total_weight):
+        raise ValueError("the combined view's total weight overflows; "
+                         "rescale the views' weights")
+    return combined
 
 
 def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
@@ -106,10 +114,6 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
 
 
 def svne_embed(adj: SparseAdjacency, config: MvneConfig) -> Factorization:
-    """Single-view embedding: the k = 1 case of mvne_embed."""
-    if config.normalize_views:
-        if adj.total_weight <= 0:
-            raise ValueError("graph has no edges; total weight is zero")
-        scaled = SparseAdjacency(adj.mat * (1.0 / adj.total_weight))
-        return factorize(scaled, config.factorize)
-    return factorize(adj, config.factorize)
+    """Single-view embedding: the k = 1 case of mvne_embed, through the same weighted sum."""
+    combined = _weighted_sum(["view0"], [adj], [1.0], adj.n, config.normalize_views)
+    return factorize(combined, config.factorize)

@@ -42,6 +42,8 @@ class SbmSpec:
             raise ValueError("need 0 <= p_out < p_in <= 1")
         if not (0.0 <= self.keep <= 1.0 and 0.0 <= self.noise <= 1.0):
             raise ValueError("keep and noise rates must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def reconstruct_dense(fac: Factorization) -> np.ndarray:

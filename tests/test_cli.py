@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import mvne
+import mvne.cli
 from mvne.cli import main
 
 from conftest import per_entry_edge_list
@@ -258,6 +260,57 @@ class TestEval:
                     "--fractions", fractions, "--json", rep]) == 2
         assert error in capsys.readouterr().err
         assert not rep.exists()
+
+
+class TestChecksBeforeInput:
+    @pytest.mark.parametrize("command", ["embed", "eval", "synth"])
+    def test_negative_seed_exits_2_naming_the_field(self, tmp_path, dataset, capsys, command):
+        emb = tmp_path / "emb.txt"
+        mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
+        args = {"embed": ["--manifest", dataset / "views.manifest", "-d", 2,
+                          "--out", tmp_path / "e.txt"],
+                "eval": ["--embedding", emb, "--labels", dataset / "labels.tsv",
+                         "--json", tmp_path / "r.json"],
+                "synth": ["--nodes", 10, "--communities", 2, "--out-dir", tmp_path / "s"]}
+        assert run([command, *args[command], "--seed", -1]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "emb.txt"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--meta", "--export-combined"])
+    def test_missing_output_directory_exits_2_before_the_fit(self, tmp_path, dataset, capsys,
+                                                             monkeypatch, flag):
+        fits = []
+        monkeypatch.setattr(mvne.cli, "factorize", lambda *a, **k: fits.append(a))
+        paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--meta", "--export-combined")}
+        paths[flag] = tmp_path / "missing" / "x"
+        args = [tok for f, path in paths.items() for tok in (f, path)]
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2, *args]) == 2
+        assert f"{flag}: directory " in capsys.readouterr().err
+        assert fits == []
+
+    @pytest.mark.parametrize("extra", [[], ["--no-normalize-views"]], ids=["normalized", "raw"])
+    def test_overflowing_view_total_exits_2_naming_view_and_file(self, tmp_path, capsys, extra):
+        edges = tmp_path / "big.edges"
+        edges.write_text("a\tb\t1e308\nb\tc\t1e308\nc\ta\t1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["embed", "--edges", edges, "-d", 2, "--out", tmp_path / "e.txt",
+                        *extra]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert f"view 'view0' ({edges}): edge weights sum to inf, which is not finite" in err
+
+    def test_overflowing_combined_total_exits_2(self, tmp_path, capsys):
+        (tmp_path / "v1.edges").write_text("a\ta\t1.7976931348623157e308\n")
+        (tmp_path / "v2.edges").write_text("b\tb\t1e308\n")
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text("v1\tv1.edges\nv2\tv2.edges\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["embed", "--manifest", manifest, "-d", 2, "--beta", "1,5e-13",
+                        "--no-normalize-views", "--out", tmp_path / "e.txt"]) == 2
+        assert caught == []
+        assert "combined view's total weight overflows" in capsys.readouterr().err
 
 
 class TestStats:

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,29 @@ class TestCombineViews:
         combined = mvne.combine_views(g, mvne.ViewWeights([0.5, 0.5]))
         assert combined.nnz == 2
         assert combined.total_weight == pytest.approx(0.5, rel=1e-12)
+
+    def test_view_with_overflowing_total_rejected_silently(self):
+        reg = mvne.NodeRegistry()
+        for c in "ab":
+            reg.intern(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = mvne.SparseAdjacency(sp.csr_array([[0.0, 1e308], [1e308, 0.0]]))
+            assert huge.total_weight == np.inf
+            g = mvne.MultiViewGraph(registry=reg, view_names=["big"], views=[huge])
+            for normalize in (True, False):
+                with pytest.raises(ValueError, match="view 'big' has total weight inf"):
+                    mvne.combine_views(g, mvne.ViewWeights([1.0]), normalize)
+
+    def test_sum_with_overflowing_total_rejected_silently(self):
+        # each view's total is finite; 1 + 5e-13 passes as a weight total of
+        # one, and the second view's share rounds the sum past the largest float
+        g = mvne.build_multiview([("v1", io.StringIO("a\ta\t1.7976931348623157e308\n")),
+                                  ("v2", io.StringIO("b\tb\t1e308\n"))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="combined view's total weight overflows"):
+                mvne.combine_views(g, mvne.ViewWeights([1.0, 5e-13]), normalize_views=False)
 
 
 class TestMvneEmbed:

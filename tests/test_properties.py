@@ -1,8 +1,9 @@
 """Property tests: any legal input round-trips through the text formats,
 the edge-list parser agrees with its per-line reference, the mirror index
-with a stable-argsort oracle and the bulk embedding reader with the per-line
-one, config constructors accept exactly the finite, valid values, and the
-ratio update and the fit keep their invariants on any small graph."""
+with a stable-argsort oracle, the bulk embedding reader with the per-line
+one and the batched top-k and F1 with per-node scoring, config
+constructors accept exactly the finite, valid values, and the ratio update
+and the fit keep their invariants on any small graph."""
 
 import importlib
 import io
@@ -23,6 +24,7 @@ import mvne
 from mvne.graph import ParseError, parse_edges
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+evaluate_module = importlib.import_module("mvne.evaluate")
 
 # Non-empty ids without whitespace, drawn often from the formats' own
 # syntax characters; surrogates cannot be written as UTF-8.
@@ -303,14 +305,17 @@ def test_load_labels_same_for_registry_and_dict(case):
 
 
 @settings(deadline=None)
-@given(st.integers(-1, 3), st.integers(-1, 3), st.floats(), st.floats())
-@example(2, 5, math.nan, 1e-12)
-@example(2, 5, 1e-6, math.inf)
-def test_factorize_config_accepts_exactly_finite_valid_values(d, max_iters, rel_tol, epsilon):
+@given(st.integers(-1, 3), st.integers(-1, 3), st.floats(), st.floats(), st.integers(-2, 2))
+@example(2, 5, math.nan, 1e-12, 0)
+@example(2, 5, 1e-6, math.inf, 0)
+@example(2, 5, 1e-6, 1e-12, -1)
+def test_factorize_config_accepts_exactly_finite_valid_values(d, max_iters, rel_tol, epsilon,
+                                                              seed):
     valid = (d >= 1 and max_iters >= 1 and math.isfinite(rel_tol) and rel_tol >= 0
-             and math.isfinite(epsilon) and epsilon > 0)
+             and math.isfinite(epsilon) and epsilon > 0 and seed >= 0)
     try:
-        mvne.FactorizeConfig(d=d, max_iters=max_iters, rel_tol=rel_tol, epsilon=epsilon)
+        mvne.FactorizeConfig(d=d, max_iters=max_iters, rel_tol=rel_tol, epsilon=epsilon,
+                             seed=seed)
     except ValueError:
         assert not valid
         return
@@ -319,20 +324,92 @@ def test_factorize_config_accepts_exactly_finite_valid_values(d, max_iters, rel_
 
 @settings(deadline=None)
 @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=2) | st.lists(st.floats(), max_size=3),
-       st.integers(0, 2), st.floats())
-@example([0.5], 1, math.nan)
-@example([0.5, 0.5], 1, 0.01)
-@example([0.1, 0.10000001], 1, 0.01)
-def test_eval_protocol_accepts_exactly_finite_valid_values(fractions, repeats, reg):
+       st.integers(0, 2), st.floats(), st.integers(-2, 2))
+@example([0.5], 1, math.nan, 0)
+@example([0.5, 0.5], 1, 0.01, 0)
+@example([0.1, 0.10000001], 1, 0.01, 0)
+@example([0.5], 1, 0.01, -1)
+def test_eval_protocol_accepts_exactly_finite_valid_values(fractions, repeats, reg, seed):
     valid = (fractions and all(0 < f < 1 for f in fractions) and repeats >= 1
-             and math.isfinite(reg) and reg >= 0
+             and math.isfinite(reg) and reg >= 0 and seed >= 0
              and len({f"{f:g}" for f in fractions}) == len(fractions))
     try:
-        mvne.EvalProtocol(fractions=fractions, repeats=repeats, reg=reg)
+        mvne.EvalProtocol(fractions=fractions, repeats=repeats, reg=reg, seed=seed)
     except ValueError:
         assert not valid
         return
     assert valid
+
+
+# The scoring of the per-node evaluator, kept as the reference for the
+# batched top-k and F1: label sets, one lexsort per node, dict counts.
+def per_node_predict(model, x, k):
+    if k == 0:
+        return frozenset()
+    s = model.weights @ x + model.biases
+    order = np.lexsort((np.arange(len(s)), -s))  # score desc, label id asc
+    return frozenset(int(l) for l in order[:k])
+
+
+def per_label_counts(truth, predicted):
+    tp, fp, fn = {}, {}, {}
+    for node, t in truth.items():
+        p = predicted[node]
+        for l in p & t:
+            tp[l] = tp.get(l, 0) + 1
+        for l in p - t:
+            fp[l] = fp.get(l, 0) + 1
+        for l in t - p:
+            fn[l] = fn.get(l, 0) + 1
+    return tp, fp, fn
+
+
+def per_node_f1(truth, predicted):
+    tp, fp, fn = per_label_counts(truth, predicted)
+    TP, FP, FN = sum(tp.values()), sum(fp.values()), sum(fn.values())
+    micro = 2 * TP / (2 * TP + FP + FN) if 2 * TP + FP + FN else 0.0
+    labels = set(tp) | set(fp) | set(fn)
+    total = 0.0
+    for l in labels:
+        total += 2 * tp.get(l, 0) / (2 * tp.get(l, 0) + fp.get(l, 0) + fn.get(l, 0))
+    return micro, total / len(labels) if labels else 0.0
+
+
+@st.composite
+def scored_splits(draw):
+    """Small-integer scores (many ties), a truth matrix with empty rows, and
+    labels with no positive train node, scored at the constant NEG_CONST."""
+    m, L = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+    scores = draw(hnp.arrays(np.float64, (m, L), elements=st.integers(-2, 2).map(float)))
+    absent = draw(hnp.arrays(bool, L))
+    truth = draw(hnp.arrays(bool, (m, L)))
+    return scores, absent, truth
+
+
+@settings(deadline=None)
+@given(scored_splits())
+@example((np.zeros((2, 3)), np.array([False, True, True]),
+          np.array([[True, True, False], [False, False, False]])))
+def test_batched_top_k_and_f1_agree_with_per_node_reference(case):
+    scores, absent, truth = case
+    m, L = truth.shape
+    # features e_r make row r's scores exact in any summation order
+    model = mvne.OvrModel(np.where(absent[:, None], 0.0, scores.T),
+                          np.where(absent, evaluate_module.NEG_CONST, 0.0))
+    X = np.eye(m)
+    k = truth.sum(axis=1)
+    predicted = evaluate_module._top_k(model.scores(X), k)
+    truth_sets = {r: set(np.flatnonzero(truth[r]).tolist()) for r in range(m)}
+    expected = {r: set(per_node_predict(model, X[r], int(k[r]))) for r in range(m)}
+    assert {r: set(np.flatnonzero(predicted[r]).tolist()) for r in range(m)} == expected
+    # Macro-F1 adds per-label F1 in ascending id, the reference in set order
+    micro, macro = per_node_f1(truth_sets, expected)
+    assert evaluate_module._f1(truth, predicted) == (micro, pytest.approx(macro, rel=1e-15))
+    # the dict adapters run the same code
+    for r in range(m):
+        assert mvne.predict_multilabel(model, X[r], int(k[r])) == expected[r]
+    assert mvne.micro_f1(truth_sets, expected) == micro
+    assert mvne.macro_f1(truth_sets, expected) == pytest.approx(macro, rel=1e-15)
 
 
 @settings(deadline=None)
