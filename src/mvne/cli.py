@@ -5,8 +5,8 @@ flags: all randomness flows from --seed, and identical flags and inputs give
 byte-identical output files. Files are read by the library's own readers
 (eval keys graph.load_labels by the embedding's names), and flag values are
 checked by the config objects, so a NaN or infinite --rel-tol, --reg or
---beta, or a negative --seed, is an input error. embed and eval check their
-flags, and embed the directories of its output paths, before they read any
+--beta, or a negative --seed, is an input error; stats takes no --seed. embed,
+eval and stats check their flags and output directories before reading any
 input. Exit codes: 0 success, 2 input/validation error, 1 runtime error.
 """
 
@@ -28,8 +28,9 @@ from .multiview import ViewWeights, combine_views, default_betas
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
+def _add_common(parser, *, seed=True):
+    if seed:
+        parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value defaults file; flags override it")
 
@@ -89,7 +90,7 @@ def build_parser():
     src.add_argument("--edges")
     src.add_argument("--manifest")
     p.add_argument("--json", help="stats JSON output path")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("synth", allow_abbrev=False,
                        help="generate a synthetic multi-view dataset")
@@ -158,8 +159,6 @@ def cmd_embed(args) -> int:
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     _check_out_dirs(args, "--out", "--meta", "--export-combined")
     graph = _load_graph(args)
-    if betas is not None and betas.k != graph.k:
-        raise ParseError(f"got {betas.k} betas for {graph.k} views")
     normalize_views = not args.no_normalize_views
     used_betas = betas if betas is not None else default_betas(graph)
     # mvne_embed's two steps, keeping the combined view for --export-combined
@@ -190,6 +189,7 @@ def cmd_embed(args) -> int:
 def cmd_eval(args) -> int:
     protocol = EvalProtocol(fractions=tuple(_parse_floats("--fractions", args.fractions)),
                             repeats=args.repeats, seed=args.seed, reg=args.reg)
+    _check_out_dirs(args, "--json", "--tsv")
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
@@ -207,6 +207,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _check_out_dirs(args, "--json")
     graph = _load_graph(args)
     rows = view_stats(graph)
     if args.json:

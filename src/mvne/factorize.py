@@ -278,6 +278,13 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     return Factorization(plan.update(fac.mass))
 
 
+def _overflow(kind, flag):
+    raise ValueError(f"the fit overflows float64 (numpy: {kind}); rescale the edge weights")
+
+
+# B * (R @ B) grows as the total weight squared, and the init's and objective's sums
+# can overflow too; "invalid" catches the NaN from an inf of R @ B, which sets no flag.
+@np.errstate(over="call", invalid="call", call=_overflow)
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """Fit the factorization from a random init by guarded relaxed steps.
 
@@ -287,7 +294,8 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     config.rel_tol or after config.max_iters accepted steps, and returns the
     last iterate with run metadata attached, so run.objective equals
     run.objective_trace[-1]. Neither step increases the objective, and a
-    rise from float rounding ends the loop at once.
+    rise from float rounding ends the loop at once. A float64 overflow
+    anywhere in the fit raises ValueError.
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")

@@ -4,12 +4,13 @@ Graphs are undirected and weighted. Every view of a multi-view graph is
 indexed against one shared node registry, so embeddings computed on any
 combination of views line up row-by-row with the original identifiers.
 
-SparseAdjacency holds every view and the combined view. ``from_undirected``
-builds it from one triple per undirected edge and mirrors each summed weight,
-so it is bit-exactly symmetric, with int32 CSR indices while n and nnz fit.
-The adjacency owns the one i <= j edge index a fit iterates over
-(``upper_index``, in the CSR's index dtype); building it checks the symmetry.
-Ingest rejects weights that are not finite and positive.
+Each graph invariant is checked once, by the type that holds it: ingest
+rejects weights that are not finite and positive, SparseAdjacency (every view
+and the combined view) a total that is not finite, and MultiViewGraph its
+views. ``from_undirected`` mirrors each summed weight, so it is bit-exactly
+symmetric, with int32 CSR indices while n and nnz fit. The one i <= j edge
+index (``upper_index``), which the fit, ``write_edge_list`` and
+``edge_count`` read, checks the symmetry when it is built.
 
 File formats
 ------------
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-# Stored entries scanned per write by write_edge_list.
+# Edges formatted per write by write_edge_list.
 _WRITE_ENTRIES = 16384
 
 
@@ -101,7 +102,8 @@ class SparseAdjacency:
 
     Each undirected edge {i, j} is stored in both directions with the same
     positive weight; a self-loop is a single diagonal entry. ``total_weight``
-    is the sum over all stored entries.
+    is the sum over all stored entries; a NaN or overflowing total raises
+    ValueError, with no numpy warning.
     """
 
     def __init__(self, mat: sp.csr_array):
@@ -109,8 +111,10 @@ class SparseAdjacency:
         mat.sum_duplicates()
         mat.sort_indices()
         self.mat = mat
-        with np.errstate(over="ignore"):  # an overflowing total is inf; callers check it
+        with np.errstate(over="ignore", invalid="ignore"):
             self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
+        if not math.isfinite(self.total_weight):
+            raise ValueError(f"edge weights sum to {self.total_weight}, which is not finite")
         self._upper_index = None
 
     @classmethod
@@ -150,11 +154,6 @@ class SparseAdjacency:
         return self.mat.data
 
     @property
-    def coo_rows(self):
-        """Row index of every stored entry, in CSR data order."""
-        return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
-
-    @property
     def upper_index(self) -> UpperIndex:
         """The stored entries with i <= j, in CSR data order (cached).
 
@@ -162,7 +161,8 @@ class SparseAdjacency:
         Raises ValueError unless structure and values are bit-exactly symmetric.
         """
         if self._upper_index is None:
-            rows, cols = self.coo_rows, self.indices
+            cols = self.indices
+            rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(self.indptr))
             # Transposing a CSR of positions gives each entry's mirror when the matrix is symmetric.
             tr = sp.csr_array((np.arange(self.nnz, dtype=cols.dtype), cols, self.indptr),
                               shape=self.mat.shape).T.tocsr()
@@ -183,18 +183,29 @@ class SparseAdjacency:
         return np.flatnonzero(self.degrees() > 0)
 
     def edge_count(self) -> int:
-        """Undirected edge count: off-diagonal entries / 2 plus self-loops."""
-        diag_nnz = int(np.count_nonzero(self.mat.diagonal()))
-        return (self.nnz - diag_nnz) // 2 + diag_nnz
+        """Undirected edge count: the stored entries with i <= j."""
+        return self.upper_index.pos.size
 
 
 @dataclass
 class MultiViewGraph:
-    """Global node registry plus one adjacency per view."""
+    """Global node registry plus one distinctly named, registry-sized adjacency per view."""
 
     registry: NodeRegistry
     view_names: list
-    views: list  # list[SparseAdjacency], all sized to len(registry)
+    views: list  # list[SparseAdjacency]
+
+    def __post_init__(self):
+        names, n = self.view_names, len(self.registry)
+        if not self.views:
+            raise ValueError("empty view list: a multi-view graph needs at least one view")
+        if len(names) != len(self.views):
+            raise ValueError(f"got {len(names)} view names for {len(self.views)} views")
+        for k, (name, adj) in enumerate(zip(names, self.views)):
+            if name in names[:k]:
+                raise ValueError(f"view name {name!r} is repeated")
+            if adj.n != n:
+                raise ValueError(f"view {name!r} has {adj.n} nodes; the registry has {n}")
 
     @property
     def k(self) -> int:
@@ -320,23 +331,24 @@ def load_edge_list(source, registry: NodeRegistry | None = None):
 
 
 def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
-    """Write the i <= j entries so a reload round-trips.
+    """Write one line per entry of ``upper_index`` so a reload round-trips.
 
+    A non-symmetric adjacency raises ValueError before anything is written.
     Each weight's repr is made once, in a memo keyed by its float64 bits (0.0
     and -0.0 compare equal but print apart) and emptied when it outgrows a block.
     """
+    pos, rows, cols, _ = adj.upper_index
+    names = registry.names
     reprs = {}
     with _opened(sink, "w") as stream:
-        rows, cols, vals = adj.coo_rows, adj.indices, adj.values
-        names = registry.names
-        for start in range(0, adj.nnz, _WRITE_ENTRIES):
+        for start in range(0, pos.size, _WRITE_ENTRIES):
             block = slice(start, start + _WRITE_ENTRIES)
-            keep = np.flatnonzero(rows[block] <= cols[block]) + start
+            vals = adj.values[pos[block]]
             if len(reprs) > _WRITE_ENTRIES:
                 reprs.clear()
             lines = [f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
-                     for i, j, b, x in zip(rows[keep].tolist(), cols[keep].tolist(),
-                                           vals[keep].view(np.int64).tolist(), vals[keep].tolist())]
+                     for i, j, b, x in zip(rows[block].tolist(), cols[block].tolist(),
+                                           vals.view(np.int64).tolist(), vals.tolist())]
             stream.write("".join(lines))
 
 
@@ -374,19 +386,17 @@ def build_multiview(manifest) -> MultiViewGraph:
     """Assemble a multi-view graph from (view_name, edge-list source) pairs.
 
     All views are indexed against one shared registry (the union of node
-    identifiers across views).
+    identifiers across views). An adjacency's ValueError names its view.
     """
     manifest = list(manifest)
-    if not manifest:
-        raise ValueError("empty view manifest")
     registry = NodeRegistry()
     parsed = [parse_edges(source, registry) for _, source in manifest]
-    n = len(registry)
-    views = [SparseAdjacency.from_undirected(*triples, n) for triples in parsed]
-    for (name, source), adj in zip(manifest, views):
-        if not math.isfinite(adj.total_weight):
-            raise ValueError(f"view {name!r} ({source}): edge weights sum to "
-                             f"{adj.total_weight}, which is not finite")
+    views = []
+    for (name, source), triples in zip(manifest, parsed):
+        try:
+            views.append(SparseAdjacency.from_undirected(*triples, len(registry)))
+        except ValueError as exc:
+            raise ValueError(f"view {name!r} ({source}): {exc}") from exc
     names = [name for name, _ in manifest]
     return MultiViewGraph(registry=registry, view_names=names, views=views)
 

@@ -10,7 +10,6 @@ view is rescaled to unit total weight before combining unless disabled.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,32 +69,24 @@ def combine_views(graph: MultiViewGraph, weights: ViewWeights,
 
     Views with beta = 0 (or nothing stored) contribute nothing, also to the
     support. With normalize_views each view is first scaled to total weight
-    one. A view or a sum whose total weight is not finite raises ValueError.
+    one. A weight count other than graph.k raises ValueError, and so does a
+    sum whose total weight is not finite.
     """
-    if weights.k != graph.k:
-        raise ValueError(f"got {weights.k} weights for {graph.k} views")
-    return _weighted_sum(graph.view_names, graph.views, weights.beta, graph.n,
-                         normalize_views)
+    return _weighted_sum(graph.views, weights, normalize_views)
 
 
-def _weighted_sum(names, views, betas, n: int, normalize_views: bool) -> SparseAdjacency:
+def _weighted_sum(views, weights: ViewWeights, normalize_views: bool) -> SparseAdjacency:
+    if weights.k != len(views):
+        raise ValueError(f"got {weights.k} weights for {len(views)} views")
+    n = views[0].n
     acc = sp.csr_array((n, n), dtype=np.float64)
-    for name, beta, adj in zip(names, betas, views):
+    for beta, adj in zip(weights.beta, views):
         if beta == 0.0 or adj.nnz == 0:
             continue
-        if adj.n != n:
-            raise ValueError("view adjacency not indexed by the shared registry")
-        if not math.isfinite(adj.total_weight):
-            raise ValueError(f"view {name!r} has total weight {adj.total_weight}, "
-                             "which is not finite")
         scale = beta / adj.total_weight if normalize_views else beta
         acc = acc + adj.mat * scale
     acc.eliminate_zeros()
-    combined = SparseAdjacency(acc)
-    if not math.isfinite(combined.total_weight):
-        raise ValueError("the combined view's total weight overflows; "
-                         "rescale the views' weights")
-    return combined
+    return SparseAdjacency(acc)
 
 
 def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
@@ -105,8 +96,6 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
     positive-weight views get the uniform membership row 1/d and are listed
     in the run metadata.
     """
-    if graph.k == 0:
-        raise ValueError("graph has no views")
     weights = config.betas if config.betas is not None else default_betas(graph)
     combined = combine_views(graph, weights, config.normalize_views)
     fac = factorize(combined, config.factorize)
@@ -115,5 +104,6 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
 
 def svne_embed(adj: SparseAdjacency, config: MvneConfig) -> Factorization:
     """Single-view embedding: the k = 1 case of mvne_embed, through the same weighted sum."""
-    combined = _weighted_sum(["view0"], [adj], [1.0], adj.n, config.normalize_views)
+    weights = config.betas if config.betas is not None else ViewWeights([1.0])
+    combined = _weighted_sum([adj], weights, config.normalize_views)
     return factorize(combined, config.factorize)

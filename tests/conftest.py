@@ -11,11 +11,16 @@ def make_adjacency(text):
     return mvne.load_edge_list(io.StringIO(text))
 
 
+def coo_rows(adj):
+    """Row index of every stored entry, in CSR data order."""
+    return np.repeat(np.arange(adj.n), np.diff(adj.indptr))
+
+
 def per_entry_edge_list(adj, reg):
-    """The writer's format, one f-string per stored upper entry."""
-    rows, cols, vals = adj.coo_rows, adj.indices, adj.values
-    return "".join(f"{reg.name_of(int(rows[e]))}\t{reg.name_of(int(cols[e]))}\t{float(vals[e])!r}\n"
-                   for e in range(adj.nnz) if rows[e] <= cols[e])
+    """The writer's format, one f-string per entry of the adjacency's upper_index."""
+    pos, rows, cols, _ = adj.upper_index
+    return "".join(f"{reg.name_of(int(i))}\t{reg.name_of(int(j))}\t{float(adj.values[p])!r}\n"
+                   for p, i, j in zip(pos, rows, cols))
 
 
 def argmax_purity(H, z, c):

@@ -310,10 +310,65 @@ class TestChecksBeforeInput:
             assert run(["embed", "--manifest", manifest, "-d", 2, "--beta", "1,5e-13",
                         "--no-normalize-views", "--out", tmp_path / "e.txt"]) == 2
         assert caught == []
-        assert "combined view's total weight overflows" in capsys.readouterr().err
+        assert "edge weights sum to inf, which is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--json"), ("eval", "--tsv"),
+                                               ("stats", "--json")])
+    def test_missing_output_directory_exits_2_before_input_is_read(
+            self, tmp_path, dataset, capsys, monkeypatch, command, flag):
+        calls = []
+        for name in ("read_embedding", "run_protocol", "build_multiview"):
+            monkeypatch.setattr(mvne.cli, name, lambda *a, name=name: calls.append(name))
+        emb = tmp_path / "emb.txt"
+        mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
+        inputs = {"eval": ["--embedding", emb, "--labels", dataset / "labels.tsv"],
+                  "stats": ["--manifest", dataset / "views.manifest"]}
+        assert run([command, *inputs[command], flag, tmp_path / "missing" / "x"]) == 2
+        assert f"{flag}: directory " in capsys.readouterr().err
+        assert calls == []
+
+    def test_repeated_view_name_exits_2_naming_it(self, tmp_path, dataset, capsys):
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text(f"v\t{dataset / 'view0.edges'}\nv\t{dataset / 'view1.edges'}\n")
+        meta = tmp_path / "meta.json"
+        assert run(["embed", "--manifest", manifest, "-d", 2, "--out", tmp_path / "e.txt",
+                    "--meta", meta]) == 2
+        assert "view name 'v' is repeated" in capsys.readouterr().err
+        assert not meta.exists()
+
+    # the same two views overflow first in the update's product, in the
+    # init's column sums or in the objective's sum, depending on d and the layout
+    @pytest.mark.parametrize("second, dim", [("a\tb", 2), ("c\td", 2), ("a\tb", 128)],
+                             ids=["update", "init", "objective"])
+    def test_overflow_inside_the_fit_exits_2_silently(self, tmp_path, capsys, second, dim):
+        (tmp_path / "v1.edges").write_text("a\tb\t5e307\n")
+        (tmp_path / "v2.edges").write_text(f"{second}\t5e307\n")
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text("v1\tv1.edges\nv2\tv2.edges\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["embed", "--manifest", manifest, "-d", dim, "--no-normalize-views",
+                        "--out", tmp_path / "e.txt"]) == 2
+        assert caught == []
+        assert "the fit overflows float64" in capsys.readouterr().err
 
 
 class TestStats:
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        edges = tmp_path / "t.edges"
+        edges.write_text("a\tb\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["stats", "--edges", edges, "--seed", -1])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+
+    def test_seed_config_key_exits_2_naming_the_line(self, tmp_path, capsys):
+        edges, cfg = tmp_path / "t.edges", tmp_path / "run.cfg"
+        edges.write_text("a\tb\n")
+        cfg.write_text("# stats defaults\nseed=3\n")
+        assert run(["stats", "--edges", edges, "--config", cfg]) == 2
+        assert "line 2: unknown config key 'seed'" in capsys.readouterr().err
+
     def test_triangle_fixture(self, tmp_path, capsys):
         edges = tmp_path / "t.edges"
         edges.write_text("a\tb\nb\tc\nc\ta\n")

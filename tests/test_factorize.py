@@ -12,7 +12,7 @@ import mvne
 from mvne.factorize import _BLOCK, _EdgePlan
 from mvne.graph import ParseError
 
-from conftest import make_adjacency
+from conftest import coo_rows, make_adjacency
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
@@ -193,7 +193,7 @@ class TestEdgeKernel:
         assert adj.upper_index.pos.size > _BLOCK
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
-        ref = np.maximum(mvne.reconstruct_dense(fac)[adj.coo_rows, adj.indices], cfg.epsilon)
+        ref = np.maximum(mvne.reconstruct_dense(fac)[coo_rows(adj), adj.indices], cfg.epsilon)
         got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index

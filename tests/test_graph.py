@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 import mvne
 from mvne.graph import ParseError
 
-from conftest import make_adjacency, per_entry_edge_list
+from conftest import coo_rows, make_adjacency, per_entry_edge_list
 
 
 class TestLoadEdgeList:
@@ -68,6 +69,15 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match=f"line {line}: node identifier"):
             make_adjacency(text)
 
+    def test_total_that_is_not_finite_refused_silently(self):
+        # every weight is finite and positive; their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="edge weights sum to inf, which is not finite"):
+                make_adjacency("a\tb\t1e308\nb\tc\t1e308\nc\ta\t1e308\n")
+            with pytest.raises(ValueError, match="edge weights sum to nan, which is not finite"):
+                mvne.SparseAdjacency(sp.csr_array([[0.0, np.nan], [np.nan, 0.0]]))
+
     def test_space_separated_fallback(self):
         adj, _ = make_adjacency("a b 2.0\nb c\n")
         assert adj.total_weight == 2 * 2.0 + 2 * 1.0
@@ -127,9 +137,9 @@ class TestUpperIndex:
         dense = adj.mat.toarray()
         assert sorted(zip(rows.tolist(), cols.tolist())) == \
             sorted(zip(*np.nonzero(np.triu(dense))))
-        assert np.array_equal(adj.coo_rows[pos], rows)
+        assert np.array_equal(coo_rows(adj)[pos], rows)
         assert np.array_equal(adj.indices[pos], cols)
-        assert np.array_equal(adj.coo_rows[mirror], cols)
+        assert np.array_equal(coo_rows(adj)[mirror], cols)
         assert np.array_equal(adj.indices[mirror], rows)
 
     def test_directed_cycle_with_symmetric_counts_raises(self):
@@ -168,27 +178,32 @@ class TestWriteEdgeListBlocks:
         assert np.array_equal(adj.indices, again.indices)
         assert np.array_equal(adj.values, again.values)
 
-    def test_non_symmetric_input_writes_its_upper_entries(self, monkeypatch):
-        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 2)
+    def test_non_symmetric_input_refused(self, tmp_path):
+        # the writer reads upper_index, as the fit does, so it refuses what the fit refuses
         reg = mvne.NodeRegistry()
         for name in "abc":
             reg.intern(name)
-        adj = mvne.SparseAdjacency(sp.csr_array(
-            ([1 / 3, 0.5, 0.1, 1e-300, 4.0], ([0, 1, 2, 2, 1], [1, 0, 0, 2, 2])), shape=(3, 3)))
-        buf = io.StringIO()
-        mvne.write_edge_list(adj, reg, buf)
-        assert buf.getvalue() == per_entry_edge_list(adj, reg)
-        assert buf.getvalue() == "a\tb\t0.3333333333333333\nb\tc\t4.0\nc\tc\t1e-300\n"
+        out = tmp_path / "out.edges"
+        for vals, rows, cols in [
+            ([1.0, 2.0], [0, 1], [1, 0]),  # w(a, b) = 1, w(b, a) = 2
+            ([1 / 3, 0.5, 0.1, 1e-300, 4.0], [0, 1, 2, 2, 1], [1, 0, 0, 2, 2]),
+        ]:
+            adj = mvne.SparseAdjacency(sp.csr_array((vals, (rows, cols)), shape=(3, 3)))
+            with pytest.raises(ValueError, match="not bit-exactly symmetric"):
+                mvne.write_edge_list(adj, reg, out)
+            with pytest.raises(ValueError, match="not bit-exactly symmetric"):
+                adj.edge_count()
+            assert not out.exists()
 
-    def test_each_weight_formatted_once_keeps_signed_zero_and_nan(self, monkeypatch):
-        # the writer memoises repr per weight; 0.0 == -0.0 as floats and
-        # nan != nan, so a float-keyed memo would print -0.0 as 0.0
+    def test_each_weight_formatted_once_keeps_signed_zero(self, monkeypatch):
+        # the writer memoises repr per weight; 0.0 == -0.0 as floats, so a
+        # float-keyed memo would print -0.0 as 0.0
         monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 2)
         reg = mvne.NodeRegistry()
         for name in "abcdef":
             reg.intern(name)
         upper = [(0, 0, 0.0), (0, 1, -0.0), (0, 2, 0.5), (1, 1, 0.5), (1, 3, 0.0),
-                 (2, 3, -0.0), (2, 4, float("nan")), (3, 3, 0.5), (3, 5, float("nan")),
+                 (2, 3, -0.0), (2, 4, 0.1), (3, 3, 0.5), (3, 5, 0.5),
                  (4, 4, -0.0), (4, 5, 0.1), (5, 5, 0.1)]
         dense = np.zeros((6, 6))
         mask = np.zeros((6, 6), dtype=bool)
@@ -202,7 +217,7 @@ class TestWriteEdgeListBlocks:
         mvne.write_edge_list(adj, reg, buf)
         assert buf.getvalue() == per_entry_edge_list(adj, reg)
         assert buf.getvalue().splitlines()[:3] == ["a\ta\t0.0", "a\tb\t-0.0", "a\tc\t0.5"]
-        assert buf.getvalue().count("\tnan\n") == 2 and buf.getvalue().count("\t-0.0\n") == 3
+        assert buf.getvalue().count("\t-0.0\n") == 3
 
 
 class TestLabels:
@@ -256,6 +271,21 @@ class TestMultiView:
         with pytest.raises(ValueError, match="empty"):
             mvne.build_multiview([])
 
+    @pytest.mark.parametrize("names, sizes, error", [
+        ([], [], "empty view list"),
+        (["a"], [3, 3], "got 1 view names for 2 views"),
+        (["a", "b"], [3], "got 2 view names for 1 views"),
+        (["v", "w", "v"], [3, 3, 3], "view name 'v' is repeated"),
+        (["a", "b"], [3, 2], "view 'b' has 2 nodes; the registry has 3"),
+    ], ids=["no-views", "fewer-names", "more-names", "repeated-name", "wrong-size"])
+    def test_graph_refuses_views_it_cannot_name_or_index(self, names, sizes, error):
+        reg = mvne.NodeRegistry()
+        for name in "xyz":
+            reg.intern(name)
+        views = [mvne.SparseAdjacency.from_undirected([0], [1], [1.0], n) for n in sizes]
+        with pytest.raises(ValueError, match=error):
+            mvne.MultiViewGraph(registry=reg, view_names=names, views=views)
+
     def test_flickr_shaped_view_sizes(self):
         # five chain views over nested prefixes of one identifier space:
         # active counts equal the prescribed sizes, union is the largest
@@ -291,6 +321,6 @@ class TestViewStats:
         graph, _ = mvne.generate_multiview_sbm(spec)
         for row, adj in zip(mvne.view_stats(graph), graph.views):
             # independent recount from the stored structure
-            rows_, cols_ = adj.coo_rows, adj.indices
+            rows_, cols_ = coo_rows(adj), adj.indices
             undirected = {(min(i, j), max(i, j)) for i, j in zip(rows_, cols_)}
             assert row["edges"] == len(undirected)

@@ -2,7 +2,8 @@
 the edge-list parser agrees with its per-line reference, the mirror index
 with a stable-argsort oracle, the bulk embedding reader with the per-line
 one and the batched top-k and F1 with per-node scoring, config
-constructors accept exactly the finite, valid values, and the ratio update
+constructors accept exactly the finite, valid values, every path that builds
+an adjacency accepts a total weight or raises alike, and the ratio update
 and the fit keep their invariants on any small graph."""
 
 import importlib
@@ -22,6 +23,8 @@ from hypothesis.extra import numpy as hnp
 
 import mvne
 from mvne.graph import ParseError, parse_edges
+
+from conftest import coo_rows, per_entry_edge_list
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 evaluate_module = importlib.import_module("mvne.evaluate")
@@ -45,7 +48,7 @@ def edge_lists(draw):
 def triples(adj, reg):
     names = reg.names
     return {(names[i], names[j], w) for i, j, w in
-            zip(adj.coo_rows.tolist(), adj.indices.tolist(), adj.values.tolist())}
+            zip(coo_rows(adj).tolist(), adj.indices.tolist(), adj.values.tolist())}
 
 
 def write(adj, reg):
@@ -67,6 +70,7 @@ def test_edge_list_round_trip(text):
         return
     adj.upper_index  # raises unless structure and values are bit-exactly symmetric
     first = write(adj, reg)
+    assert first == per_entry_edge_list(adj, reg)
 
     again, reg2 = mvne.load_edge_list(io.StringIO(first))
     again.upper_index
@@ -266,7 +270,7 @@ def symmetric_dense(draw):
 @given(symmetric_dense(), st.integers(0, 2**16))
 def test_upper_index_mirror_matches_stable_argsort(dense, pick):
     adj = mvne.SparseAdjacency(sp.csr_array(dense))
-    rows, cols = adj.coo_rows, adj.indices
+    rows, cols = coo_rows(adj), adj.indices
     perm = np.argsort(cols, kind="stable")  # CSR rows are sorted: the transpose's order
     pos = np.flatnonzero(rows <= cols)
     got = adj.upper_index
@@ -490,3 +494,52 @@ def test_factorize_keeps_invariants(case):
     # may rise by rounding, which ends the loop (scale as in the update test).
     for prev, obj in zip(trace, trace[1:]):
         assert obj <= prev + 1e-9 * max(abs(prev), adj.total_weight)
+
+
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
+@settings(deadline=None)
+@given(st.floats(1e-300, FLOAT_MAX), st.floats(1e-300, FLOAT_MAX))
+@example(1e-300, 1e-300)
+@example(FLOAT_MAX, 1e-300)  # the largest total: a + 2b rounds to a
+@example(FLOAT_MAX / 3, FLOAT_MAX / 3)  # a + 2b passes the largest float
+def test_graph_paths_accept_a_total_or_all_raise(a, b):
+    """A self-loop x-x of weight a and an edge x-y of weight b, so each path sums a, b, b.
+
+    SparseAdjacency, from_undirected, load_edge_list, build_multiview and
+    combine_views (two copies of the view at beta 1/2, raw and normalized)
+    all accept the total or all raise ValueError, and none warns.
+    """
+    text = f"x\tx\t{a!r}\nx\ty\t{b!r}\n"
+    registry = mvne.NodeRegistry()
+    registry.intern("x"), registry.intern("y")
+
+    def combined(normalize_views):
+        view = mvne.SparseAdjacency.from_undirected([0, 0], [0, 1], [a, b], 2)
+        graph = mvne.MultiViewGraph(registry, ["v1", "v2"], [view, view])
+        return mvne.combine_views(graph, mvne.ViewWeights([0.5, 0.5]), normalize_views)
+
+    paths = [
+        lambda: mvne.SparseAdjacency(sp.csr_array(([a, b, b], ([0, 0, 1], [0, 1, 0])),
+                                                  shape=(2, 2))),
+        lambda: mvne.SparseAdjacency.from_undirected([0, 0], [0, 1], [a, b], 2),
+        lambda: mvne.load_edge_list(io.StringIO(text))[0],
+        lambda: mvne.build_multiview([("v", io.StringIO(text))]).views[0],
+        lambda: combined(False),
+        lambda: combined(True),
+    ]
+    totals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in paths:
+            try:
+                totals.append(path().total_weight)
+            except ValueError as exc:
+                assert "edge weights sum to inf, which is not finite" in str(exc)
+                totals.append(None)
+    if totals[0] is None:
+        assert totals == [None] * len(paths)
+    else:
+        assert math.isfinite(totals[0]) and totals[:5] == [totals[0]] * 5
+        assert totals[5] == pytest.approx(1.0, rel=1e-12)
