@@ -22,14 +22,17 @@ iterations + 1 + rejected_steps passes.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import _parts
 from .graph import ParseError, SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
@@ -341,19 +344,29 @@ def embedding(fac: Factorization) -> np.ndarray:
 def write_embedding(path, X: np.ndarray, names) -> None:
     """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
 
-    Rows are formatted and written in blocks of _WRITE_ROWS, one `%`
-    operation per row.
+    ``names`` is a sequence of the n row names; any other count raises
+    ValueError before the file is opened. Rows are formatted and written in
+    blocks of _WRITE_ROWS, one `%` operation per row. An embedding above the
+    split size (``_parts``) is formatted by up to one process per usable
+    core, each taking a contiguous range of rows; the bytes are the same.
     """
     X = np.asarray(X)
     n, d = X.shape
+    if len(names) != n:
+        raise ValueError(f"got {len(names)} names for {n} embedding rows")
     line = "%s " + " ".join(["%.17g"] * d) + "\n"
-    names = iter(names)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
-        for start in range(0, n, _WRITE_ROWS):
-            rows = X[start:start + _WRITE_ROWS].tolist()
-            # rows first: zip then stops without drawing a name past the block
-            fh.write("".join([line % (name, *row) for row, name in zip(rows, names)]))
+        _parts.write(fh, _parts.split(n, n * d),
+                     lambda sink, lo, hi: _write_rows(sink, line, X, names, lo, hi))
+
+
+def _write_rows(sink, line: str, X: np.ndarray, names, lo: int, hi: int) -> None:
+    """Write rows lo..hi - 1 of X as `line`, _WRITE_ROWS at a time."""
+    for start in range(lo, hi, _WRITE_ROWS):
+        stop = min(start + _WRITE_ROWS, hi)
+        sink.write("".join([line % (name, *row)
+                            for name, row in zip(names[start:stop], X[start:stop].tolist())]))
 
 
 def _row_line(path, row: int) -> int:
@@ -369,14 +382,17 @@ def read_embedding(path):
 
     Node names must be unique and values finite: a repeated name, a value
     that is not a float, NaN or +-inf raises ParseError naming the line. The
-    values are read in bulk; on any input the bulk reader cannot vouch for,
-    the per-line reader _read_rows, which defines the legal input, reads the
-    file again and names the faulty line. The uniqueness and finiteness
-    checks run once over the whole file; only a failure looks up its line.
+    values are read in bulk, a file above the split size (``_parts``) by up
+    to one process per usable core, each taking a contiguous range of lines.
+    On any input the bulk reader cannot vouch for, or when one of its worker
+    processes fails, the per-line reader _read_rows, which defines the legal
+    input, reads the file again and names the faulty line. The uniqueness
+    and finiteness checks run once over the whole file; only a failure looks
+    up its line.
     """
     try:
         names, X = _read_rows_bulk(path)
-    except ValueError:
+    except (ValueError, ChildProcessError):
         names, X = _read_rows(path)
     n = len(names)
     if len(set(names)) < n:
@@ -390,8 +406,8 @@ def read_embedding(path):
     return names, X
 
 
-def _read_header(fh):
-    header = fh.readline().split()
+def _read_header(line: str):
+    header = line.split()
     if len(header) != 2 or not all(h.isdecimal() for h in header):
         raise ParseError("embedding file: bad header line, expected `n d`", 1)
     return int(header[0]), int(header[1])
@@ -400,7 +416,7 @@ def _read_header(fh):
 def _read_rows(path):
     """Names and values line by line; raises ParseError naming a bad line."""
     with open(path, "r", encoding="utf-8") as fh:
-        n, d = _read_header(fh)
+        n, d = _read_header(fh.readline())
         names, rows = [], []
         for line in fh:
             parts = line.split()
@@ -422,26 +438,84 @@ def _read_rows(path):
 def _read_rows_bulk(path):
     """Names and values as _read_rows gives them, or ValueError.
 
-    The names come from split() over blocks of whole lines, and the values
-    from one np.loadtxt, which needs at least d + 1 fields on each of the n
-    non-blank rows; with n (d + 1) fields in all, each row has exactly
-    d + 1, so its first field is its name.
+    The data lines are cut at newlines into byte ranges, one per part
+    (``_parts``), and each part gives its names, from split() over blocks of
+    whole lines, its field count and its values, from one np.loadtxt, which
+    needs at least d + 1 fields on each of its rows. With n (d + 1) fields
+    and n rows in all, each row has exactly d + 1, so its first field is its
+    name. A child that fails raises ChildProcessError.
     """
+    # newline="": lines end as in text mode, but the header keeps its line
+    # end, so its UTF-8 length is where the data starts
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        head = fh.readline()
+        n, d = _read_header(head)
+        start, size = len(head.encode("utf-8")), os.fstat(fh.fileno()).st_size
+    # no data, or d = 0, is left to the per-line loop: loadtxt warns on it
+    if n * d == 0 or size == start:
+        raise ValueError("no values")
+    cuts = [start + c for c in _parts.split(size - start, n * d)]
+    if len(cuts) > 2:
+        with open(path, "rb") as fh:
+            cuts[1:-1] = [_line_start(fh, c) for c in cuts[1:-1]]
+    parts = _parts.run(sorted(set(cuts)), lambda lo, hi: _read_span(path, lo, hi, d))
+    if sum(fields for _, fields, _ in parts) != n * (d + 1):
+        raise ValueError("not n rows of d + 1 fields")
+    X = np.concatenate([X for _, _, X in parts])
+    if X.shape[0] != n:
+        raise ValueError("not n rows of d + 1 fields")
+    return [name for names, _, _ in parts for name in names], X
+
+
+def _line_start(fh, at: int) -> int:
+    """The first offset at or after ``at`` that follows a newline in binary file fh, or its end."""
+    fh.seek(at - 1)
+    while chunk := fh.read(_READ_BYTES):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return fh.tell() - len(chunk) + i + 1
+    return fh.tell()
+
+
+class _ByteSpan(io.RawIOBase):
+    """Bytes lo..hi - 1 of a file as a raw stream."""
+
+    def __init__(self, path, lo: int, hi: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(lo)
+        self._left = hi - lo
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        got = self._file.readinto(memoryview(buf)[:self._left])
+        self._left -= got
+        return got
+
+    def close(self):
+        self._file.close()
+        super().close()
+
+
+def _text_span(path, lo: int, hi: int):
+    """Bytes lo..hi - 1 of path as UTF-8 text, with the line ends of open(path)."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, lo, hi)), encoding="utf-8")
+
+
+def _read_span(path, lo: int, hi: int, d: int):
+    """(names, field count, values) of the embedding lines in bytes lo..hi - 1 of path."""
     names, fields = [], 0
-    with open(path, "r", encoding="utf-8") as fh:
-        n, d = _read_header(fh)
+    with _text_span(path, lo, hi) as fh:
         for block in iter(lambda: fh.readlines(_READ_BYTES), []):
             tokens = "".join(block).split()
             fields += len(tokens)
             names += tokens[::d + 1]
-    # an empty file, or d = 0, is left to the per-line loop: loadtxt warns on it
-    if n * d == 0 or fields != n * (d + 1):
-        raise ValueError("not n rows of d + 1 fields")
-    X = np.loadtxt(path, skiprows=1, usecols=range(1, d + 1), comments=None, ndmin=2,
-                   encoding="utf-8")
-    if X.shape[0] != n:
-        raise ValueError("not n rows of d + 1 fields")
-    return names, X
+    if not fields:  # loadtxt warns on a span with no data
+        return names, fields, np.empty((0, d))
+    with _text_span(path, lo, hi) as fh:
+        X = np.loadtxt(fh, usecols=range(1, d + 1), comments=None, ndmin=2)
+    return names, fields, X
 
 
 def write_run_metadata(path, meta: dict) -> None:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import _parts
+
 # Edges formatted per write by write_edge_list.
 _WRITE_ENTRIES = 16384
 
@@ -336,20 +338,30 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
     A non-symmetric adjacency raises ValueError before anything is written.
     Each weight's repr is made once, in a memo keyed by its float64 bits (0.0
     and -0.0 compare equal but print apart) and emptied when it outgrows a block.
+    An edge list above the split size (``_parts``) is formatted by up to one
+    process per usable core, each taking a contiguous range of entries with
+    its own memo; the text is the same.
     """
-    pos, rows, cols, _ = adj.upper_index
+    count = adj.upper_index.pos.size
     names = registry.names
-    reprs = {}
     with _opened(sink, "w") as stream:
-        for start in range(0, pos.size, _WRITE_ENTRIES):
-            block = slice(start, start + _WRITE_ENTRIES)
-            vals = adj.values[pos[block]]
-            if len(reprs) > _WRITE_ENTRIES:
-                reprs.clear()
-            lines = [f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
-                     for i, j, b, x in zip(rows[block].tolist(), cols[block].tolist(),
-                                           vals.view(np.int64).tolist(), vals.tolist())]
-            stream.write("".join(lines))
+        _parts.write(stream, _parts.split(count, count),
+                     lambda out, lo, hi: _write_entries(out, adj, names, lo, hi))
+
+
+def _write_entries(stream, adj: SparseAdjacency, names, lo: int, hi: int) -> None:
+    """Write entries lo..hi - 1 of ``upper_index``, _WRITE_ENTRIES at a time."""
+    pos, rows, cols, _ = adj.upper_index
+    reprs = {}
+    for start in range(lo, hi, _WRITE_ENTRIES):
+        block = slice(start, min(start + _WRITE_ENTRIES, hi))
+        vals = adj.values[pos[block]]
+        if len(reprs) > _WRITE_ENTRIES:
+            reprs.clear()
+        lines = [f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
+                 for i, j, b, x in zip(rows[block].tolist(), cols[block].tolist(),
+                                       vals.view(np.int64).tolist(), vals.tolist())]
+        stream.write("".join(lines))
 
 
 def load_labels(source, index) -> LabelStore:

@@ -69,8 +69,9 @@ def combine_views(graph: MultiViewGraph, weights: ViewWeights,
 
     Views with beta = 0 (or nothing stored) contribute nothing, also to the
     support. With normalize_views each view is first scaled to total weight
-    one. A weight count other than graph.k raises ValueError, and so does a
-    sum whose total weight is not finite.
+    one. A weight count other than graph.k raises ValueError, and so do a
+    view whose total is too small to divide by and a sum whose total weight
+    is not finite.
     """
     return _weighted_sum(graph.views, weights, normalize_views)
 
@@ -80,10 +81,17 @@ def _weighted_sum(views, weights: ViewWeights, normalize_views: bool) -> SparseA
         raise ValueError(f"got {weights.k} weights for {len(views)} views")
     n = views[0].n
     acc = sp.csr_array((n, n), dtype=np.float64)
-    for beta, adj in zip(weights.beta, views):
+    for k, (beta, adj) in enumerate(zip(weights.beta, views)):
         if beta == 0.0 or adj.nnz == 0:
             continue
-        scale = beta / adj.total_weight if normalize_views else beta
+        scale = beta
+        if normalize_views:
+            with np.errstate(over="ignore", divide="ignore"):
+                scale = beta / adj.total_weight
+            if not np.isfinite(scale):
+                raise ValueError(f"the view at position {k} has total weight "
+                                 f"{adj.total_weight!r}, too small to scale to total weight "
+                                 "one; rescale its weights or pass --no-normalize-views")
         acc = acc + adj.mat * scale
     acc.eliminate_zeros()
     return SparseAdjacency(acc)

@@ -312,6 +312,16 @@ class TestChecksBeforeInput:
         assert caught == []
         assert "edge weights sum to inf, which is not finite" in capsys.readouterr().err
 
+    def test_subnormal_view_total_exits_2_naming_the_view(self, tmp_path, capsys):
+        edges = tmp_path / "tiny.edges"
+        edges.write_text("a\tb\t1e-320\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["embed", "--edges", edges, "-d", 2, "--out", tmp_path / "e.txt"]) == 2
+        err = capsys.readouterr().err
+        assert "the view at position 0 has total weight 2e-320" in err
+        assert "--no-normalize-views" in err
+
     @pytest.mark.parametrize("command, flag", [("eval", "--json"), ("eval", "--tsv"),
                                                ("stats", "--json")])
     def test_missing_output_directory_exits_2_before_input_is_read(

@@ -487,6 +487,13 @@ class TestEmbeddingFile:
             assert np.array_equal(X, X2)
         assert "v0 0.33333333333333331 0.10000000000000001 1e-300 0\n" in expected
 
+    @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["few", "many"])
+    def test_name_count_other_than_n_refused_before_open(self, tmp_path, names):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError, match=f"got {len(names)} names for 3 embedding rows"):
+            mvne.write_embedding(path, np.eye(3), names)
+        assert not path.exists()
+
     def test_reader_validates_shape(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\nn0 0.5 0.5\n")

@@ -1,0 +1,276 @@
+"""The text writers and the embedding reader split over processes: the same
+bytes and values as one part, failures raised in the caller, and no child
+process, temporary file or descriptor left behind."""
+
+import importlib
+import io
+import os
+import shutil
+import tempfile
+import time
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import mvne
+from mvne import _parts
+from mvne.graph import ParseError
+
+factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+
+# warnings are errors here: a numpy warning, or Python >= 3.12's warning on
+# fork() in a process with threads, must not reach the caller
+pytestmark = pytest.mark.filterwarnings("error")
+
+NAMES = ["a", "ä", "节点", "🙂", "n-4", "Ω5", "x6"]
+
+
+def embedding_rows(n):
+    X = np.random.default_rng(n).uniform(0, 1, (n, 3))
+    X[-1, 1:] = [-0.0, 1 / 3]
+    X[0] = [0.0, -0.0, 1e-300]
+    return X
+
+
+def signed_zero_adjacency(count):
+    """An adjacency over NAMES whose first `count` upper entries hold 0.0,
+    -0.0, 1e-300 and repeats, stored explicitly, with a registry."""
+    upper = [(0, 0, 0.0), (0, 1, -0.0), (1, 2, 1e-300), (2, 2, 1 / 3), (2, 3, -0.0),
+             (4, 5, 1e-300), (5, 6, 0.0)][:count]
+    reg = mvne.NodeRegistry()
+    for name in NAMES:
+        reg.intern(name)
+    dense = np.zeros((7, 7))
+    mask = np.zeros((7, 7), dtype=bool)
+    for i, j, w in upper:
+        dense[i, j] = dense[j, i] = w
+        mask[i, j] = mask[j, i] = True
+    rows, cols = np.nonzero(mask)  # row-major: canonical CSR order, zeros kept
+    adj = mvne.SparseAdjacency(sp.csr_array((dense[rows, cols], (rows, cols)), shape=(7, 7)))
+    assert adj.edge_count() == count
+    return adj, reg
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every range into up to 3 parts of at least one value; counts the forks."""
+    monkeypatch.setattr(_parts, "_CORES", 3)
+    monkeypatch.setattr(_parts, "_PART_VALUES", 1)
+    made = []
+    fork = _parts._fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(_parts, "_fork", counted)
+    return made
+
+
+def one_part(monkeypatch, write):
+    with monkeypatch.context() as m:
+        m.setattr(_parts, "_CORES", 1)
+        return write()
+
+
+def emb_bytes(path, X, names):
+    mvne.write_embedding(path, X, names)
+    return path.read_bytes()
+
+
+def edges_text(adj, reg, sink):
+    mvne.write_edge_list(adj, reg, sink)
+    return sink.getvalue() if isinstance(sink, io.StringIO) else sink.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7], ids=["one", "fewer-than-parts", "seven"])
+@pytest.mark.parametrize("block", [1, 3])
+def test_embedding_bytes_and_values_match_one_part(tmp_path, monkeypatch, forks, n, block):
+    monkeypatch.setattr(factorize_module, "_WRITE_ROWS", block)
+    X, names, path = embedding_rows(n), NAMES[:n], tmp_path / "emb.txt"
+    expected = one_part(monkeypatch, lambda: emb_bytes(path, X, names))
+    assert expected.decode("utf-8").startswith(f"{n} 3\na 0 -0 1e-300\n")
+    forks.clear()
+    assert emb_bytes(path, X, names) == expected
+    assert len(forks) == min(n, 3) - 1
+    forks.clear()
+    names2, X2 = factorize_module._read_rows_bulk(path)
+    # cut at the first newline past each third of the bytes, so short files make fewer parts
+    assert len(forks) == {1: 0, 2: 0, 7: 2}[n]
+    names1, X1 = factorize_module._read_rows(path)
+    assert names2 == names1 == names
+    assert X2.tobytes() == X1.tobytes() == X.tobytes()
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("count", [1, 2, 7], ids=["one", "fewer-than-parts", "seven"])
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "stringio"])
+def test_edge_list_text_matches_one_part(tmp_path, monkeypatch, forks, count, block, to_path):
+    monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", block)
+    adj, reg = signed_zero_adjacency(count)
+    sink = (lambda: tmp_path / "out.edges") if to_path else io.StringIO
+    expected = one_part(monkeypatch, lambda: edges_text(adj, reg, sink()))
+    assert expected.startswith("a\ta\t0.0\n")
+    forks.clear()
+    assert edges_text(adj, reg, sink()) == expected
+    assert len(forks) == min(count, 3) - 1
+    assert no_child_left()
+
+
+def test_bad_field_in_the_last_part_names_its_line(tmp_path, forks):
+    path = tmp_path / "emb.txt"
+    mvne.write_embedding(path, embedding_rows(7), NAMES)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[7] = lines[7].replace(" ", " x", 1)  # line 8, the last row
+    path.write_text("".join(lines), encoding="utf-8")
+    forks.clear()
+    with pytest.raises(ParseError, match="line 8: embedding file") as info:
+        mvne.read_embedding(path)
+    assert info.value.line_no == 8
+    assert len(forks) == 2
+    assert no_child_left()
+
+
+def raising_in(in_caller, func):
+    """func, raising in the caller's own part (the one from 0) or in every other part."""
+
+    def patched(*args):
+        if (args[-2] == 0) == in_caller:  # args end with lo, hi
+            raise RuntimeError("part failed")
+        return func(*args)
+
+    return patched
+
+
+@pytest.fixture
+def temp_dir(tmp_path, monkeypatch):
+    """The directory temporary files go to, to check that none stays."""
+    where = tmp_path / "tmp"
+    where.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(where))
+    return where
+
+
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "child"])
+def test_failing_embedding_part_raises_in_the_caller(tmp_path, monkeypatch, forks, temp_dir,
+                                                     in_caller):
+    fds = open_fds()
+    monkeypatch.setattr(factorize_module, "_write_rows",
+                        raising_in(in_caller, factorize_module._write_rows))
+    with pytest.raises(RuntimeError, match="part failed"):
+        mvne.write_embedding(tmp_path / "emb.txt", embedding_rows(7), NAMES)
+    assert len(forks) == 2
+    assert no_child_left()
+    assert os.listdir(temp_dir) == []
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "child"])
+def test_failing_edge_list_part_raises_in_the_caller(monkeypatch, forks, temp_dir, in_caller):
+    fds = open_fds()
+    monkeypatch.setattr(mvne.graph, "_write_entries",
+                        raising_in(in_caller, mvne.graph._write_entries))
+    adj, reg = signed_zero_adjacency(7)
+    with pytest.raises(RuntimeError, match="part failed"):
+        mvne.write_edge_list(adj, reg, io.StringIO())
+    assert len(forks) == 2
+    assert no_child_left()
+    assert os.listdir(temp_dir) == []
+    assert open_fds() == fds
+
+
+def test_children_still_running_are_killed_when_the_caller_fails(monkeypatch, forks, temp_dir):
+    def slow_children(sink, line, X, names, lo, hi):
+        if lo == 0:
+            raise RuntimeError("part failed")
+        time.sleep(60)
+
+    monkeypatch.setattr(factorize_module, "_write_rows", slow_children)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="part failed"):
+        mvne.write_embedding(temp_dir.parent / "emb.txt", embedding_rows(7), NAMES)
+    assert time.perf_counter() - start < 30
+    assert no_child_left()
+
+
+def test_output_directory_vanishing_mid_call_raises(tmp_path, monkeypatch, forks):
+    # the temporary files go to the output directory, which is removed after
+    # the output file is open and the first temporary file is made
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(out))
+    made, make = [], tempfile.TemporaryFile
+
+    def vanishing(*args, **kwargs):
+        if made:
+            shutil.rmtree(out)
+        made.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", vanishing)
+    fds = open_fds()
+    with pytest.raises(FileNotFoundError):
+        mvne.write_embedding(out / "emb.txt", embedding_rows(7), NAMES)
+    assert not out.exists()
+    assert no_child_left()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_failing_reader_child_falls_back_to_the_per_line_reader(tmp_path, monkeypatch, forks,
+                                                                failure):
+    path = tmp_path / "emb.txt"
+    X = embedding_rows(7)
+    mvne.write_embedding(path, X, NAMES)
+    start = len("7 3\n")
+    read_span = factorize_module._read_span
+
+    def failing(path, lo, hi, d):
+        if lo > start:
+            if failure == "exits":
+                os._exit(3)
+            raise ValueError("part failed")
+        return read_span(path, lo, hi, d)
+
+    monkeypatch.setattr(factorize_module, "_read_span", failing)
+    if failure == "exits":
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
+            factorize_module._read_rows_bulk(path)
+    names, X2 = mvne.read_embedding(path)
+    assert names == NAMES and X2.tobytes() == X.tobytes()
+    assert no_child_left()
+
+
+def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
+    X = embedding_rows(7)
+    adj, reg = signed_zero_adjacency(7)
+    expected = (emb_bytes(tmp_path / "emb.txt", X, NAMES), edges_text(adj, reg, io.StringIO()))
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(_parts, "_CORES", _parts._usable_cores())
+    monkeypatch.setattr(_parts, "_PART_VALUES", 1)
+    assert _parts._CORES == 1
+    parts, run = [], _parts.run
+
+    def counted(cuts, part):
+        parts.append(len(cuts) - 1)
+        return run(cuts, part)
+
+    monkeypatch.setattr(_parts, "run", counted)
+    assert (emb_bytes(tmp_path / "emb.txt", X, NAMES),
+            edges_text(adj, reg, io.StringIO())) == expected
+    names, X2 = mvne.read_embedding(tmp_path / "emb.txt")
+    assert names == NAMES and X2.tobytes() == X.tobytes()
+    assert parts == [1, 1, 1]

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mvne
+from mvne import _parts
 from mvne.graph import ParseError, parse_edges
 
 from conftest import coo_rows, per_entry_edge_list
@@ -226,18 +227,24 @@ def read_outcome(path):
 
 
 @settings(deadline=None)
-@given(embedding_texts(), st.integers(1, 64))
-@example("2 2\na 1 2\n\nb 3 4", 1)
-@example("2 2\na 1 2 3\nb 4\n", 64)  # right field total, wrong rows
-@example("2 1\na 1 b 2\n", 64)  # right field total, one row short
-@example("1 2\na 1 2 3\n", 64)  # a field too many
-@example("1 2\na\x1c1\u20282\r\n", 64)  # whitespace that is no line end
-def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes):
+@given(embedding_texts(), st.integers(1, 64), st.sampled_from([1, 3]))
+@example("2 2\na 1 2\n\nb 3 4", 1, 1)
+@example("2 2\na 1 2 3\nb 4\n", 64, 1)  # right field total, wrong rows
+@example("2 1\na 1 b 2\n", 64, 1)  # right field total, one row short
+@example("1 2\na 1 2 3\n", 64, 1)  # a field too many
+@example("1 2\na\x1c1\u20282\r\n", 64, 1)  # whitespace that is no line end
+@example("3 1\ra 1\r\nb 2\rc 3", 1, 3)  # parts cut at \n only, header ends at \r
+@example("2 1\na 1\n\n\n\n\n\nb 2\n", 1, 3)  # a part of blank lines
+def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
+    """The bulk reader, in up to `parts` processes of one value each, agrees
+    with the per-line one."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")
         with open(path, "wb") as fh:
             fh.write(text.encode("utf-8"))
-        with mock.patch.object(factorize_module, "_READ_BYTES", read_bytes):
+        with mock.patch.object(factorize_module, "_READ_BYTES", read_bytes), \
+                mock.patch.object(_parts, "_CORES", parts), \
+                mock.patch.object(_parts, "_PART_VALUES", 1):
             bulk = read_outcome(path)
         with mock.patch.object(factorize_module, "_read_rows_bulk", side_effect=ValueError):
             per_line = read_outcome(path)
