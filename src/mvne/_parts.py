@@ -1,18 +1,20 @@
 """Text formatting and parsing split into contiguous parts, one per usable core.
 
-Printing or parsing a float to 17 digits costs about 1 us in CPython and
-holds the GIL, so threads do not help. ``split`` cuts a range of rows into k
-contiguous parts and ``run`` runs part 0 in the calling process and parts
-1..k-1 in children made with ``os.fork``; the results are joined in part
-order, so output bytes do not depend on k. A child writes only to the pipe or
-temporary file made for it and leaves only through ``os._exit``, so it
-flushes none of the parent's buffers. The parent reaps every child, and
-kills any still running when it fails itself. Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, every range is one part.
-"""
+Printing or parsing a float to 17 digits, or interning a node id, costs
+about 1 us in CPython and holds the GIL, so threads do not help. ``split``
+cuts a range of rows into k contiguous parts, ``line_cuts`` cuts the bytes
+of a file into k ranges of whole lines that ``text_span`` reads, and ``run``
+runs part 0 in the calling process and parts 1..k-1 in children made with
+``os.fork``; the results are joined in part order, so output bytes do not
+depend on k. A child writes only to the pipe or temporary file made for it
+and leaves only through ``os._exit``, so it flushes none of the parent's
+buffers. The parent reaps every child, and kills any still running when it
+fails itself. Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+every range is one part."""
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 import shutil
@@ -34,6 +36,9 @@ _CORES = _usable_cores()
 # formatting 2^16 floats takes about 60 ms, and forking and reaping a child
 # of a 150 MB process 5-8 ms.
 _PART_VALUES = 1 << 16
+# Bytes scanned at once for a line end; characters of whole lines the
+# embedding reader splits at once (their tokens take well under 1 MB).
+_READ_BYTES = 1 << 16
 
 
 def split(count: int, values: int) -> list:
@@ -43,6 +48,58 @@ def split(count: int, values: int) -> list:
     """
     k = max(1, min(_CORES, values // _PART_VALUES, count))
     return [count * i // k for i in range(k + 1)]
+
+
+def line_cuts(path, start: int, end: int, values: int) -> list:
+    """split() of bytes start..end - 1 of path, each inner cut moved to a line start.
+
+    An inner cut moves to the first offset at or after it that follows a
+    ``\n``, and cuts that meet merge, so every range but the last ends in
+    ``\n``. A cut after ``\n`` never splits a UTF-8 sequence or a ``\r\n``;
+    a file whose lines end in a lone ``\r`` has no cut point and stays one
+    range. The file is opened only when there is more than one part.
+    """
+    cuts = [start + c for c in split(end - start, values)]
+    if len(cuts) > 2:
+        with open(path, "rb") as fh:
+            cuts[1:-1] = [_line_start(fh, c) for c in cuts[1:-1]]
+    return sorted(set(cuts))
+
+
+def _line_start(fh, at: int) -> int:
+    """The first offset at or after ``at`` that follows a newline in binary file fh, or its end."""
+    fh.seek(at - 1)
+    while chunk := fh.read(_READ_BYTES):
+        i = chunk.find(b"\n")
+        if i >= 0:
+            return fh.tell() - len(chunk) + i + 1
+    return fh.tell()
+
+
+class _ByteSpan(io.RawIOBase):
+    """Bytes lo..hi - 1 of a file as a raw stream."""
+
+    def __init__(self, path, lo: int, hi: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(lo)
+        self._left = hi - lo
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        got = self._file.readinto(memoryview(buf)[:self._left])
+        self._left -= got
+        return got
+
+    def close(self):
+        self._file.close()
+        super().close()
+
+
+def text_span(path, lo: int, hi: int):
+    """Bytes lo..hi - 1 of path as UTF-8 text, with the line ends of open(path)."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, lo, hi)), encoding="utf-8")
 
 
 def _fork() -> int:

@@ -22,7 +22,6 @@ iterations + 1 + rejected_steps passes.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -40,9 +39,6 @@ from .graph import ParseError, SparseAdjacency
 _BLOCK = 2048
 # Embedding rows formatted per write; their strings stay under 0.4 MB at d = 128.
 _WRITE_ROWS = 128
-# Characters of whole lines the embedding reader splits at once; their
-# tokens take well under 1 MB.
-_READ_BYTES = 1 << 16
 # The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
 # and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
@@ -134,12 +130,14 @@ class Factorization:
 
 
 def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> Factorization:
-    """Uniform-positive random memberships H0 with uniform masses total/d.
+    """Uniform-positive random memberships H0 and the B0 that reconstructs H0 (total/d) H0^T.
 
     H0 rows are drawn uniform-positive then row-normalized; B0 scales column
     p of H0 by (total/d) colsum(H0)_p, the one B whose reconstruction
-    B diag(1/colsum B) B^T is H0 diag(total/d) H0^T. Deterministic given
-    config.seed.
+    B diag(1/colsum B) B^T is H0 diag(total/d) H0^T. The masses are not
+    total/d: B0 sums to (total/d) sum_p colsum(H0)_p^2, about total (n/d)^2,
+    and so does its reconstruction. The first update renormalizes the mass
+    to total. Deterministic given config.seed.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -234,7 +232,11 @@ class _EdgePlan:
         new /= np.where(lam > 0, lam, np.inf)
         total = new.sum()
         if total <= 0:
-            raise ValueError("update collapsed all mass; is the graph edgeless?")
+            # factorize rejects a zero total weight, so only underflow gets here:
+            # weights far below the epsilon floor of yhat give ratios near zero
+            raise ValueError(f"the update's mass underflowed to zero: the edge weights total "
+                             f"{self.total_weight!r}, too little against the reconstruction's "
+                             f"epsilon floor {self.epsilon!r}; rescale the edge weights")
         new *= self.total_weight / total
         return new
 
@@ -454,11 +456,8 @@ def _read_rows_bulk(path):
     # no data, or d = 0, is left to the per-line loop: loadtxt warns on it
     if n * d == 0 or size == start:
         raise ValueError("no values")
-    cuts = [start + c for c in _parts.split(size - start, n * d)]
-    if len(cuts) > 2:
-        with open(path, "rb") as fh:
-            cuts[1:-1] = [_line_start(fh, c) for c in cuts[1:-1]]
-    parts = _parts.run(sorted(set(cuts)), lambda lo, hi: _read_span(path, lo, hi, d))
+    cuts = _parts.line_cuts(path, start, size, n * d)
+    parts = _parts.run(cuts, lambda lo, hi: _read_span(path, lo, hi, d))
     if sum(fields for _, fields, _ in parts) != n * (d + 1):
         raise ValueError("not n rows of d + 1 fields")
     X = np.concatenate([X for _, _, X in parts])
@@ -467,53 +466,17 @@ def _read_rows_bulk(path):
     return [name for names, _, _ in parts for name in names], X
 
 
-def _line_start(fh, at: int) -> int:
-    """The first offset at or after ``at`` that follows a newline in binary file fh, or its end."""
-    fh.seek(at - 1)
-    while chunk := fh.read(_READ_BYTES):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return fh.tell() - len(chunk) + i + 1
-    return fh.tell()
-
-
-class _ByteSpan(io.RawIOBase):
-    """Bytes lo..hi - 1 of a file as a raw stream."""
-
-    def __init__(self, path, lo: int, hi: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(lo)
-        self._left = hi - lo
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        got = self._file.readinto(memoryview(buf)[:self._left])
-        self._left -= got
-        return got
-
-    def close(self):
-        self._file.close()
-        super().close()
-
-
-def _text_span(path, lo: int, hi: int):
-    """Bytes lo..hi - 1 of path as UTF-8 text, with the line ends of open(path)."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, lo, hi)), encoding="utf-8")
-
-
 def _read_span(path, lo: int, hi: int, d: int):
     """(names, field count, values) of the embedding lines in bytes lo..hi - 1 of path."""
     names, fields = [], 0
-    with _text_span(path, lo, hi) as fh:
-        for block in iter(lambda: fh.readlines(_READ_BYTES), []):
+    with _parts.text_span(path, lo, hi) as fh:
+        for block in iter(lambda: fh.readlines(_parts._READ_BYTES), []):
             tokens = "".join(block).split()
             fields += len(tokens)
             names += tokens[::d + 1]
     if not fields:  # loadtxt warns on a span with no data
         return names, fields, np.empty((0, d))
-    with _text_span(path, lo, hi) as fh:
+    with _parts.text_span(path, lo, hi) as fh:
         X = np.loadtxt(fh, usecols=range(1, d + 1), comments=None, ndmin=2)
     return names, fields, X
 

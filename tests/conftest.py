@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mvne
+from mvne import _parts
 
 
 def make_adjacency(text):
@@ -43,3 +44,21 @@ def community_array(labels, n):
 def triangle():
     adj, reg = make_adjacency("a\tb\nb\tc\nc\ta\n")
     return adj, reg
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split every range into up to 3 parts of at least one value (an edge
+    list: of one byte); counts the forks."""
+    monkeypatch.setattr(_parts, "_CORES", 3)
+    monkeypatch.setattr(_parts, "_PART_VALUES", 1)
+    monkeypatch.setattr(mvne.graph, "_LINE_BYTES", 1)
+    made = []
+    fork = _parts._fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(_parts, "_fork", counted)
+    return made

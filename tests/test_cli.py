@@ -322,6 +322,20 @@ class TestChecksBeforeInput:
         assert "the view at position 0 has total weight 2e-320" in err
         assert "--no-normalize-views" in err
 
+    @pytest.mark.parametrize("text", ["a\tb\t1e-320\n", "a\tb\t1e-300\nb\tc\t1e-300\n"],
+                             ids=["subnormal", "two-tiny"])
+    def test_underflowing_fit_exits_2_naming_the_cause(self, tmp_path, capsys, text):
+        edges = tmp_path / "tiny.edges"
+        edges.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["embed", "--edges", edges, "--no-normalize-views", "-d", 2,
+                        "--out", tmp_path / "e.txt"]) == 2
+        err = capsys.readouterr().err
+        assert "mass underflowed to zero" in err
+        assert "rescale the edge weights" in err
+        assert "edgeless" not in err
+
     @pytest.mark.parametrize("command, flag", [("eval", "--json"), ("eval", "--tsv"),
                                                ("stats", "--json")])
     def test_missing_output_directory_exits_2_before_input_is_read(

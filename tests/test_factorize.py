@@ -3,6 +3,7 @@ import importlib
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,19 @@ class TestFactorize:
         adj = mvne.SparseAdjacency(sp.csr_array((4, 4)))
         with pytest.raises(ValueError, match="no edges"):
             mvne.factorize(adj, small_config(2))
+
+    @pytest.mark.parametrize("text", ["a\tb\t1e-320\n", "a\tb\t1e-300\nb\tc\t1e-300\n"],
+                             ids=["subnormal", "two-tiny"])
+    def test_underflowing_mass_names_the_cause(self, text):
+        adj, _ = make_adjacency(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mass underflowed to zero") as info:
+                mvne.factorize(adj, small_config(2))
+        message = str(info.value)
+        assert f"total {adj.total_weight!r}" in message
+        assert "epsilon floor 1e-12" in message
+        assert "rescale the edge weights" in message
 
     def test_result_passes_invariant_checker(self):
         adj = mvne.random_weighted_graph(14, 0.4, 17)

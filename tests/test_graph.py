@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import mvne
-from mvne.graph import ParseError
+from mvne.graph import ParseError, parse_edges
 
 from conftest import coo_rows, make_adjacency, per_entry_edge_list
 
@@ -77,6 +77,17 @@ class TestLoadEdgeList:
                 make_adjacency("a\tb\t1e308\nb\tc\t1e308\nc\ta\t1e308\n")
             with pytest.raises(ValueError, match="edge weights sum to nan, which is not finite"):
                 mvne.SparseAdjacency(sp.csr_array([[0.0, np.nan], [np.nan, 0.0]]))
+
+    @pytest.mark.parametrize("text, lines", [("", 0), ("# only a comment\n", 0),
+                                             ("a\tb\t2\nb c\n", 2)])
+    def test_parse_returns_integer_ids_and_float64_weights(self, tmp_path, forks, text, lines):
+        path = tmp_path / "view.edges"
+        path.write_text(text)
+        for source in (io.StringIO(text), path):  # one part, and split when it has lines
+            rows, cols, weights = parse_edges(source, mvne.NodeRegistry())
+            assert rows.dtype == cols.dtype == np.int64 and weights.dtype == np.float64
+            assert rows.shape == cols.shape == weights.shape == (lines,)
+        assert len(forks) == (1 if lines else 0)
 
     def test_space_separated_fallback(self):
         adj, _ = make_adjacency("a b 2.0\nb c\n")

@@ -1,6 +1,6 @@
-"""The text writers and the embedding reader split over processes: the same
-bytes and values as one part, failures raised in the caller, and no child
-process, temporary file or descriptor left behind."""
+"""The text writers, the embedding reader and the edge-list parser split over
+processes: the same bytes, values and ids as one part, failures raised in the
+caller, and no child process, temporary file or descriptor left behind."""
 
 import importlib
 import io
@@ -15,7 +15,9 @@ import scipy.sparse as sp
 
 import mvne
 from mvne import _parts
-from mvne.graph import ParseError
+from mvne.graph import ParseError, parse_edges
+
+from test_properties import parse_outcome, reference_outcome, write_bytes
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
@@ -60,22 +62,6 @@ def no_child_left():
 
 def open_fds():
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Split every range into up to 3 parts of at least one value; counts the forks."""
-    monkeypatch.setattr(_parts, "_CORES", 3)
-    monkeypatch.setattr(_parts, "_PART_VALUES", 1)
-    made = []
-    fork = _parts._fork
-
-    def counted():
-        made.append(1)
-        return fork()
-
-    monkeypatch.setattr(_parts, "_fork", counted)
-    return made
 
 
 def one_part(monkeypatch, write):
@@ -257,10 +243,14 @@ def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
     X = embedding_rows(7)
     adj, reg = signed_zero_adjacency(7)
     expected = (emb_bytes(tmp_path / "emb.txt", X, NAMES), edges_text(adj, reg, io.StringIO()))
+    edges = tmp_path / "view.edges"
+    edges.write_text(expected[1], encoding="utf-8")
+    parsed = parse_outcome(parse_edges, [], io.StringIO(expected[1]))
     monkeypatch.delattr(os, "fork")
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(_parts, "_CORES", _parts._usable_cores())
     monkeypatch.setattr(_parts, "_PART_VALUES", 1)
+    monkeypatch.setattr(mvne.graph, "_LINE_BYTES", 1)
     assert _parts._CORES == 1
     parts, run = [], _parts.run
 
@@ -273,4 +263,134 @@ def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
             edges_text(adj, reg, io.StringIO())) == expected
     names, X2 = mvne.read_embedding(tmp_path / "emb.txt")
     assert names == NAMES and X2.tobytes() == X.tobytes()
-    assert parts == [1, 1, 1]
+    assert parse_outcome(parse_edges, [], edges) == parsed
+    assert parts == [1, 1, 1]  # a one-part parse runs no parts at all
+
+
+def ranges(path):
+    """The text of each range the parse of path is cut into."""
+    data = path.read_bytes()
+    cuts = _parts.line_cuts(path, 0, len(data), len(data) // mvne.graph._LINE_BYTES)
+    return [data[lo:hi].decode("utf-8") for lo, hi in zip(cuts, cuts[1:])]
+
+
+SPLIT_CASES = {
+    "utf8-ids": "ä\t节点\t2\n🙂\tä\n节点\t🙂\t0.5\nΩ5\tä\n",
+    "no-final-newline": "a\tb\nb\tc\t3\nc\td\nd\ta",
+    "crlf": "a\tb\r\nb\tc\t2\r\nc\ta\r\nd\ta\r\n",
+    "comment-starts-a-range": "aaaa\tbbbb\n# note\nb\tc\nc\td\t2\n#x\td\ne\ta\n",
+    "blank-starts-a-range": "a\tb\nb\tc\n\n\nc\td\n \t\nd\te\n\ne\ta\n",
+    "bad-line-in-the-last-part": "a\tb\nb\tc\t2\nc\td\nd\te\nx\te\t-1\n",
+}
+
+
+@pytest.mark.parametrize("known", [[], ["c", "a"]], ids=["fresh", "known"])
+@pytest.mark.parametrize("name", list(SPLIT_CASES))
+def test_split_parse_cases_agree_with_per_line_reference(tmp_path, forks, name, known):
+    path = write_bytes(tmp_path, SPLIT_CASES[name])
+    parts = ranges(path)
+    assert len(parts) == 3
+    if name == "comment-starts-a-range":
+        assert any(part.startswith("#") for part in parts[1:])
+    if name == "blank-starts-a-range":
+        assert any(part.startswith("\n") for part in parts[1:])
+    if name == "bad-line-in-the-last-part":
+        assert parts[-1].endswith("x\te\t-1\n")
+    forks.clear()
+    outcome = parse_outcome(parse_edges, known, path)
+    assert len(forks) == 2
+    assert outcome == reference_outcome(known, path)
+    if name == "bad-line-in-the-last-part":
+        assert outcome[0][:2] == ("error", 5)
+    assert no_child_left()
+
+
+def test_lone_carriage_returns_are_one_part(tmp_path, forks):
+    path = write_bytes(tmp_path, "a\tb\rb\tc\rc\ta\r")
+    assert ranges(path) == ["a\tb\rb\tc\rc\ta\r"]
+    assert parse_outcome(parse_edges, [], path) == reference_outcome([], path)
+    assert forks == []
+
+
+def test_split_views_build_the_graph_of_one_part(tmp_path, forks):
+    first = "a\tb\t2\nb\tc\nc\td\t0.5\nd\ta\ne\tf\nf\tg\t3\n"
+    second = "g\th\nc\ta\t4\nh\ti\na\ta\ni\tb\t0.25\nj\tg\n"
+    paths = [write_bytes(tmp_path, first, "v1.edges"), write_bytes(tmp_path, second, "v2.edges")]
+    forks.clear()
+    split = mvne.build_multiview([("v1", paths[0]), ("v2", paths[1])])
+    assert len(forks) == 4
+    whole = mvne.build_multiview([("v1", io.StringIO(first)), ("v2", io.StringIO(second))])
+    assert split.registry.names == whole.registry.names
+    for a, b in zip(split.views, whole.views):
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.values, b.values)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert no_child_left()
+
+
+def test_bad_line_in_a_child_names_its_file_line(tmp_path, forks):
+    path = write_bytes(tmp_path, SPLIT_CASES["bad-line-in-the-last-part"])
+    fds = open_fds()
+    registry = mvne.NodeRegistry()
+    with pytest.raises(ParseError, match="line 5: non-positive weight") as info:
+        parse_edges(path, registry)
+    assert info.value.line_no == 5
+    assert registry.names == ["a", "b", "c", "d", "e"]  # as the one-part parse leaves it
+    assert len(forks) == 2
+    assert no_child_left()
+    assert open_fds() == fds
+
+
+def test_failing_caller_part_rolls_the_registry_back(tmp_path, monkeypatch, forks):
+    path = write_bytes(tmp_path, SPLIT_CASES["utf8-ids"])
+    caller, parse_lines = os.getpid(), mvne.graph._parse_lines
+
+    def failing_here(stream, registry):
+        triple = parse_lines(stream, registry)  # interns this part's ids first
+        if os.getpid() == caller:
+            raise RuntimeError("part failed")
+        return triple
+
+    monkeypatch.setattr(mvne.graph, "_parse_lines", failing_here)
+    fds = open_fds()
+    registry = mvne.NodeRegistry()
+    registry.intern("known")
+    with pytest.raises(RuntimeError, match="part failed"):
+        parse_edges(path, registry)
+    assert registry.names == ["known"]
+    assert registry.get("ä") is None and registry.intern("new") == 1
+    assert len(forks) == 2
+    assert no_child_left()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_failing_parse_child_falls_back_to_one_part(tmp_path, monkeypatch, forks, failure):
+    path = write_bytes(tmp_path, SPLIT_CASES["crlf"])
+    caller, parse_lines = os.getpid(), mvne.graph._parse_lines
+
+    def failing_there(stream, registry):
+        if os.getpid() != caller:
+            if failure == "exits":
+                os._exit(3)
+            raise ValueError("part failed")
+        return parse_lines(stream, registry)
+
+    monkeypatch.setattr(mvne.graph, "_parse_lines", failing_there)
+    assert parse_outcome(parse_edges, ["d"], path) == reference_outcome(["d"], path)
+    assert len(forks) == 2
+    assert no_child_left()
+
+
+def test_small_files_fork_nothing_and_open_nothing_more(tmp_path, monkeypatch):
+    """With the real split size, a view of about 1k lines (13 KB, as in the
+    sbm_converge workload) takes the one-part loop: no fork, no second open."""
+    rng = np.random.default_rng(0)
+    text = "".join(f"n{i}\tn{j}\t1.5\n" for i, j in rng.integers(0, 200, (1000, 2)))
+    path = write_bytes(tmp_path, text)
+    assert 11_000 < path.stat().st_size < 14_000
+    made, opened = [], []
+    monkeypatch.setattr(_parts, "_CORES", 3)
+    monkeypatch.setattr(_parts, "_fork", lambda: made.append(1))
+    monkeypatch.setattr(_parts, "open", lambda *a, **k: opened.append(a), raising=False)
+    assert parse_outcome(parse_edges, [], path) == reference_outcome([], path)
+    assert made == [] and opened == []

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -151,12 +151,13 @@ def raw_edge_lists(draw):
     return known, "".join(x + end for x in lines)
 
 
-def parse_outcome(parse, known, text):
+def parse_outcome(parse, known, source):
+    """The triples as lists, or the error's line and message; and the registry's names."""
     registry = mvne.NodeRegistry()
     for name in known:
         registry.intern(name)
     try:
-        result = parse(io.StringIO(text), registry)
+        result = tuple(np.asarray(x).tolist() for x in parse(source, registry))
     except ParseError as exc:
         result = ("error", exc.line_no, str(exc))
     return result, registry.names
@@ -170,8 +171,34 @@ def parse_outcome(parse, known, text):
 @example(([], "a\tb\tc\td\n"))
 def test_parse_edges_agrees_with_per_line_reference(case):
     known, text = case
-    assert parse_outcome(parse_edges, known, text) == \
-        parse_outcome(per_line_parse_edges, known, text)
+    assert parse_outcome(parse_edges, known, io.StringIO(text)) == \
+        parse_outcome(per_line_parse_edges, known, io.StringIO(text))
+
+
+def reference_outcome(known, path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_outcome(per_line_parse_edges, known, fh)
+
+
+def write_bytes(tmp_path, text, name="view.edges"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw_edge_lists())
+@example(([], "a\tb\t0\n"))
+@example((["b"], "a b\r\nb\tc\tnan\r\n"))
+def test_split_parse_agrees_with_per_line_reference(tmp_path, forks, case):
+    """A file parsed in up to 3 processes, the known ids already in the
+    registry, gives the per-line parse's triples, registry, error and line."""
+    known, text = case
+    path = write_bytes(tmp_path, text)
+    assert parse_outcome(parse_edges, known, path) == reference_outcome(known, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @settings(deadline=None)
@@ -242,7 +269,7 @@ def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
         path = os.path.join(tmp, "emb.txt")
         with open(path, "wb") as fh:
             fh.write(text.encode("utf-8"))
-        with mock.patch.object(factorize_module, "_READ_BYTES", read_bytes), \
+        with mock.patch.object(_parts, "_READ_BYTES", read_bytes), \
                 mock.patch.object(_parts, "_CORES", parts), \
                 mock.patch.object(_parts, "_PART_VALUES", 1):
             bulk = read_outcome(path)
