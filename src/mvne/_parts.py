@@ -1,16 +1,15 @@
 """Text formatting and parsing split into contiguous parts, one per usable core.
 
 Printing or parsing a float to 17 digits, or interning a node id, costs
-about 1 us in CPython and holds the GIL, so threads do not help. ``split``
-cuts a range of rows into k contiguous parts, ``line_cuts`` cuts the bytes
-of a file into k ranges of whole lines that ``text_span`` reads, and ``run``
-runs part 0 in the calling process and parts 1..k-1 in children made with
-``os.fork``; the results are joined in part order, so output bytes do not
-depend on k. A child writes only to the pipe or temporary file made for it
-and leaves only through ``os._exit``, so it flushes none of the parent's
-buffers. The parent reaps every child, and kills any still running when it
-fails itself. Where ``os.fork`` or ``os.sched_getaffinity`` is missing,
-every range is one part."""
+about 1 us in CPython and holds the GIL, so threads do not help. ``write``
+formats k contiguous parts of a range of items, and ``read`` parses k
+ranges of whole lines of a file; both run part 0 in the calling process and
+parts 1..k-1 in children made with ``os.fork`` and join the results in part
+order, so output bytes do not depend on k. A child writes only to the pipe
+or temporary file made for it and leaves only through ``os._exit``, so it
+flushes none of the parent's buffers. The parent reaps every child, and
+kills any still running when it fails itself. Where ``os.fork`` or
+``os.sched_getaffinity`` is missing, every range is one part."""
 
 from __future__ import annotations
 
@@ -36,8 +35,11 @@ _CORES = _usable_cores()
 # formatting 2^16 floats takes about 60 ms, and forking and reaping a child
 # of a 150 MB process 5-8 ms.
 _PART_VALUES = 1 << 16
-# Bytes scanned at once for a line end; characters of whole lines the
-# embedding reader splits at once (their tokens take well under 1 MB).
+# Values formatted per write: 64 embedding rows at d = 64, 512 at d = 8, or
+# 4,096 edge-list entries. Blocks of 2^13 wrote a 100k x 8 embedding about
+# 10% slower in fresh processes (larger strings to allocate and free).
+_BLOCK_VALUES = 1 << 12
+# Bytes scanned at once for a line end.
 _READ_BYTES = 1 << 16
 
 
@@ -173,14 +175,17 @@ def run(cuts: list, part) -> list:
                 os.waitpid(pid, 0)
 
 
-def write(stream, cuts: list, write_part) -> None:
-    """write_part(sink, lo, hi) for each part, joined into the text stream in order.
+def write(stream, count: int, values: int, format_block) -> None:
+    """Write format_block(lo, hi), the text of items lo..hi - 1, over range(count).
 
-    Part 0 writes to stream itself. Every later part streams into an
-    anonymous temporary file opened before the fork, which is then appended
-    to stream in shutil.copyfileobj's bounded chunks, so no process holds
-    more than one block of its part.
+    The items hold ``values`` values, which size the parts (``split``) and
+    the blocks of about _BLOCK_VALUES values. Part 0 writes to stream itself;
+    every later part to an anonymous temporary file opened before the fork
+    and then appended to stream in shutil.copyfileobj's bounded chunks, so no
+    process holds more than one block of its part.
     """
+    cuts = split(count, values)
+    step = max(1, _BLOCK_VALUES * count // max(values, 1))
     temps = []
     try:
         for _ in cuts[2:]:
@@ -188,7 +193,8 @@ def write(stream, cuts: list, write_part) -> None:
         sinks = dict(zip(cuts, [stream, *temps]))  # cuts rise strictly
 
         def part(lo, hi):
-            write_part(sinks[lo], lo, hi)
+            for start in range(lo, hi, step):
+                sinks[lo].write(format_block(start, min(start + step, hi)))
             sinks[lo].flush()
 
         run(cuts, part)
@@ -198,3 +204,13 @@ def write(stream, cuts: list, write_part) -> None:
     finally:
         for temp in temps:
             temp.close()
+
+
+def read(path, start: int, end: int, values: int, read_span) -> list:
+    """[read_span(text_span(path, lo, hi)) for each range of line_cuts(...)], in order."""
+
+    def part(lo, hi):
+        with text_span(path, lo, hi) as text:
+            return read_span(text)
+
+    return run(line_cuts(path, start, end, values), part)

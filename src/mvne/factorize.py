@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -37,8 +38,6 @@ from .graph import ParseError, SparseAdjacency
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (1 MB at d = 64), allocated once per fit.
 _BLOCK = 2048
-# Embedding rows formatted per write; their strings stay under 0.4 MB at d = 128.
-_WRITE_ROWS = 128
 # The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
 # and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
@@ -346,29 +345,42 @@ def embedding(fac: Factorization) -> np.ndarray:
 def write_embedding(path, X: np.ndarray, names) -> None:
     """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
 
-    ``names`` is a sequence of the n row names; any other count raises
-    ValueError before the file is opened. Rows are formatted and written in
-    blocks of _WRITE_ROWS, one `%` operation per row. An embedding above the
-    split size (``_parts``) is formatted by up to one process per usable
-    core, each taking a contiguous range of rows; the bytes are the same.
+    ``names`` is a sequence of the n row names, strings. A count other than n,
+    a value that is NaN or infinite, a name that is empty or holds
+    whitespace and a repeated name raise ValueError, naming the first bad
+    row, before the file is opened: read_embedding would refuse them. Rows
+    are formatted by ``_parts.write``, one `%` operation per row, and an
+    embedding above the split size by up to one process per usable core;
+    the bytes are the same.
     """
     X = np.asarray(X)
     n, d = X.shape
     if len(names) != n:
         raise ValueError(f"got {len(names)} names for {n} embedding rows")
+    if not np.isfinite(X).all():
+        r = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"embedding row {r}: node {names[r]!r} has a NaN or infinite value")
+    joined = "".join(names)
+    # every whitespace character but " " is unprintable, so most names pass here at once
+    if not (all(names) and joined.isprintable() and " " not in joined):
+        r = next((r for r, name in enumerate(names) if name.split() != [name]), None)
+        if r is not None:
+            raise ValueError(f"embedding row {r}: node name {names[r]!r} is empty or holds "
+                             "whitespace")
+    if len(set(names)) < n:
+        r = _first_repeat(names)
+        raise ValueError(f"embedding row {r}: repeated node {names[r]!r}")
     line = "%s " + " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
-        _parts.write(fh, _parts.split(n, n * d),
-                     lambda sink, lo, hi: _write_rows(sink, line, X, names, lo, hi))
+        _parts.write(fh, n, n * d, lambda lo, hi: "".join(
+            [line % (name, *row) for name, row in zip(names[lo:hi], X[lo:hi].tolist())]))
 
 
-def _write_rows(sink, line: str, X: np.ndarray, names, lo: int, hi: int) -> None:
-    """Write rows lo..hi - 1 of X as `line`, _WRITE_ROWS at a time."""
-    for start in range(lo, hi, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, hi)
-        sink.write("".join([line % (name, *row)
-                            for name, row in zip(names[start:stop], X[start:stop].tolist())]))
+def _first_repeat(names) -> int:
+    """The first row whose name an earlier row holds."""
+    first = {}
+    return next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
 
 
 def _row_line(path, row: int) -> int:
@@ -384,13 +396,12 @@ def read_embedding(path):
 
     Node names must be unique and values finite: a repeated name, a value
     that is not a float, NaN or +-inf raises ParseError naming the line. The
-    values are read in bulk, a file above the split size (``_parts``) by up
-    to one process per usable core, each taking a contiguous range of lines.
-    On any input the bulk reader cannot vouch for, or when one of its worker
-    processes fails, the per-line reader _read_rows, which defines the legal
-    input, reads the file again and names the faulty line. The uniqueness
-    and finiteness checks run once over the whole file; only a failure looks
-    up its line.
+    rows are read in bulk, a file above the split size by up to one process
+    per usable core (``_parts.read``). On any input the bulk reader cannot
+    vouch for, or when one of its worker processes fails, the per-line
+    reader _read_rows, which defines the legal input, reads the file again
+    and names the faulty line. The uniqueness and finiteness checks run once
+    over the whole file; only a failure looks up its line.
     """
     try:
         names, X = _read_rows_bulk(path)
@@ -398,8 +409,7 @@ def read_embedding(path):
         names, X = _read_rows(path)
     n = len(names)
     if len(set(names)) < n:
-        first = {}
-        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
+        r = _first_repeat(names)
         raise ParseError(f"embedding file: repeated node {names[r]!r}", _row_line(path, r))
     if not np.isfinite(X).all():
         r = int(np.argmin(np.isfinite(X).all(axis=1)))
@@ -420,18 +430,17 @@ def _read_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
         n, d = _read_header(fh.readline())
         names, rows = [], []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != d + 1:
-                raise ParseError(f"embedding file: expected {d + 1} fields per row",
-                                 _row_line(path, len(names)))
+                raise ParseError(f"embedding file: expected {d + 1} fields per row", line_no)
             names.append(parts[0])
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
-                raise ParseError(f"embedding file: {exc}", _row_line(path, len(rows))) from None
+                raise ParseError(f"embedding file: {exc}", line_no) from None
     if len(names) != n:
         raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
     return names, np.asarray(rows, dtype=np.float64).reshape(n, d)
@@ -440,12 +449,11 @@ def _read_rows(path):
 def _read_rows_bulk(path):
     """Names and values as _read_rows gives them, or ValueError.
 
-    The data lines are cut at newlines into byte ranges, one per part
-    (``_parts``), and each part gives its names, from split() over blocks of
-    whole lines, its field count and its values, from one np.loadtxt, which
-    needs at least d + 1 fields on each of its rows. With n (d + 1) fields
-    and n rows in all, each row has exactly d + 1, so its first field is its
-    name. A child that fails raises ChildProcessError.
+    Each part of the data lines (``_parts.read``) is read by one np.loadtxt,
+    whose converter for the first column collects the names. loadtxt splits
+    on the whitespace str.split splits on, skips blank lines and refuses
+    ragged rows, so parts of d + 1 columns, n rows and n names in all are
+    the rows _read_rows reads. A child that fails raises ChildProcessError.
     """
     # newline="": lines end as in text mode, but the header keeps its line
     # end, so its UTF-8 length is where the data starts
@@ -453,32 +461,28 @@ def _read_rows_bulk(path):
         head = fh.readline()
         n, d = _read_header(head)
         start, size = len(head.encode("utf-8")), os.fstat(fh.fileno()).st_size
-    # no data, or d = 0, is left to the per-line loop: loadtxt warns on it
-    if n * d == 0 or size == start:
+    if size == start:  # a header alone has no range of lines to cut
         raise ValueError("no values")
-    cuts = _parts.line_cuts(path, start, size, n * d)
-    parts = _parts.run(cuts, lambda lo, hi: _read_span(path, lo, hi, d))
-    if sum(fields for _, fields, _ in parts) != n * (d + 1):
-        raise ValueError("not n rows of d + 1 fields")
-    X = np.concatenate([X for _, _, X in parts])
-    if X.shape[0] != n:
-        raise ValueError("not n rows of d + 1 fields")
-    return [name for names, _, _ in parts for name in names], X
+    parts = _parts.read(path, start, size, n * d, _read_span)
+    blocks = [X for _, X in parts if len(X)]
+    if not blocks or any(X.shape[1] != d + 1 for X in blocks):
+        raise ValueError("not d + 1 fields per row")
+    names = [name for names, _ in parts for name in names]
+    X = np.concatenate([X[:, 1:] for X in blocks])
+    if len(names) != n or X.shape[0] != n:
+        raise ValueError("not n rows")
+    return names, X
 
 
-def _read_span(path, lo: int, hi: int, d: int):
-    """(names, field count, values) of the embedding lines in bytes lo..hi - 1 of path."""
-    names, fields = [], 0
-    with _parts.text_span(path, lo, hi) as fh:
-        for block in iter(lambda: fh.readlines(_parts._READ_BYTES), []):
-            tokens = "".join(block).split()
-            fields += len(tokens)
-            names += tokens[::d + 1]
-    if not fields:  # loadtxt warns on a span with no data
-        return names, fields, np.empty((0, d))
-    with _parts.text_span(path, lo, hi) as fh:
-        X = np.loadtxt(fh, usecols=range(1, d + 1), comments=None, ndmin=2)
-    return names, fields, X
+def _read_span(text):
+    """(names, rows of all fields with the name read as 0) of the embedding lines in text."""
+    names = []
+    with warnings.catch_warnings():
+        # loadtxt warns on a part of blank lines, and reads it as 0 rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        X = np.loadtxt(text, converters={0: lambda name: names.append(name) or 0.0},
+                       comments=None, ndmin=2)
+    return names, X
 
 
 def write_run_metadata(path, meta: dict) -> None:

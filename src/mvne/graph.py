@@ -37,8 +37,8 @@ import scipy.sparse as sp
 
 from . import _parts
 
-# Edges formatted per write by write_edge_list.
-_WRITE_ENTRIES = 16384
+# The most weight reprs write_edge_list's memo holds before it is emptied.
+_MEMO_ENTRIES = 16384
 # Bytes of edge list counted as one value when parse_edges sizes its parts:
 # about one short line, so a part of _parts' 2^16 values (1 MiB) holds
 # roughly 2^16 lines, about 0.18 s of parsing against a 5-8 ms fork.
@@ -310,8 +310,9 @@ def parse_edges(source, registry: NodeRegistry):
     with _opened(source) as stream:
         if isinstance(source, (str, os.PathLike)):
             info = os.fstat(stream.fileno())
-            if stat.S_ISREG(info.st_mode):
-                parsed = _parse_parts(source, info.st_size, registry)
+            size = info.st_size
+            if stat.S_ISREG(info.st_mode) and len(_parts.split(size, size // _LINE_BYTES)) > 2:
+                parsed = _parse_parts(source, size, registry)
                 if parsed is not None:
                     return parsed
         return _parse_lines(stream, registry)
@@ -358,28 +359,21 @@ def _parse_lines(stream, registry: NodeRegistry):
 def _parse_parts(path, size: int, registry: NodeRegistry):
     """_parse_lines over ranges of whole lines of path, one process each, or None.
 
-    None when the file is one part, or when a part raises ValueError or its
-    process fails: the registry is then as it was, and the one-part parse
-    names the bad line. Each child interns into its forked copy of the
-    registry, which holds ids 0..base - 1, and sends back the ids it added,
-    names[base:], in first-appearance order. Interning those in part order
-    after part 0 (this process, the real registry) adds each name where the
-    one-part parse would, since a name an earlier part added is already
-    there; one lookup array then moves the child's ids >= base to them.
+    None when a part raises ValueError or its process fails: the registry
+    is then as it was, and the one-part parse names the bad line. Each child
+    interns into its forked copy of the registry, which holds ids
+    0..base - 1, and sends back the ids it added, names[base:], in
+    first-appearance order. Interning those in part order after part 0
+    (this process, the real registry) adds each name where the one-part
+    parse would, since a name an earlier part added is already there; one
+    lookup array then moves the child's ids >= base to them.
     """
-    cuts = _parts.line_cuts(path, 0, size, size // _LINE_BYTES)
-    if len(cuts) <= 2:
-        return None
     base = len(registry)
-
-    def part(lo, hi):
-        with _parts.text_span(path, lo, hi) as span:
-            triple = _parse_lines(span, registry)
-        return triple, registry._names[base:] if lo else []
-
     try:
-        parsed = []
-        for (rows, cols, weights), added in _parts.run(cuts, part):
+        parts = _parts.read(path, 0, size, size // _LINE_BYTES, lambda text: (
+            _parse_lines(text, registry), registry._names[base:]))
+        parsed = [parts[0][0]]
+        for (rows, cols, weights), added in parts[1:]:
             if added:
                 lookup = np.arange(base + len(added))
                 lookup[base:] = [registry.intern(name) for name in added]
@@ -413,31 +407,25 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
 
     A non-symmetric adjacency raises ValueError before anything is written.
     Each weight's repr is made once, in a memo keyed by its float64 bits (0.0
-    and -0.0 compare equal but print apart) and emptied when it outgrows a block.
-    An edge list above the split size (``_parts``) is formatted by up to one
-    process per usable core, each taking a contiguous range of entries with
-    its own memo; the text is the same.
+    and -0.0 compare equal but print apart) and emptied past _MEMO_ENTRIES.
+    An edge list above the split size (``_parts.write``) is formatted by up
+    to one process per usable core, each with its own copy of the memo; the
+    text is the same.
     """
-    count = adj.upper_index.pos.size
-    names = registry.names
-    with _opened(sink, "w") as stream:
-        _parts.write(stream, _parts.split(count, count),
-                     lambda out, lo, hi: _write_entries(out, adj, names, lo, hi))
-
-
-def _write_entries(stream, adj: SparseAdjacency, names, lo: int, hi: int) -> None:
-    """Write entries lo..hi - 1 of ``upper_index``, _WRITE_ENTRIES at a time."""
     pos, rows, cols, _ = adj.upper_index
+    names = registry.names
     reprs = {}
-    for start in range(lo, hi, _WRITE_ENTRIES):
-        block = slice(start, min(start + _WRITE_ENTRIES, hi))
-        vals = adj.values[pos[block]]
-        if len(reprs) > _WRITE_ENTRIES:
+
+    def entries(lo, hi):
+        vals = adj.values[pos[lo:hi]]
+        if len(reprs) > _MEMO_ENTRIES:
             reprs.clear()
-        lines = [f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
-                 for i, j, b, x in zip(rows[block].tolist(), cols[block].tolist(),
-                                       vals.view(np.int64).tolist(), vals.tolist())]
-        stream.write("".join(lines))
+        return "".join([f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"
+                        for i, j, b, x in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist(),
+                                              vals.view(np.int64).tolist(), vals.tolist())])
+
+    with _opened(sink, "w") as stream:
+        _parts.write(stream, pos.size, pos.size, entries)
 
 
 def load_labels(source, index) -> LabelStore:

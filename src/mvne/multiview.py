@@ -20,7 +20,7 @@ from .factorize import Factorization, FactorizeConfig, factorize
 from .graph import MultiViewGraph, SparseAdjacency
 
 
-@dataclass
+@dataclass(eq=False)
 class ViewWeights:
     """Convex weights over views; normalized to sum 1 on construction."""
 

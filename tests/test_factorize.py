@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import mvne
+from mvne import _parts
 from mvne.factorize import _BLOCK, _EdgePlan
 from mvne.graph import ParseError
 
@@ -492,7 +493,7 @@ class TestEmbeddingFile:
             name + " " + " ".join(f"{v:.17g}" for v in row) + "\n"
             for name, row in zip(names, X))
         for block in (1, 3, 11, 1024):
-            monkeypatch.setattr(factorize_module, "_WRITE_ROWS", block)
+            monkeypatch.setattr(_parts, "_BLOCK_VALUES", 4 * block)  # rows of d = 4 values
             path = tmp_path / f"emb{block}.txt"
             mvne.write_embedding(path, X, names)
             assert path.read_text() == expected
@@ -500,6 +501,22 @@ class TestEmbeddingFile:
             assert names2 == names
             assert np.array_equal(X, X2)
         assert "v0 0.33333333333333331 0.10000000000000001 1e-300 0\n" in expected
+
+    @pytest.mark.parametrize("names, value, match", [
+        (["a", "b", "c"], math.nan, "row 1: node 'b' has a NaN or infinite value"),
+        (["a", "b", "c"], -math.inf, "row 1: node 'b' has a NaN or infinite value"),
+        (["a", "b c", ""], 0.5, "row 1: node name 'b c' is empty or holds whitespace"),
+        (["a", "", "c"], 0.5, "row 1: node name '' is empty or holds whitespace"),
+        (["a", "b", "a"], 0.5, "row 2: repeated node 'a'"),
+    ], ids=["nan", "inf", "space", "empty", "repeated"])
+    def test_rows_the_reader_refuses_are_refused_before_open(self, tmp_path, names, value,
+                                                              match):
+        path = tmp_path / "emb.txt"
+        X = np.eye(3)
+        X[1, 2] = value
+        with pytest.raises(ValueError, match=f"embedding {match}"):
+            mvne.write_embedding(path, X, names)
+        assert not path.exists()
 
     @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["few", "many"])
     def test_name_count_other_than_n_refused_before_open(self, tmp_path, names):

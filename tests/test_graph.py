@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import mvne
+from mvne import _parts
 from mvne.graph import ParseError, parse_edges
 
 from conftest import coo_rows, make_adjacency, per_entry_edge_list
@@ -171,14 +172,14 @@ class TestWriteEdgeListBlocks:
         assert adj.nnz == 15
         expected = per_entry_edge_list(adj, reg)
         for block in (1, 4, 7, 16384):
-            monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", block)
+            monkeypatch.setattr(_parts, "_BLOCK_VALUES", block)
             buf = io.StringIO()
             mvne.write_edge_list(adj, reg, buf)
             assert buf.getvalue() == expected
         assert "\t1e-300\n" in expected and "\t0.3333333333333333\n" in expected
 
     def test_reload_gives_same_adjacency(self, monkeypatch):
-        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 4)
+        monkeypatch.setattr(_parts, "_BLOCK_VALUES", 4)
         adj, reg = make_adjacency(self.TEXT)
         buf = io.StringIO()
         mvne.write_edge_list(adj, reg, buf)
@@ -209,7 +210,8 @@ class TestWriteEdgeListBlocks:
     def test_each_weight_formatted_once_keeps_signed_zero(self, monkeypatch):
         # the writer memoises repr per weight; 0.0 == -0.0 as floats, so a
         # float-keyed memo would print -0.0 as 0.0
-        monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", 2)
+        monkeypatch.setattr(_parts, "_BLOCK_VALUES", 2)
+        monkeypatch.setattr(mvne.graph, "_MEMO_ENTRIES", 2)
         reg = mvne.NodeRegistry()
         for name in "abcdef":
             reg.intern(name)

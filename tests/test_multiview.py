@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pathlib
@@ -37,6 +38,14 @@ class TestViewWeights:
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             mvne.ViewWeights([0.0, 0.0])
+
+    def test_equality_is_identity_and_never_raises(self):
+        # a generated __eq__ would compare the beta arrays and raise on their truth value
+        a, b = mvne.ViewWeights([0.5, 0.5]), mvne.ViewWeights([0.5, 0.5])
+        assert a == a and a != b
+        config = mvne.MvneConfig(factorize=mvne.FactorizeConfig(d=2), betas=a)
+        assert config == dataclasses.replace(config)
+        assert config != dataclasses.replace(config, betas=b)
 
 
 class TestDefaultBetas:

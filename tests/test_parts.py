@@ -83,7 +83,7 @@ def edges_text(adj, reg, sink):
 @pytest.mark.parametrize("n", [1, 2, 7], ids=["one", "fewer-than-parts", "seven"])
 @pytest.mark.parametrize("block", [1, 3])
 def test_embedding_bytes_and_values_match_one_part(tmp_path, monkeypatch, forks, n, block):
-    monkeypatch.setattr(factorize_module, "_WRITE_ROWS", block)
+    monkeypatch.setattr(_parts, "_BLOCK_VALUES", 3 * block)  # rows of 3 values
     X, names, path = embedding_rows(n), NAMES[:n], tmp_path / "emb.txt"
     expected = one_part(monkeypatch, lambda: emb_bytes(path, X, names))
     assert expected.decode("utf-8").startswith(f"{n} 3\na 0 -0 1e-300\n")
@@ -104,7 +104,7 @@ def test_embedding_bytes_and_values_match_one_part(tmp_path, monkeypatch, forks,
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("to_path", [True, False], ids=["path", "stringio"])
 def test_edge_list_text_matches_one_part(tmp_path, monkeypatch, forks, count, block, to_path):
-    monkeypatch.setattr(mvne.graph, "_WRITE_ENTRIES", block)
+    monkeypatch.setattr(_parts, "_BLOCK_VALUES", block)
     adj, reg = signed_zero_adjacency(count)
     sink = (lambda: tmp_path / "out.edges") if to_path else io.StringIO
     expected = one_part(monkeypatch, lambda: edges_text(adj, reg, sink()))
@@ -129,15 +129,29 @@ def test_bad_field_in_the_last_part_names_its_line(tmp_path, forks):
     assert no_child_left()
 
 
-def raising_in(in_caller, func):
-    """func, raising in the caller's own part (the one from 0) or in every other part."""
+def failing_blocks(fail):
+    """_parts.write whose format_block first calls fail(in_caller), in_caller
+    telling the caller's own part from the forked ones."""
+    caller, write = os.getpid(), _parts.write
 
-    def patched(*args):
-        if (args[-2] == 0) == in_caller:  # args end with lo, hi
-            raise RuntimeError("part failed")
-        return func(*args)
+    def patched(stream, count, values, format_block):
+        def failing(lo, hi):
+            fail(os.getpid() == caller)
+            return format_block(lo, hi)
+
+        write(stream, count, values, failing)
 
     return patched
+
+
+def raising_in(in_caller):
+    """_parts.write, raising in the caller's own part or in every other part."""
+
+    def fail(here):
+        if here == in_caller:
+            raise RuntimeError("part failed")
+
+    return failing_blocks(fail)
 
 
 @pytest.fixture
@@ -153,8 +167,7 @@ def temp_dir(tmp_path, monkeypatch):
 def test_failing_embedding_part_raises_in_the_caller(tmp_path, monkeypatch, forks, temp_dir,
                                                      in_caller):
     fds = open_fds()
-    monkeypatch.setattr(factorize_module, "_write_rows",
-                        raising_in(in_caller, factorize_module._write_rows))
+    monkeypatch.setattr(_parts, "write", raising_in(in_caller))
     with pytest.raises(RuntimeError, match="part failed"):
         mvne.write_embedding(tmp_path / "emb.txt", embedding_rows(7), NAMES)
     assert len(forks) == 2
@@ -166,8 +179,7 @@ def test_failing_embedding_part_raises_in_the_caller(tmp_path, monkeypatch, fork
 @pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "child"])
 def test_failing_edge_list_part_raises_in_the_caller(monkeypatch, forks, temp_dir, in_caller):
     fds = open_fds()
-    monkeypatch.setattr(mvne.graph, "_write_entries",
-                        raising_in(in_caller, mvne.graph._write_entries))
+    monkeypatch.setattr(_parts, "write", raising_in(in_caller))
     adj, reg = signed_zero_adjacency(7)
     with pytest.raises(RuntimeError, match="part failed"):
         mvne.write_edge_list(adj, reg, io.StringIO())
@@ -178,12 +190,12 @@ def test_failing_edge_list_part_raises_in_the_caller(monkeypatch, forks, temp_di
 
 
 def test_children_still_running_are_killed_when_the_caller_fails(monkeypatch, forks, temp_dir):
-    def slow_children(sink, line, X, names, lo, hi):
-        if lo == 0:
+    def slow_children(in_caller):
+        if in_caller:
             raise RuntimeError("part failed")
         time.sleep(60)
 
-    monkeypatch.setattr(factorize_module, "_write_rows", slow_children)
+    monkeypatch.setattr(_parts, "write", failing_blocks(slow_children))
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="part failed"):
         mvne.write_embedding(temp_dir.parent / "emb.txt", embedding_rows(7), NAMES)
@@ -220,17 +232,19 @@ def test_failing_reader_child_falls_back_to_the_per_line_reader(tmp_path, monkey
     path = tmp_path / "emb.txt"
     X = embedding_rows(7)
     mvne.write_embedding(path, X, NAMES)
-    start = len("7 3\n")
-    read_span = factorize_module._read_span
+    caller, read = os.getpid(), _parts.read
 
-    def failing(path, lo, hi, d):
-        if lo > start:
-            if failure == "exits":
-                os._exit(3)
-            raise ValueError("part failed")
-        return read_span(path, lo, hi, d)
+    def failing(path, start, end, values, read_span):
+        def span(text):
+            if os.getpid() != caller:
+                if failure == "exits":
+                    os._exit(3)
+                raise ValueError("part failed")
+            return read_span(text)
 
-    monkeypatch.setattr(factorize_module, "_read_span", failing)
+        return read(path, start, end, values, span)
+
+    monkeypatch.setattr(_parts, "read", failing)
     if failure == "exits":
         with pytest.raises(ChildProcessError, match="exited with status 3"):
             factorize_module._read_rows_bulk(path)

@@ -201,23 +201,38 @@ def test_split_parse_agrees_with_per_line_reference(tmp_path, forks, case):
         os.waitpid(-1, os.WNOHANG)
 
 
+# Row names, now and then empty, holding whitespace or repeated.
+row_names = node_ids | st.sampled_from(["", "a b", " a", "a\t", "\u2028", "\x1c", "a"])
+
+
 @settings(deadline=None)
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
-    st.lists(node_ids, min_size=n, max_size=n),
-    hnp.arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)))))
+    st.lists(row_names, min_size=n, max_size=n),
+    hnp.arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([math.nan, math.inf, -math.inf])))))
+@example((["a", "a"], np.zeros((2, 3))))
+@example((["a", "b c"], np.zeros((2, 3))))
+@example((["a", ""], np.zeros((2, 3))))
+@example((["a\u200bb", "\x00"], np.zeros((2, 3))))  # unprintable, yet no whitespace
+@example((["a", "b"], np.array([[0.0, -0.0, 1.0], [1.0, math.nan, 2.0]])))
 def test_embedding_round_trip(case):
+    """What write_embedding accepts reads back with the same names and bits;
+    anything else raises before the file exists."""
     names, X = case
+    legal = (all(name.split() == [name] for name in names) and len(set(names)) == len(names)
+             and np.isfinite(X).all())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")
-        mvne.write_embedding(path, X, names)
-        if len(set(names)) < len(names):  # names must be unique
-            with pytest.raises(ParseError, match="repeated node"):
-                mvne.read_embedding(path)
+        if not legal:
+            with pytest.raises(ValueError, match=r"embedding row \d+: "):
+                mvne.write_embedding(path, X, names)
+            assert not os.path.exists(path)
             return
+        mvne.write_embedding(path, X, names)
         names2, X2 = mvne.read_embedding(path)
     assert names2 == names
     assert X2.shape == X.shape
-    assert np.array_equal(X2, X)
+    assert X2.tobytes() == X.tobytes()
 
 
 separators = st.sampled_from([" ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
@@ -262,6 +277,10 @@ def read_outcome(path):
 @example("1 2\na\x1c1\u20282\r\n", 64, 1)  # whitespace that is no line end
 @example("3 1\ra 1\r\nb 2\rc 3", 1, 3)  # parts cut at \n only, header ends at \r
 @example("2 1\na 1\n\n\n\n\n\nb 2\n", 1, 3)  # a part of blank lines
+@example("3 1\n1e5 1\nnan 2\n-0 3\n", 64, 3)  # names that parse as floats
+@example("2 1\n#a 1\nb 2\n", 64, 1)  # a name starting with '#'
+@example('2 1\na"b 1\n"c" 2\n', 64, 1)  # names holding '"'
+@example("3 1\na 1\n" + "\n" * 12 + "b 2\nc 3\n", 64, 3)  # the middle of 3 parts is blank
 def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
     """The bulk reader, in up to `parts` processes of one value each, agrees
     with the per-line one."""
