@@ -19,9 +19,7 @@ from .graph import (LabelStore, MultiViewGraph, NodeRegistry, ParseError,
                     load_labels, read_manifest, view_stats, write_edge_list)
 from .multiview import (MvneConfig, ViewWeights, combine_views, default_betas,
                         mvne_embed, svne_embed)
-from .testkit import (SbmSpec, dense_factorize_oracle, dense_kl_objective,
-                      dense_update_step, dump_dataset, generate_multiview_sbm,
-                      random_weighted_graph, reconstruct_dense)
+from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 __all__ = [
     "EvalProtocol", "EvalReport", "OvrModel", "macro_f1", "micro_f1",
@@ -34,7 +32,5 @@ __all__ = [
     "read_manifest", "view_stats", "write_edge_list",
     "MvneConfig", "ViewWeights", "combine_views", "default_betas",
     "mvne_embed", "svne_embed",
-    "SbmSpec", "dense_factorize_oracle", "dense_kl_objective",
-    "dense_update_step", "dump_dataset", "generate_multiview_sbm",
-    "random_weighted_graph", "reconstruct_dense",
+    "SbmSpec", "dump_dataset", "generate_multiview_sbm",
 ]

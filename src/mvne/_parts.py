@@ -9,7 +9,8 @@ order, so output bytes do not depend on k. A child writes only to the pipe
 or temporary file made for it and leaves only through ``os._exit``, so it
 flushes none of the parent's buffers. The parent reaps every child, and
 kills any still running when it fails itself. Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, every range is one part."""
+``os.sched_getaffinity`` is missing, every range is one part, and so is a
+range whose pipe or fork fails."""
 
 from __future__ import annotations
 
@@ -136,21 +137,28 @@ def run(cuts: list, part) -> list:
     that pickles its result back through a pipe. A child's exception is
     raised here; a child that exits without a result raises
     ChildProcessError. Every child is reaped before this returns or raises.
+    When a pipe or a fork fails (OSError: EAGAIN, ENOMEM, EMFILE), no part
+    has run yet: the children made so far are killed, and the whole range
+    runs as one part in this process, [part(cuts[0], cuts[-1])].
     """
     pids, fds = [], []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            fds.append(r)
-            try:
-                pid = _fork()
-            except BaseException:
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                r, w = os.pipe()
+                fds.append(r)
+                try:
+                    pid = _fork()
+                except BaseException:
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    _serve(part, lo, hi, w)
                 os.close(w)
-                raise
-            if pid == 0:
-                _serve(part, lo, hi, w)
-            os.close(w)
-            pids.append(pid)
+                pids.append(pid)
+        except OSError:
+            _kill(pids)
+            return [part(cuts[0], cuts[-1])]
         results = [part(cuts[0], cuts[1])]
         for k in range(len(fds)):
             with open(fds[k], "rb", closefd=False) as pipe:
@@ -168,11 +176,17 @@ def run(cuts: list, part) -> list:
     finally:
         for fd in fds:
             os.close(fd)
-        for pid in pids:
-            if pid is not None:
-                with suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        _kill(pids)
+
+
+def _kill(pids: list) -> None:
+    """SIGKILL and reap every child in pids not already reaped (None), and empty pids."""
+    for pid in pids:
+        if pid is not None:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pids.clear()
 
 
 def write(stream, count: int, values: int, format_block) -> None:
@@ -197,8 +211,9 @@ def write(stream, count: int, values: int, format_block) -> None:
                 sinks[lo].write(format_block(start, min(start + step, hi)))
             sinks[lo].flush()
 
-        run(cuts, part)
-        for temp in temps:
+        # the parts that ran; after a failed fork, part 0 alone wrote all items
+        done = run(cuts, part)
+        for temp in temps[:len(done) - 1]:
             temp.seek(0)
             shutil.copyfileobj(temp, stream)
     finally:

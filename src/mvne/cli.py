@@ -20,11 +20,11 @@ import time
 
 from . import __version__
 from .evaluate import EvalProtocol, run_protocol
-from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
-                        write_embedding, write_run_metadata)
+from .factorize import (FactorizeConfig, embedding, read_embedding, write_embedding,
+                        write_run_metadata)
 from .graph import (MultiViewGraph, ParseError, _iter_data_lines, build_multiview,
                     load_labels, read_manifest, view_stats, write_edge_list)
-from .multiview import ViewWeights, combine_views, default_betas
+from .multiview import MvneConfig, ViewWeights, fit_views
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
@@ -154,16 +154,13 @@ def _check_out_dirs(args, *flags):
 
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
-    config = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
-                             seed=args.seed)
+    fit = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
+                          seed=args.seed)
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
+    config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
     _check_out_dirs(args, "--out", "--meta", "--export-combined")
     graph = _load_graph(args)
-    normalize_views = not args.no_normalize_views
-    used_betas = betas if betas is not None else default_betas(graph)
-    # mvne_embed's two steps, keeping the combined view for --export-combined
-    combined = combine_views(graph, used_betas, normalize_views)
-    fac = factorize(combined, config)
+    weights, combined, fac = fit_views(graph.views, config)
     if args.export_combined:
         write_edge_list(combined, graph.registry, args.export_combined)
     names = graph.registry.names
@@ -174,8 +171,8 @@ def cmd_embed(args) -> int:
         meta = fac.run.to_dict()
         meta.update({
             "views": graph.view_names,
-            "betas": [float(b) for b in used_betas.beta],
-            "normalize_views": normalize_views,
+            "betas": [float(b) for b in weights.beta],
+            "normalize_views": config.normalize_views,
             "d": args.dim,
             "seed": args.seed,
             "wall_time_s": time.perf_counter() - t0,

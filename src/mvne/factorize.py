@@ -346,12 +346,12 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
 
     ``names`` is a sequence of the n row names, strings. A count other than n,
-    a value that is NaN or infinite, a name that is empty or holds
-    whitespace and a repeated name raise ValueError, naming the first bad
-    row, before the file is opened: read_embedding would refuse them. Rows
-    are formatted by ``_parts.write``, one `%` operation per row, and an
-    embedding above the split size by up to one process per usable core;
-    the bytes are the same.
+    a value that is NaN or infinite, a name that is not a str, is empty,
+    holds whitespace or does not encode as UTF-8, and a repeated name raise
+    ValueError, naming the first bad row, before the file is opened:
+    read_embedding could not read them back. Rows are formatted by
+    ``_parts.write``, one `%` operation per row, and an embedding above the
+    split size by up to one process per usable core; the bytes are the same.
     """
     X = np.asarray(X)
     n, d = X.shape
@@ -360,13 +360,17 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     if not np.isfinite(X).all():
         r = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ValueError(f"embedding row {r}: node {names[r]!r} has a NaN or infinite value")
-    joined = "".join(names)
-    # every whitespace character but " " is unprintable, so most names pass here at once
-    if not (all(names) and joined.isprintable() and " " not in joined):
-        r = next((r for r, name in enumerate(names) if name.split() != [name]), None)
-        if r is not None:
-            raise ValueError(f"embedding row {r}: node name {names[r]!r} is empty or holds "
-                             "whitespace")
+    try:
+        joined = "".join(names)
+        # every whitespace character but " " is unprintable, so most names pass here at once
+        plain = all(names) and joined.isprintable() and " " not in joined
+    except TypeError:  # a name that is not a str
+        plain = False
+    if not plain:
+        for r, name in enumerate(names):
+            fault = _name_fault(name)
+            if fault:
+                raise ValueError(f"embedding row {r}: node name {name!r} {fault}")
     if len(set(names)) < n:
         r = _first_repeat(names)
         raise ValueError(f"embedding row {r}: repeated node {names[r]!r}")
@@ -375,6 +379,19 @@ def write_embedding(path, X: np.ndarray, names) -> None:
         fh.write(f"{n} {d}\n")
         _parts.write(fh, n, n * d, lambda lo, hi: "".join(
             [line % (name, *row) for name, row in zip(names[lo:hi], X[lo:hi].tolist())]))
+
+
+def _name_fault(name):
+    """Why write_embedding cannot write the row name ``name``, or None."""
+    if not isinstance(name, str):
+        return "is not a str"
+    if name.split() != [name]:
+        return "is empty or holds whitespace"
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return "does not encode as UTF-8"
+    return None
 
 
 def _first_repeat(names) -> int:

@@ -57,7 +57,11 @@ class MvneConfig:
 
 def default_betas(graph: MultiViewGraph) -> ViewWeights:
     """beta_i proportional to the number of active nodes in view i."""
-    counts = graph.active_counts().astype(np.float64)
+    return _active_count_weights(graph.views)
+
+
+def _active_count_weights(views) -> ViewWeights:
+    counts = np.array([len(adj.active_nodes()) for adj in views], dtype=np.float64)
     if counts.sum() <= 0:
         raise ValueError("every view is empty; cannot derive view weights")
     return ViewWeights(counts / counts.sum())
@@ -97,6 +101,16 @@ def _weighted_sum(views, weights: ViewWeights, normalize_views: bool) -> SparseA
     return SparseAdjacency(acc)
 
 
+def fit_views(views, config: MvneConfig):
+    """(weights, combined view, factorization): combine_views then factorize, as configured.
+
+    The weights are config.betas, or else default_betas' active-node counts.
+    """
+    weights = config.betas if config.betas is not None else _active_count_weights(views)
+    combined = _weighted_sum(views, weights, config.normalize_views)
+    return weights, combined, factorize(combined, config.factorize)
+
+
 def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
     """Shared factorization of the combined view.
 
@@ -104,14 +118,9 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
     positive-weight views get the uniform membership row 1/d and are listed
     in the run metadata.
     """
-    weights = config.betas if config.betas is not None else default_betas(graph)
-    combined = combine_views(graph, weights, config.normalize_views)
-    fac = factorize(combined, config.factorize)
-    return fac
+    return fit_views(graph.views, config)[2]
 
 
 def svne_embed(adj: SparseAdjacency, config: MvneConfig) -> Factorization:
-    """Single-view embedding: the k = 1 case of mvne_embed, through the same weighted sum."""
-    weights = config.betas if config.betas is not None else ViewWeights([1.0])
-    combined = _weighted_sum([adj], weights, config.normalize_views)
-    return factorize(combined, config.factorize)
+    """Single-view embedding: the k = 1 case of mvne_embed, through the same fit."""
+    return fit_views([adj], config)[2]

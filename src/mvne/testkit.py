@@ -1,10 +1,9 @@
-"""Dense brute-force oracles and a synthetic multi-view graph generator.
+"""The synthetic multi-view graph generator behind `mvne synth`.
 
-The dense oracle mirrors the sparse factorization kernel with full-matrix
-arithmetic and shares its initialization, so sparse and dense trajectories
-are directly comparable. The generator plants one community partition,
-samples a base stochastic block model once, and derives each view by
-keeping base edges at a per-view rate and adding uniform noise edges.
+The generator plants one community partition, samples a base stochastic
+block model once, and derives each view by keeping base edges at a per-view
+rate and adding uniform noise edges. dump_dataset writes the result in the
+manifest, edge-list and label formats the other subcommands read.
 """
 
 from __future__ import annotations
@@ -14,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorize import (_GROW, _MAX_EXPONENT, Factorization, FactorizeConfig,
-                        init_factorization)
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency,
                     write_edge_list)
-
-ORACLE_MAX_NODES = 64
 
 
 @dataclass
@@ -44,72 +39,6 @@ class SbmSpec:
             raise ValueError("keep and noise rates must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-
-def reconstruct_dense(fac: Factorization) -> np.ndarray:
-    """Full n x n reconstruction sum_p b_ip * b_jp / lam_p (small graphs / tests)."""
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    return (fac.mass / lam_safe[None, :]) @ fac.mass.T
-
-
-def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12) -> float:
-    """Generalized KL divergence by brute force over all n^2 pairs."""
-    Yhat = reconstruct_dense(fac)
-    mask = W > 0
-    Yf = np.maximum(Yhat, epsilon)
-    data = float(np.sum(W[mask] * np.log(W[mask] / Yf[mask]) - W[mask]))
-    return data + float(Yhat.sum())
-
-
-def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12,
-                      t: float = 1.0) -> Factorization:
-    """Full-matrix twin of the sparse ratio-form update, B * G^t renormalized.
-
-    G = (R @ B) / lam is the update factor; t = 1 is the plain update and
-    t > 1 the over-relaxed candidate of factorize.
-    """
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    R = np.where(W > 0, W / np.maximum(reconstruct_dense(fac), epsilon), 0.0)
-    mass_new = fac.mass * ((R @ fac.mass) / lam_safe[None, :]) ** t
-    total = mass_new.sum()
-    if total <= 0:
-        raise ValueError("update collapsed all mass; is the graph edgeless?")
-    mass_new *= W.sum() / total
-    return Factorization(mass_new)
-
-
-def dense_factorize_oracle(W: np.ndarray, config: FactorizeConfig) -> Factorization:
-    """Reference implementation of factorize() on a dense matrix.
-
-    Guarded to small graphs; shares init_factorization with the sparse path
-    so the trajectories can be compared step by step, and like factorize()
-    tries the relaxed step with exponent t > 1 first, keeps it only if the
-    objective falls, and returns the last iterate.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    n = W.shape[0]
-    if n > ORACLE_MAX_NODES:
-        raise ValueError(f"dense oracle is limited to {ORACLE_MAX_NODES} nodes")
-    total = W.sum()
-    if total <= 0:
-        raise ValueError("graph has no edges; total weight is zero")
-    fac = init_factorization(n, config, total)
-    obj = dense_kl_objective(W, fac, config.epsilon)
-    t = 1.0
-    for _ in range(config.max_iters):
-        prev = obj
-        if t > 1:
-            cand = dense_update_step(W, fac, config.epsilon, t)
-            obj = dense_kl_objective(W, cand, config.epsilon)
-        if t > 1 and obj < prev:
-            fac, t = cand, min(_GROW * t, _MAX_EXPONENT)
-        else:
-            t = max(t / 2, 1.0) if t > 1 else _GROW
-            fac = dense_update_step(W, fac, config.epsilon)
-            obj = dense_kl_objective(W, fac, config.epsilon)
-        if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
-            break
-    return fac
 
 
 def generate_multiview_sbm(spec: SbmSpec):
@@ -184,11 +113,3 @@ def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
                 lf.write(f"{graph.registry.name_of(v)}\t{','.join(names)}\n")
     return manifest_path
 
-
-def random_weighted_graph(n: int, density: float, seed: int) -> SparseAdjacency:
-    """Erdos-Renyi-style symmetric test graph with weights uniform in [0.5, 2)."""
-    rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < density
-    return SparseAdjacency.from_undirected(iu[mask], ju[mask],
-                                           rng.uniform(0.5, 2.0, size=mask.sum()), n)

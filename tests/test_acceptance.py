@@ -15,6 +15,7 @@ import mvne
 from mvne.cli import main as cli_main
 
 from conftest import argmax_purity, community_array
+from oracles import dense_update_step, random_weighted_graph
 
 
 @contextmanager
@@ -40,7 +41,7 @@ def _criterion_graphs():
         n = int(rng.integers(5, 31))
         density = float(rng.uniform(0.1, 0.5))
         d = int(rng.integers(2, 9))
-        adj = mvne.random_weighted_graph(n, density, seed=1000 + g)
+        adj = random_weighted_graph(n, density, seed=1000 + g)
         if adj.total_weight > 0:
             out.append((adj, d, 1000 + g))
     return out
@@ -64,7 +65,7 @@ def test_criterion_1_and_2_monotone_objective_with_constraints():
 def test_criterion_3_sparse_dense_equivalence():
     with criterion("3 sparse/dense trajectories agree <= 1e-10", budget_s=5):
         for seed in range(10):
-            adj = mvne.random_weighted_graph(15, 0.35, seed=2000 + seed)
+            adj = random_weighted_graph(15, 0.35, seed=2000 + seed)
             if adj.total_weight == 0:
                 continue
             W = adj.mat.toarray()
@@ -73,7 +74,7 @@ def test_criterion_3_sparse_dense_equivalence():
             dense_fac = mvne.init_factorization(15, cfg, W.sum())
             for _ in range(50):
                 sparse_fac = mvne.update_step(adj, sparse_fac, cfg)
-                dense_fac = mvne.dense_update_step(W, dense_fac)
+                dense_fac = dense_update_step(W, dense_fac)
                 assert np.abs(sparse_fac.H - dense_fac.H).max() <= 1e-10
                 assert np.abs(sparse_fac.lam - dense_fac.lam).max() <= 1e-10
 
@@ -88,8 +89,7 @@ def test_criterion_4_linear_scaling_in_edges():
         sizes = (10_000, 20_000, 40_000)
         graphs, states = [], []
         for target_edges in sizes:
-            adj = mvne.random_weighted_graph(n, target_edges / pair_count,
-                                             seed=int(target_edges))
+            adj = random_weighted_graph(n, target_edges / pair_count, seed=int(target_edges))
             fac = mvne.init_factorization(n, cfg, adj.total_weight)
             for _ in range(3):  # warm up caches and the CSR structures
                 fac = mvne.update_step(adj, fac, cfg)

@@ -1,6 +1,7 @@
-"""The public API resolves, and so does every name perfbench's traced replay
-imports from it: tier-1 runs that replay no other way, so a deleted name
-would otherwise only show in a `perfbench/run.py --trace 1` run."""
+"""The public API is the listed names, and they resolve; so does every name
+perfbench's traced replay imports from it: tier-1 runs that replay no other
+way, so a deleted name would otherwise only show in a `perfbench/run.py
+--trace 1` run."""
 
 import importlib
 from pathlib import Path
@@ -8,6 +9,23 @@ from pathlib import Path
 import mvne
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+# Adding or dropping a public name is an edit here.
+PUBLIC = [
+    "EvalProtocol", "EvalReport", "Factorization", "FactorizeConfig", "LabelStore",
+    "MultiViewGraph", "MvneConfig", "NodeRegistry", "OvrModel", "ParseError", "SbmSpec",
+    "SparseAdjacency", "ViewWeights", "build_multiview", "combine_views", "default_betas",
+    "dump_dataset", "embedding", "factorize", "generate_multiview_sbm", "init_factorization",
+    "kl_objective", "load_edge_list", "load_labels", "macro_f1", "micro_f1", "mvne_embed",
+    "predict_multilabel", "read_embedding", "read_manifest", "reconstruct_entry",
+    "run_protocol", "split_labeled", "svne_embed", "train_ovr", "update_step", "view_stats",
+    "write_edge_list", "write_embedding",
+]
+
+
+def test_public_names_are_the_listed_ones():
+    assert sorted(mvne.__all__) == PUBLIC
 
 
 def test_every_exported_name_resolves():

@@ -65,6 +65,27 @@ class TestEmbed:
                     "--seed", 2, "--out", out]) == 0
         assert out.read_text().splitlines()[0].endswith(" 8")
 
+    def test_fits_what_the_library_fits(self, tmp_path, dataset):
+        out, combined, meta = tmp_path / "e.txt", tmp_path / "c.edges", tmp_path / "m.json"
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4, "--seed", 3,
+                    "--out", out, "--export-combined", combined, "--meta", meta]) == 0
+        graph = mvne.build_multiview(mvne.read_manifest(dataset / "views.manifest"))
+        cfg = mvne.MvneConfig(mvne.FactorizeConfig(d=4, seed=3))
+        betas = mvne.default_betas(graph)
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        mvne.write_embedding(lib / "e.txt", mvne.mvne_embed(graph, cfg).H, graph.registry.names)
+        mvne.write_edge_list(mvne.combine_views(graph, betas), graph.registry, lib / "c.edges")
+        assert out.read_bytes() == (lib / "e.txt").read_bytes()
+        assert combined.read_bytes() == (lib / "c.edges").read_bytes()
+        assert json.loads(meta.read_text())["betas"] == betas.beta.tolist()
+
+        assert run(["embed", "--edges", dataset / "view0.edges", "-d", 4, "--seed", 3,
+                    "--out", out]) == 0
+        adj, reg = mvne.load_edge_list(dataset / "view0.edges")
+        mvne.write_embedding(lib / "e.txt", mvne.svne_embed(adj, cfg).H, reg.names)
+        assert out.read_bytes() == (lib / "e.txt").read_bytes()
+
     def test_manifest_metadata_betas(self, tmp_path):
         data = tmp_path / "three"
         assert run(["synth", "--nodes", 60, "--communities", 3, "--views", 3,
@@ -280,7 +301,7 @@ class TestChecksBeforeInput:
     def test_missing_output_directory_exits_2_before_the_fit(self, tmp_path, dataset, capsys,
                                                              monkeypatch, flag):
         fits = []
-        monkeypatch.setattr(mvne.cli, "factorize", lambda *a, **k: fits.append(a))
+        monkeypatch.setattr(mvne.multiview, "factorize", lambda *a, **k: fits.append(a))
         paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--meta", "--export-combined")}
         paths[flag] = tmp_path / "missing" / "x"
         args = [tok for f, path in paths.items() for tok in (f, path)]

@@ -15,6 +15,8 @@ from mvne.factorize import _BLOCK, _EdgePlan
 from mvne.graph import ParseError
 
 from conftest import coo_rows, make_adjacency
+from oracles import (dense_kl_objective, dense_update_step, random_weighted_graph,
+                     reconstruct_dense)
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
 
@@ -26,7 +28,7 @@ def small_config(d, seed=0, **kw):
 def loops_and_isolated_node(n, density, seed, loops):
     """A random graph on n nodes with `loops` self-loops, plus isolated node n."""
     rng = np.random.default_rng(seed)
-    W = np.triu(mvne.random_weighted_graph(n, density, seed).mat.toarray())
+    W = np.triu(random_weighted_graph(n, density, seed).mat.toarray())
     at = rng.choice(n, loops, replace=False)
     W[at, at] = rng.uniform(0.5, 2.0, loops)
     return mvne.SparseAdjacency.from_undirected(*np.nonzero(W), W[np.nonzero(W)], n + 1)
@@ -101,7 +103,7 @@ class TestInit:
         fac = mvne.init_factorization(3, small_config(4), total_weight=8.0)
         H0 = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 4))
         H0 /= H0.sum(axis=1, keepdims=True)
-        assert np.abs(mvne.reconstruct_dense(fac) - (H0 * 2.0) @ H0.T).max() <= 1e-12
+        assert np.abs(reconstruct_dense(fac) - (H0 * 2.0) @ H0.T).max() <= 1e-12
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -153,7 +155,7 @@ class TestReconstruct:
         # the one mass matrix whose reconstruction is H diag(lam) H^T
         fac = mvne.Factorization(H * (lam * H.sum(axis=0)))
         ref = (H * lam) @ H.T
-        got = mvne.reconstruct_dense(fac)
+        got = reconstruct_dense(fac)
         assert np.abs(got - ref).max() <= 1e-12
         for i in range(4):
             for j in range(4):
@@ -174,16 +176,16 @@ class TestObjective:
         expect = 2 * math.log(2)  # 2(log 2 - 0.5) + 2*0.5, all four pairs
         assert mvne.kl_objective(adj, fac) == pytest.approx(expect, rel=1e-12)
         W = adj.mat.toarray()
-        assert mvne.dense_kl_objective(W, fac) == pytest.approx(expect, rel=1e-12)
+        assert dense_kl_objective(W, fac) == pytest.approx(expect, rel=1e-12)
 
     def test_sparse_matches_dense_oracle(self):
         for seed in range(8):
-            adj = mvne.random_weighted_graph(10, 0.4, seed)
+            adj = random_weighted_graph(10, 0.4, seed)
             if adj.total_weight == 0:
                 continue
             fac = mvne.init_factorization(10, small_config(3, seed=seed), adj.total_weight)
             sparse_val = mvne.kl_objective(adj, fac)
-            dense_val = mvne.dense_kl_objective(adj.mat.toarray(), fac)
+            dense_val = dense_kl_objective(adj.mat.toarray(), fac)
             assert sparse_val == pytest.approx(dense_val, rel=1e-10)
 
 
@@ -195,26 +197,26 @@ class TestEdgeKernel:
         assert adj.upper_index.pos.size > _BLOCK
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
-        ref = np.maximum(mvne.reconstruct_dense(fac)[coo_rows(adj), adj.indices], cfg.epsilon)
+        ref = np.maximum(reconstruct_dense(fac)[coo_rows(adj), adj.indices], cfg.epsilon)
         got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index
         assert np.array_equal(got[pos], got[mirror])
 
     def test_plan_reads_the_adjacency_index_without_a_copy(self):
-        adj = mvne.random_weighted_graph(40, 0.3, 23)
+        adj = random_weighted_graph(40, 0.3, 23)
         plan = _EdgePlan(adj, 4, 1e-12)
         for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror),
                                adj.upper_index):
             assert np.shares_memory(mine, owned)
 
     def test_factorize_trace_matches_stepwise(self, monkeypatch):
-        adj = mvne.random_weighted_graph(40, 0.3, 23)
+        adj = random_weighted_graph(40, 0.3, 23)
         assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30), monkeypatch)
 
     def test_factorize_trace_matches_stepwise_to_tolerance(self, monkeypatch):
         # a fit that stops at rel_tol, after at least one rejected candidate
-        adj = mvne.random_weighted_graph(20, 0.3, 7)
+        adj = random_weighted_graph(20, 0.3, 7)
         run = assert_fit_matches_stepwise(adj, small_config(4, seed=11), monkeypatch)
         assert run.stop_reason == "tolerance"
         assert run.rejected_steps >= 1
@@ -288,7 +290,7 @@ class TestUpdateStep:
 
     def test_monotone_and_matches_dense_trajectory(self):
         for seed in range(5):
-            adj = mvne.random_weighted_graph(15, 0.35, seed)
+            adj = random_weighted_graph(15, 0.35, seed)
             cfg = small_config(4, seed=seed)
             W = adj.mat.toarray()
             sparse_fac = mvne.init_factorization(15, cfg, adj.total_weight)
@@ -296,7 +298,7 @@ class TestUpdateStep:
             prev = mvne.kl_objective(adj, sparse_fac)
             for _ in range(50):
                 sparse_fac = mvne.update_step(adj, sparse_fac, cfg)
-                dense_fac = mvne.dense_update_step(W, dense_fac)
+                dense_fac = dense_update_step(W, dense_fac)
                 cur = mvne.kl_objective(adj, sparse_fac)
                 assert cur <= prev + 1e-9
                 prev = cur
@@ -306,7 +308,7 @@ class TestUpdateStep:
     def test_self_loops_monotone_and_match_dense(self):
         # diagonal entries are stored once but weigh both factor slots
         rng = np.random.default_rng(31)
-        adj0 = mvne.random_weighted_graph(12, 0.35, 31)
+        adj0 = random_weighted_graph(12, 0.35, 31)
         loops = rng.choice(12, 4, replace=False)
         W = adj0.mat.toarray()
         W[loops, loops] = rng.uniform(0.5, 2.0, 4)
@@ -316,10 +318,10 @@ class TestUpdateStep:
         sparse_fac = mvne.init_factorization(12, cfg, adj.total_weight)
         dense_fac = mvne.init_factorization(12, cfg, W.sum())
         prev = mvne.kl_objective(adj, sparse_fac)
-        assert prev == pytest.approx(mvne.dense_kl_objective(W, sparse_fac), rel=1e-10)
+        assert prev == pytest.approx(dense_kl_objective(W, sparse_fac), rel=1e-10)
         for _ in range(50):
             sparse_fac = mvne.update_step(adj, sparse_fac, cfg)
-            dense_fac = mvne.dense_update_step(W, dense_fac)
+            dense_fac = dense_update_step(W, dense_fac)
             cur = mvne.kl_objective(adj, sparse_fac)
             assert cur <= prev + 1e-9
             prev = cur
@@ -327,7 +329,7 @@ class TestUpdateStep:
             assert np.abs(sparse_fac.lam - dense_fac.lam).max() <= 1e-10
 
     def test_nonnegativity_exact(self):
-        adj = mvne.random_weighted_graph(12, 0.3, 5)
+        adj = random_weighted_graph(12, 0.3, 5)
         cfg = small_config(3, seed=5)
         fac = mvne.init_factorization(12, cfg, adj.total_weight)
         for _ in range(30):
@@ -360,7 +362,7 @@ class TestFactorize:
         assert len(first) == 1 and len(second) == 1 and first != second
 
     def test_deterministic_per_seed(self):
-        adj = mvne.random_weighted_graph(20, 0.3, 7)
+        adj = random_weighted_graph(20, 0.3, 7)
         a = mvne.factorize(adj, small_config(4, seed=11))
         b = mvne.factorize(adj, small_config(4, seed=11))
         assert np.array_equal(a.H, b.H)
@@ -369,7 +371,7 @@ class TestFactorize:
 
     @pytest.mark.parametrize("seed, max_iters", [(1, 500), (2, 500), (3, 7)])
     def test_returns_the_iterate_its_metadata_describes(self, seed, max_iters):
-        adj = mvne.random_weighted_graph(25, 0.25, seed)
+        adj = random_weighted_graph(25, 0.25, seed)
         fac = mvne.factorize(adj, small_config(4, seed=seed, max_iters=max_iters))
         assert fac.run.objective == fac.run.objective_trace[-1]
         assert mvne.kl_objective(adj, fac) == pytest.approx(fac.run.objective, rel=1e-12)
@@ -386,7 +388,7 @@ class TestFactorize:
         assert meta["final_rel_improvement"] == run.final_rel_improvement
 
     def test_stop_reason_max_iters(self):
-        adj = mvne.random_weighted_graph(20, 0.3, 7)
+        adj = random_weighted_graph(20, 0.3, 7)
         run = mvne.factorize(adj, small_config(4, seed=11, max_iters=2)).run
         assert run.iterations == 2
         assert run.stop_reason == "max_iters"
@@ -414,7 +416,7 @@ class TestFactorize:
         assert "rescale the edge weights" in message
 
     def test_result_passes_invariant_checker(self):
-        adj = mvne.random_weighted_graph(14, 0.4, 17)
+        adj = random_weighted_graph(14, 0.4, 17)
         fac = mvne.factorize(adj, small_config(3, seed=17))
         assert np.abs(fac.H.sum(axis=1) - 1.0).max() <= 1e-9
         assert abs(fac.lam.sum() - adj.total_weight) <= 1e-6 * adj.total_weight
@@ -432,7 +434,7 @@ class TestFactorize:
         assert np.array_equal(fac.H[3:], np.full((2, 2), 0.5))
 
     def test_permutation_equivariance(self):
-        adj = mvne.random_weighted_graph(12, 0.4, 13)
+        adj = random_weighted_graph(12, 0.4, 13)
         cfg = small_config(3, seed=13)
         n = adj.n
         rng = np.random.default_rng(99)
@@ -454,18 +456,18 @@ class TestFactorize:
 
 class TestEmbedding:
     def test_rows_sum_to_one(self):
-        adj = mvne.random_weighted_graph(9, 0.5, 2)
+        adj = random_weighted_graph(9, 0.5, 2)
         fac = mvne.factorize(adj, small_config(3, seed=2))
         X = mvne.embedding(fac)
         assert np.abs(X.sum(axis=1) - 1.0).max() <= 1e-9
 
     def test_d1_all_ones(self):
-        adj = mvne.random_weighted_graph(6, 0.6, 4)
+        adj = random_weighted_graph(6, 0.6, 4)
         fac = mvne.factorize(adj, small_config(1, seed=4))
         assert np.array_equal(mvne.embedding(fac), np.ones((6, 1)))
 
     def test_bit_identical_no_transform(self):
-        adj = mvne.random_weighted_graph(6, 0.6, 4)
+        adj = random_weighted_graph(6, 0.6, 4)
         fac = mvne.factorize(adj, small_config(2, seed=4))
         assert mvne.embedding(fac) is fac.H
 
@@ -508,7 +510,9 @@ class TestEmbeddingFile:
         (["a", "b c", ""], 0.5, "row 1: node name 'b c' is empty or holds whitespace"),
         (["a", "", "c"], 0.5, "row 1: node name '' is empty or holds whitespace"),
         (["a", "b", "a"], 0.5, "row 2: repeated node 'a'"),
-    ], ids=["nan", "inf", "space", "empty", "repeated"])
+        (["a", 3, "c"], 0.5, "row 1: node name 3 is not a str"),
+        (["a", "\ud800", "c"], 0.5, r"row 1: node name '\\ud800' does not encode as UTF-8"),
+    ], ids=["nan", "inf", "space", "empty", "repeated", "not-str", "surrogate"])
     def test_rows_the_reader_refuses_are_refused_before_open(self, tmp_path, names, value,
                                                               match):
         path = tmp_path / "emb.txt"

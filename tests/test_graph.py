@@ -10,6 +10,7 @@ from mvne import _parts
 from mvne.graph import ParseError, parse_edges
 
 from conftest import coo_rows, make_adjacency, per_entry_edge_list
+from oracles import random_weighted_graph
 
 
 class TestLoadEdgeList:
@@ -139,12 +140,12 @@ class TestUpperIndex:
             mvne.dump_dataset(generated, labels, tmp_path)))
         combined = mvne.combine_views(built, mvne.default_betas(built))
         for adj in [loaded, *generated.views, *built.views, combined,
-                    mvne.random_weighted_graph(30, 0.3, 1)]:
+                    random_weighted_graph(30, 0.3, 1)]:
             for a in (adj.indices, adj.indptr, *adj.upper_index):
                 assert a.dtype == np.int32
 
     def test_lists_each_upper_entry_with_its_mirror(self):
-        adj = mvne.random_weighted_graph(30, 0.3, 2)
+        adj = random_weighted_graph(30, 0.3, 2)
         pos, rows, cols, mirror = adj.upper_index
         dense = adj.mat.toarray()
         assert sorted(zip(rows.tolist(), cols.tolist())) == \

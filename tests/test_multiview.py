@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import mvne
 
 from conftest import make_adjacency
+from oracles import random_weighted_graph
 
 
 def two_view_graph():
@@ -135,7 +136,7 @@ class TestCombineViews:
     def test_support_is_union_of_positive_views(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            views = [mvne.random_weighted_graph(12, 0.25, seed * 10 + v) for v in range(3)]
+            views = [random_weighted_graph(12, 0.25, seed * 10 + v) for v in range(3)]
             reg = mvne.NodeRegistry()
             for i in range(12):
                 reg.intern(f"n{i}")
@@ -232,7 +233,7 @@ class TestMvneEmbed:
         assert fac.run.degenerate_nodes == [2, 3]
 
     def test_scaling_invariance_of_membership_trajectory(self):
-        adj = mvne.random_weighted_graph(10, 0.5, 21)
+        adj = random_weighted_graph(10, 0.5, 21)
         c = 7.5
         scaled = mvne.SparseAdjacency(adj.mat * c)
         cfg = mvne.FactorizeConfig(d=3, seed=21, max_iters=40, rel_tol=0.0)

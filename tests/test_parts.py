@@ -2,6 +2,7 @@
 processes: the same bytes, values and ids as one part, failures raised in the
 caller, and no child process, temporary file or descriptor left behind."""
 
+import errno
 import importlib
 import io
 import os
@@ -279,6 +280,56 @@ def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
     assert names == NAMES and X2.tobytes() == X.tobytes()
     assert parse_outcome(parse_edges, [], edges) == parsed
     assert parts == [1, 1, 1]  # a one-part parse runs no parts at all
+
+
+def fork_failing_at(monkeypatch, fork, at):
+    """Make _parts._fork call fork but raise EAGAIN on its at-th call, once the
+    children made before it have exited (not reaped), so their parts are done."""
+    made = []
+
+    def failing():
+        if len(made) + 1 == at:
+            for pid in made:
+                os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        made.append(fork())
+        return made[-1]
+
+    monkeypatch.setattr(_parts, "_fork", failing)
+
+
+@pytest.mark.parametrize("at", [1, 2], ids=["first-fork", "second-fork"])
+def test_failed_fork_runs_the_range_as_one_part(tmp_path, monkeypatch, forks, at):
+    X, (adj, reg) = embedding_rows(7), signed_zero_adjacency(7)
+    emb, out = tmp_path / "emb.txt", tmp_path / "out.edges"
+    text = SPLIT_CASES["utf8-ids"]
+    edges = write_bytes(tmp_path, text)
+    assert len(ranges(edges)) == 3
+    expected = one_part(monkeypatch, lambda: (emb_bytes(emb, X, NAMES), edges_text(adj, reg, out)))
+    whole, whole_reg = mvne.load_edge_list(io.StringIO(text))
+    fds, fork = open_fds(), _parts._fork
+    forks.clear()
+
+    fork_failing_at(monkeypatch, fork, at)
+    assert emb_bytes(emb, X, NAMES) == expected[0]
+    fork_failing_at(monkeypatch, fork, at)
+    assert edges_text(adj, reg, out) == expected[1]
+    for read in (factorize_module._read_rows_bulk, mvne.read_embedding):
+        fork_failing_at(monkeypatch, fork, at)
+        names, X2 = read(emb)
+        assert names == NAMES and X2.tobytes() == X.tobytes()
+    fork_failing_at(monkeypatch, fork, at)
+    split, split_reg = mvne.load_edge_list(edges)
+    assert split_reg.names == whole_reg.names
+    for x, y in ((split.indptr, whole.indptr), (split.indices, whole.indices),
+                 (split.values, whole.values)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    fork_failing_at(monkeypatch, fork, at)
+    assert parse_outcome(parse_edges, ["d", "ä"], edges) == reference_outcome(["d", "ä"], edges)
+
+    assert len(forks) == 6 * (at - 1)  # six calls, each forking its first child or none
+    assert no_child_left()
+    assert open_fds() == fds
 
 
 def ranges(path):

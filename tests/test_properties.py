@@ -201,8 +201,15 @@ def test_split_parse_agrees_with_per_line_reference(tmp_path, forks, case):
         os.waitpid(-1, os.WNOHANG)
 
 
-# Row names, now and then empty, holding whitespace or repeated.
-row_names = node_ids | st.sampled_from(["", "a b", " a", "a\t", "\u2028", "\x1c", "a"])
+# Row names, now and then empty, holding whitespace, repeated, a lone
+# surrogate (no UTF-8 form) or not a str.
+row_names = node_ids | st.sampled_from(["", "a b", " a", "a\t", "\u2028", "\x1c", "a",
+                                        "\ud800", "a\udfffb", 3, None])
+
+
+def writable(name):
+    return (isinstance(name, str) and name.split() == [name]
+            and not any("\ud800" <= c <= "\udfff" for c in name))
 
 
 @settings(deadline=None)
@@ -214,12 +221,14 @@ row_names = node_ids | st.sampled_from(["", "a b", " a", "a\t", "\u2028", "\x1c"
 @example((["a", "b c"], np.zeros((2, 3))))
 @example((["a", ""], np.zeros((2, 3))))
 @example((["a\u200bb", "\x00"], np.zeros((2, 3))))  # unprintable, yet no whitespace
+@example((["a", "\ud800"], np.zeros((2, 3))))
+@example((["a", 3], np.zeros((2, 3))))
 @example((["a", "b"], np.array([[0.0, -0.0, 1.0], [1.0, math.nan, 2.0]])))
 def test_embedding_round_trip(case):
     """What write_embedding accepts reads back with the same names and bits;
     anything else raises before the file exists."""
     names, X = case
-    legal = (all(name.split() == [name] for name in names) and len(set(names)) == len(names)
+    legal = (all(writable(name) for name in names) and len(set(names)) == len(names)
              and np.isfinite(X).all())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")

@@ -4,37 +4,39 @@ import pytest
 import mvne
 
 from conftest import argmax_purity, community_array
+from oracles import (dense_factorize_oracle, dense_kl_objective, dense_update_step,
+                     random_weighted_graph)
 
 
 class TestDenseOracle:
     def test_size_guard(self):
         W = np.ones((65, 65)) - np.eye(65)
         with pytest.raises(ValueError, match="64"):
-            mvne.dense_factorize_oracle(W, mvne.FactorizeConfig(d=2))
+            dense_factorize_oracle(W, mvne.FactorizeConfig(d=2))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="no edges"):
-            mvne.dense_factorize_oracle(np.zeros((5, 5)), mvne.FactorizeConfig(d=2))
+            dense_factorize_oracle(np.zeros((5, 5)), mvne.FactorizeConfig(d=2))
 
     def test_objective_monotone_100_iters(self):
         for seed in range(10):
-            adj = mvne.random_weighted_graph(12, 0.4, seed)
+            adj = random_weighted_graph(12, 0.4, seed)
             W = adj.mat.toarray()
             cfg = mvne.FactorizeConfig(d=3, seed=seed)
             fac = mvne.init_factorization(12, cfg, W.sum())
-            prev = mvne.dense_kl_objective(W, fac)
+            prev = dense_kl_objective(W, fac)
             for _ in range(100):
-                fac = mvne.dense_update_step(W, fac)
-                cur = mvne.dense_kl_objective(W, fac)
+                fac = dense_update_step(W, fac)
+                cur = dense_kl_objective(W, fac)
                 assert cur <= prev + 1e-9
                 prev = cur
 
     def test_matches_sparse_factorize(self):
         for seed in range(3):
-            adj = mvne.random_weighted_graph(15, 0.35, seed + 50)
+            adj = random_weighted_graph(15, 0.35, seed + 50)
             cfg = mvne.FactorizeConfig(d=4, seed=seed, max_iters=60, rel_tol=0.0)
             sparse = mvne.factorize(adj, cfg)
-            dense = mvne.dense_factorize_oracle(adj.mat.toarray(), cfg)
+            dense = dense_factorize_oracle(adj.mat.toarray(), cfg)
             assert np.abs(sparse.H - dense.H).max() <= 1e-10
             assert np.abs(sparse.lam - dense.lam).max() <= 1e-10
 
