@@ -2,8 +2,9 @@
 
 Printing or parsing a float to 17 digits, or interning a node id, costs
 about 1 us in CPython and holds the GIL, so threads do not help. ``write``
-formats k contiguous parts of a range of items, and ``read`` parses k
-ranges of whole lines of a file; both run part 0 in the calling process and
+formats k contiguous parts of a range of items, each of at least
+_PART_VALUES values, and ``read`` parses k ranges of whole lines of a file,
+each of at least _PART_BYTES bytes; both run part 0 in the calling process and
 parts 1..k-1 in children made with ``os.fork`` and join the results in part
 order, so output bytes do not depend on k. A child writes only to the pipe
 or temporary file made for it and leaves only through ``os._exit``, so it
@@ -15,6 +16,7 @@ range whose pipe or fork fails."""
 from __future__ import annotations
 
 import io
+import mmap
 import os
 import pickle
 import shutil
@@ -32,51 +34,46 @@ def _usable_cores() -> int:
 
 # The most parts a range is split into.
 _CORES = _usable_cores()
-# The fewest values (floats, or edge-list entries) worth a part of their own:
-# formatting 2^16 floats takes about 60 ms, and forking and reaping a child
-# of a 150 MB process 5-8 ms.
+# The fewest values (floats, or edge-list entries) worth a written part of
+# their own: formatting 2^16 floats takes about 60 ms, and forking and
+# reaping a child of a 150 MB process 5-8 ms.
 _PART_VALUES = 1 << 16
+# The fewest bytes worth a read part of their own: about 2^16 edge-list
+# lines, 0.18 s of parsing, or 2^15-2^16 embedding values.
+_PART_BYTES = 1 << 20
 # Values formatted per write: 64 embedding rows at d = 64, 512 at d = 8, or
 # 4,096 edge-list entries. Blocks of 2^13 wrote a 100k x 8 embedding about
 # 10% slower in fresh processes (larger strings to allocate and free).
 _BLOCK_VALUES = 1 << 12
-# Bytes scanned at once for a line end.
-_READ_BYTES = 1 << 16
 
 
-def split(count: int, values: int) -> list:
-    """Cuts 0 = c_0 < c_1 < ... < c_k = count of k near-equal parts of range(count).
+def split(count: int, parts: int) -> list:
+    """Cuts 0 = c_0 <= c_1 <= ... <= c_k = count of k near-equal parts of range(count).
 
-    k = min(_CORES, values // _PART_VALUES, count), and at least 1.
+    k = min(_CORES, parts, count), and at least 1; the cuts rise strictly
+    unless count is 0, which gives the one empty part [0, 0].
     """
-    k = max(1, min(_CORES, values // _PART_VALUES, count))
+    k = max(1, min(_CORES, parts, count))
     return [count * i // k for i in range(k + 1)]
 
 
-def line_cuts(path, start: int, end: int, values: int) -> list:
-    """split() of bytes start..end - 1 of path, each inner cut moved to a line start.
+def line_cuts(path, start: int, end: int) -> list:
+    """split() of bytes start..end - 1 of path into parts of at least
+    _PART_BYTES, each inner cut moved to a line start.
 
     An inner cut moves to the first offset at or after it that follows a
     ``\n``, and cuts that meet merge, so every range but the last ends in
-    ``\n``. A cut after ``\n`` never splits a UTF-8 sequence or a ``\r\n``;
-    a file whose lines end in a lone ``\r`` has no cut point and stays one
-    range. The file is opened only when there is more than one part.
+    ``\n``; an empty range is one empty part. A cut after ``\n`` never
+    splits a UTF-8 sequence or a ``\r\n``; a file whose lines end in a
+    lone ``\r`` has no cut point and stays one range. The file is opened
+    only when there is more than one part.
     """
-    cuts = [start + c for c in split(end - start, values)]
+    cuts = [start + c for c in split(end - start, (end - start) // _PART_BYTES)]
     if len(cuts) > 2:
-        with open(path, "rb") as fh:
-            cuts[1:-1] = [_line_start(fh, c) for c in cuts[1:-1]]
-    return sorted(set(cuts))
-
-
-def _line_start(fh, at: int) -> int:
-    """The first offset at or after ``at`` that follows a newline in binary file fh, or its end."""
-    fh.seek(at - 1)
-    while chunk := fh.read(_READ_BYTES):
-        i = chunk.find(b"\n")
-        if i >= 0:
-            return fh.tell() - len(chunk) + i + 1
-    return fh.tell()
+        with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            # find gives -1, so 0, when no newline follows: the cut goes to end
+            cuts[1:-1] = [mm.find(b"\n", c - 1, end) + 1 or end for c in cuts[1:-1]]
+    return cuts[:1] + sorted(set(cuts[1:]))
 
 
 class _ByteSpan(io.RawIOBase):
@@ -192,13 +189,14 @@ def _kill(pids: list) -> None:
 def write(stream, count: int, values: int, format_block) -> None:
     """Write format_block(lo, hi), the text of items lo..hi - 1, over range(count).
 
-    The items hold ``values`` values, which size the parts (``split``) and
-    the blocks of about _BLOCK_VALUES values. Part 0 writes to stream itself;
-    every later part to an anonymous temporary file opened before the fork
-    and then appended to stream in shutil.copyfileobj's bounded chunks, so no
-    process holds more than one block of its part.
+    The items hold ``values`` values, which size the parts (at least
+    _PART_VALUES each) and the blocks of about _BLOCK_VALUES values. Part 0
+    writes to stream itself; every later part to an anonymous temporary file
+    opened before the fork and then appended to stream in
+    shutil.copyfileobj's bounded chunks, so no process holds more than one
+    block of its part.
     """
-    cuts = split(count, values)
+    cuts = split(count, values // _PART_VALUES)
     step = max(1, _BLOCK_VALUES * count // max(values, 1))
     temps = []
     try:
@@ -221,11 +219,11 @@ def write(stream, count: int, values: int, format_block) -> None:
             temp.close()
 
 
-def read(path, start: int, end: int, values: int, read_span) -> list:
+def read(path, start: int, end: int, read_span) -> list:
     """[read_span(text_span(path, lo, hi)) for each range of line_cuts(...)], in order."""
 
     def part(lo, hi):
         with text_span(path, lo, hi) as text:
             return read_span(text)
 
-    return run(line_cuts(path, start, end, values), part)
+    return run(line_cuts(path, start, end), part)

@@ -13,7 +13,6 @@ input. Exit codes: 0 success, 2 input/validation error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -131,6 +130,8 @@ def _expand_config(argv):
                 raise ParseError("expected key=value", line_no)
             key, value = (x.strip() for x in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
+            if flag == "--config":  # accepted, it would be ignored: the given --config wins
+                raise ParseError(f"unknown config key {key!r}", line_no)
             if flag not in _CONFIG_FLAGS:
                 flags[f"{flag}={value}"] = line_no
             elif value.lower() in ("1", "true", "yes", "on"):
@@ -191,8 +192,7 @@ def cmd_eval(args) -> int:
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_run_metadata(args.json, report.to_dict())
     if args.tsv:
         with open(args.tsv, "w", encoding="utf-8") as fh:
             fh.write(report.to_tsv())
@@ -208,9 +208,7 @@ def cmd_stats(args) -> int:
     graph = _load_graph(args)
     rows = view_stats(graph)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_run_metadata(args.json, rows)
     header = f"{'view':<16}{'nodes':>8}{'edges':>10}{'weight':>14}{'deg min':>9}{'deg max':>9}{'deg mean':>10}"
     print(header)
     for r in rows:

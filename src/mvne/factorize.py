@@ -22,7 +22,6 @@ iterations + 1 + rejected_steps passes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -345,21 +344,20 @@ def embedding(fac: Factorization) -> np.ndarray:
 def write_embedding(path, X: np.ndarray, names) -> None:
     """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
 
-    ``names`` is a sequence of the n row names, strings. A count other than n,
-    a value that is NaN or infinite, a name that is not a str, is empty,
-    holds whitespace or does not encode as UTF-8, and a repeated name raise
-    ValueError, naming the first bad row, before the file is opened:
-    read_embedding could not read them back. Rows are formatted by
-    ``_parts.write``, one `%` operation per row, and an embedding above the
-    split size by up to one process per usable core; the bytes are the same.
+    ``X`` is a 2-D real (bool, integer or float) array and ``names`` a
+    sequence of its n row names. Before the file is opened, ValueError is
+    raised for any other X, a count other than n, and, naming the first bad
+    row, a name that is not a str, is empty, holds whitespace or does not
+    encode as UTF-8, then for what _embedding_fault finds: read_embedding
+    could not read these back. Rows are formatted by ``_parts.write``, one
+    `%` operation per row; the bytes do not depend on its parts.
     """
     X = np.asarray(X)
+    if X.ndim != 2 or X.dtype.kind not in "biuf":
+        raise ValueError(f"embedding values must be a 2-D real array, not {X.ndim}-D {X.dtype}")
     n, d = X.shape
     if len(names) != n:
         raise ValueError(f"got {len(names)} names for {n} embedding rows")
-    if not np.isfinite(X).all():
-        r = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ValueError(f"embedding row {r}: node {names[r]!r} has a NaN or infinite value")
     try:
         joined = "".join(names)
         # every whitespace character but " " is unprintable, so most names pass here at once
@@ -371,9 +369,9 @@ def write_embedding(path, X: np.ndarray, names) -> None:
             fault = _name_fault(name)
             if fault:
                 raise ValueError(f"embedding row {r}: node name {name!r} {fault}")
-    if len(set(names)) < n:
-        r = _first_repeat(names)
-        raise ValueError(f"embedding row {r}: repeated node {names[r]!r}")
+    fault = _embedding_fault(names, X)
+    if fault:
+        raise ValueError("embedding row %d: %s" % fault)
     line = "%s " + " ".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
@@ -394,45 +392,36 @@ def _name_fault(name):
     return None
 
 
-def _first_repeat(names) -> int:
-    """The first row whose name an earlier row holds."""
-    first = {}
-    return next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
-
-
-def _row_line(path, row: int) -> int:
-    """The file line holding embedding row ``row``; blank lines hold no row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        lines = (no for no, line in enumerate(fh, start=2) if line.split())
-        return next(itertools.islice(lines, row, None))
+def _embedding_fault(names, X):
+    """(row, reason) for the first repeated name, else for the first row
+    holding a NaN or infinite value, else None: the one rule for a legal
+    embedding, which write_embedding and read_embedding both apply."""
+    if len(set(names)) < len(names):
+        first = {}
+        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
+        return r, f"repeated node {names[r]!r}"
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        return r, f"node {names[r]!r} has a NaN or infinite value"
+    return None
 
 
 def read_embedding(path):
     """Read the write_embedding() format; returns (names, X).
 
-    Node names must be unique and values finite: a repeated name, a value
-    that is not a float, NaN or +-inf raises ParseError naming the line. The
-    rows are read in bulk, a file above the split size by up to one process
-    per usable core (``_parts.read``). On any input the bulk reader cannot
-    vouch for, or when one of its worker processes fails, the per-line
-    reader _read_rows, which defines the legal input, reads the file again
-    and names the faulty line. The uniqueness and finiteness checks run once
-    over the whole file; only a failure looks up its line.
+    The per-line reader _read_rows defines the legal input: a bad header,
+    field or row count, a value that is not a float, and what
+    _embedding_fault finds raise ParseError naming the file line. The rows
+    are read in bulk (``_parts.read``, so a large file by up to one process
+    per usable core); a file that read cannot vouch for, or whose rows hold
+    a fault, is read again line by line.
     """
     try:
         names, X = _read_rows_bulk(path)
     except (ValueError, ChildProcessError):
-        names, X = _read_rows(path)
-    n = len(names)
-    if len(set(names)) < n:
-        r = _first_repeat(names)
-        raise ParseError(f"embedding file: repeated node {names[r]!r}", _row_line(path, r))
-    if not np.isfinite(X).all():
-        r = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise ParseError(f"embedding file: node {names[r]!r} has a NaN or infinite value",
-                         _row_line(path, r))
-    return names, X
+        return _read_rows(path)
+    return (names, X) if _embedding_fault(names, X) is None else _read_rows(path)
 
 
 def _read_header(line: str):
@@ -446,7 +435,7 @@ def _read_rows(path):
     """Names and values line by line; raises ParseError naming a bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         n, d = _read_header(fh.readline())
-        names, rows = [], []
+        names, rows, lines = [], [], []
         for line_no, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
@@ -454,13 +443,18 @@ def _read_rows(path):
             if len(parts) != d + 1:
                 raise ParseError(f"embedding file: expected {d + 1} fields per row", line_no)
             names.append(parts[0])
+            lines.append(line_no)
             try:
                 rows.append([float(v) for v in parts[1:]])
             except ValueError as exc:
                 raise ParseError(f"embedding file: {exc}", line_no) from None
     if len(names) != n:
         raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
-    return names, np.asarray(rows, dtype=np.float64).reshape(n, d)
+    X = np.asarray(rows, dtype=np.float64).reshape(n, d)
+    fault = _embedding_fault(names, X)
+    if fault:
+        raise ParseError(f"embedding file: {fault[1]}", lines[fault[0]])
+    return names, X
 
 
 def _read_rows_bulk(path):
@@ -478,9 +472,7 @@ def _read_rows_bulk(path):
         head = fh.readline()
         n, d = _read_header(head)
         start, size = len(head.encode("utf-8")), os.fstat(fh.fileno()).st_size
-    if size == start:  # a header alone has no range of lines to cut
-        raise ValueError("no values")
-    parts = _parts.read(path, start, size, n * d, _read_span)
+    parts = _parts.read(path, start, size, _read_span)
     blocks = [X for _, X in parts if len(X)]
     if not blocks or any(X.shape[1] != d + 1 for X in blocks):
         raise ValueError("not d + 1 fields per row")
@@ -502,7 +494,8 @@ def _read_span(text):
     return names, X
 
 
-def write_run_metadata(path, meta: dict) -> None:
+def write_run_metadata(path, meta) -> None:
+    """Write the JSON value meta to path: indent 2, sorted keys, a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -39,10 +39,6 @@ from . import _parts
 
 # The most weight reprs write_edge_list's memo holds before it is emptied.
 _MEMO_ENTRIES = 16384
-# Bytes of edge list counted as one value when parse_edges sizes its parts:
-# about one short line, so a part of _parts' 2^16 values (1 MiB) holds
-# roughly 2^16 lines, about 0.18 s of parsing against a 5-8 ms fork.
-_LINE_BYTES = 16
 
 
 class ParseError(ValueError):
@@ -232,10 +228,6 @@ class MultiViewGraph:
     def n(self) -> int:
         return len(self.registry)
 
-    def active_counts(self):
-        """Per-view count of nodes with degree > 0."""
-        return np.array([len(v.active_nodes()) for v in self.views], dtype=np.int64)
-
 
 class LabelStore:
     """Multi-label assignments per node, with a string-label vocabulary.
@@ -301,20 +293,18 @@ def parse_edges(source, registry: NodeRegistry):
     Returns integer row and column ids and float64 weights. The triples are
     direction-agnostic; unseen ids extend the registry in first-appearance
     order. _parse_lines defines legal input and names the line of each
-    ParseError. A regular file given as a path is parsed by up to one
-    process per usable core, each taking a range of whole lines of at least
-    1 MiB, about 2^16 lines (_parse_parts); the ids, triples and errors are
-    those of the one-part parse. A stream, any other path and a smaller file
-    take the one-part loop with no extra open or read.
+    ParseError. A regular file given as a path is read by ``_parts.read``,
+    so a large one is parsed by up to one process per usable core; the ids,
+    triples and errors are those of the one-part parse. A stream and any
+    other path take the one-part loop.
     """
+    if isinstance(source, (str, os.PathLike)):
+        info = os.stat(source)
+        if stat.S_ISREG(info.st_mode):
+            parsed = _parse_parts(source, info.st_size, registry)
+            if parsed is not None:
+                return parsed
     with _opened(source) as stream:
-        if isinstance(source, (str, os.PathLike)):
-            info = os.fstat(stream.fileno())
-            size = info.st_size
-            if stat.S_ISREG(info.st_mode) and len(_parts.split(size, size // _LINE_BYTES)) > 2:
-                parsed = _parse_parts(source, size, registry)
-                if parsed is not None:
-                    return parsed
         return _parse_lines(stream, registry)
 
 
@@ -370,7 +360,7 @@ def _parse_parts(path, size: int, registry: NodeRegistry):
     """
     base = len(registry)
     try:
-        parts = _parts.read(path, 0, size, size // _LINE_BYTES, lambda text: (
+        parts = _parts.read(path, 0, size, lambda text: (
             _parse_lines(text, registry), registry._names[base:]))
         parsed = [parts[0][0]]
         for (rows, cols, weights), added in parts[1:]:

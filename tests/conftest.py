@@ -48,11 +48,11 @@ def triangle():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Split every range into up to 3 parts of at least one value (an edge
-    list: of one byte); counts the forks."""
+    """Split every range into up to 3 parts of at least one value (a read:
+    of one byte); counts the forks."""
     monkeypatch.setattr(_parts, "_CORES", 3)
     monkeypatch.setattr(_parts, "_PART_VALUES", 1)
-    monkeypatch.setattr(mvne.graph, "_LINE_BYTES", 1)
+    monkeypatch.setattr(_parts, "_PART_BYTES", 1)
     made = []
     fork = _parts._fork
 

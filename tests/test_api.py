@@ -1,14 +1,16 @@
 """The public API is the listed names, and they resolve; so does every name
 perfbench's traced replay imports from it: tier-1 runs that replay no other
 way, so a deleted name would otherwise only show in a `perfbench/run.py
---trace 1` run."""
+--trace 1` run. Outside `_parts`, only its `read` and `write` are used."""
 
+import ast
 import importlib
 from pathlib import Path
 
 import mvne
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(mvne.__file__).resolve().parent
 
 
 # Adding or dropping a public name is an edit here.
@@ -30,6 +32,16 @@ def test_public_names_are_the_listed_ones():
 
 def test_every_exported_name_resolves():
     assert [name for name in mvne.__all__ if not hasattr(mvne, name)] == []
+
+
+def test_parts_is_used_only_through_read_and_write():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "_parts.py":
+            used |= {(path.name, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "_parts"}
+    assert {attr for _, attr in used} <= {"read", "write"}, sorted(used)
 
 
 def test_traced_replay_imports(monkeypatch):

@@ -482,6 +482,7 @@ class TestMisc:
         ("repeats=3\n", 1, "repeats"),  # an option of `mvne eval` only
         ("max=2\n", 1, "max"),  # a prefix of --max-iters
         ("di=3\n", 1, "di"),  # a prefix of --dim
+        ("dim=3\nconfig=other.cfg\n", 2, "config"),  # the --config given would win
     ])
     def test_unknown_config_key_exits_2_naming_the_line(self, tmp_path, dataset, capsys,
                                                          text, line, key):

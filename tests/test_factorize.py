@@ -472,6 +472,13 @@ class TestEmbedding:
         assert mvne.embedding(fac) is fac.H
 
 
+def eye_with(value):
+    """The 3 x 3 identity with value at row 1, column 2."""
+    X = np.eye(3)
+    X[1, 2] = value
+    return X
+
+
 class TestEmbeddingFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -504,23 +511,34 @@ class TestEmbeddingFile:
             assert np.array_equal(X, X2)
         assert "v0 0.33333333333333331 0.10000000000000001 1e-300 0\n" in expected
 
-    @pytest.mark.parametrize("names, value, match", [
-        (["a", "b", "c"], math.nan, "row 1: node 'b' has a NaN or infinite value"),
-        (["a", "b", "c"], -math.inf, "row 1: node 'b' has a NaN or infinite value"),
-        (["a", "b c", ""], 0.5, "row 1: node name 'b c' is empty or holds whitespace"),
-        (["a", "", "c"], 0.5, "row 1: node name '' is empty or holds whitespace"),
-        (["a", "b", "a"], 0.5, "row 2: repeated node 'a'"),
-        (["a", 3, "c"], 0.5, "row 1: node name 3 is not a str"),
-        (["a", "\ud800", "c"], 0.5, r"row 1: node name '\\ud800' does not encode as UTF-8"),
-    ], ids=["nan", "inf", "space", "empty", "repeated", "not-str", "surrogate"])
-    def test_rows_the_reader_refuses_are_refused_before_open(self, tmp_path, names, value,
-                                                              match):
+    @pytest.mark.parametrize("names, X, match", [
+        (["a", "b", "c"], eye_with(math.nan), "row 1: node 'b' has a NaN or infinite value"),
+        (["a", "b", "c"], eye_with(-math.inf), "row 1: node 'b' has a NaN or infinite value"),
+        (["a", "b c", ""], eye_with(0.5), "row 1: node name 'b c' is empty or holds whitespace"),
+        (["a", "", "c"], eye_with(0.5), "row 1: node name '' is empty or holds whitespace"),
+        (["a", "b", "a"], eye_with(0.5), "row 2: repeated node 'a'"),
+        (["a", 3, "c"], eye_with(0.5), "row 1: node name 3 is not a str"),
+        (["a", "\ud800", "c"], eye_with(0.5),
+         r"row 1: node name '\\ud800' does not encode as UTF-8"),
+        (["a"], np.array([[1 + 2j, 0]]), "values must be a 2-D real array, not 2-D complex128"),
+        (["a", "b"], np.array([1.0, 2.0]), "values must be a 2-D real array, not 1-D float64"),
+        (["a"], np.array([[1.0, None]], dtype=object),
+         "values must be a 2-D real array, not 2-D object"),
+        (["a"], np.array([["1", "2"]]), "values must be a 2-D real array, not 2-D <U1"),
+    ], ids=["nan", "inf", "space", "empty", "repeated", "not-str", "surrogate", "complex", "1-d",
+            "object", "str"])
+    def test_rows_the_reader_refuses_are_refused_before_open(self, tmp_path, names, X, match):
         path = tmp_path / "emb.txt"
-        X = np.eye(3)
-        X[1, 2] = value
         with pytest.raises(ValueError, match=f"embedding {match}"):
             mvne.write_embedding(path, X, names)
         assert not path.exists()
+
+    def test_bool_and_int_values_write_their_numbers(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        mvne.write_embedding(path, np.array([[True, False]]), ["a"])
+        assert path.read_text() == "1 2\na 1 0\n"
+        mvne.write_embedding(path, np.array([[-3, 7]]), ["a"])
+        assert path.read_text() == "1 2\na -3 7\n"
 
     @pytest.mark.parametrize("names", [["a", "b"], ["a", "b", "c", "d"]], ids=["few", "many"])
     def test_name_count_other_than_n_refused_before_open(self, tmp_path, names):

@@ -235,7 +235,7 @@ def test_failing_reader_child_falls_back_to_the_per_line_reader(tmp_path, monkey
     mvne.write_embedding(path, X, NAMES)
     caller, read = os.getpid(), _parts.read
 
-    def failing(path, start, end, values, read_span):
+    def failing(path, start, end, read_span):
         def span(text):
             if os.getpid() != caller:
                 if failure == "exits":
@@ -243,7 +243,7 @@ def test_failing_reader_child_falls_back_to_the_per_line_reader(tmp_path, monkey
                 raise ValueError("part failed")
             return read_span(text)
 
-        return read(path, start, end, values, span)
+        return read(path, start, end, span)
 
     monkeypatch.setattr(_parts, "read", failing)
     if failure == "exits":
@@ -265,7 +265,7 @@ def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(_parts, "_CORES", _parts._usable_cores())
     monkeypatch.setattr(_parts, "_PART_VALUES", 1)
-    monkeypatch.setattr(mvne.graph, "_LINE_BYTES", 1)
+    monkeypatch.setattr(_parts, "_PART_BYTES", 1)
     assert _parts._CORES == 1
     parts, run = [], _parts.run
 
@@ -279,7 +279,7 @@ def test_without_fork_or_affinity_every_path_is_one_part(tmp_path, monkeypatch):
     names, X2 = mvne.read_embedding(tmp_path / "emb.txt")
     assert names == NAMES and X2.tobytes() == X.tobytes()
     assert parse_outcome(parse_edges, [], edges) == parsed
-    assert parts == [1, 1, 1]  # a one-part parse runs no parts at all
+    assert parts == [1, 1, 1, 1]
 
 
 def fork_failing_at(monkeypatch, fork, at):
@@ -335,7 +335,7 @@ def test_failed_fork_runs_the_range_as_one_part(tmp_path, monkeypatch, forks, at
 def ranges(path):
     """The text of each range the parse of path is cut into."""
     data = path.read_bytes()
-    cuts = _parts.line_cuts(path, 0, len(data), len(data) // mvne.graph._LINE_BYTES)
+    cuts = _parts.line_cuts(path, 0, len(data))
     return [data[lo:hi].decode("utf-8") for lo, hi in zip(cuts, cuts[1:])]
 
 
@@ -448,14 +448,21 @@ def test_failing_parse_child_falls_back_to_one_part(tmp_path, monkeypatch, forks
 
 def test_small_files_fork_nothing_and_open_nothing_more(tmp_path, monkeypatch):
     """With the real split size, a view of about 1k lines (13 KB, as in the
-    sbm_converge workload) takes the one-part loop: no fork, no second open."""
+    sbm_converge workload) is one part, parsed in this process: no fork, and
+    the file is opened once."""
     rng = np.random.default_rng(0)
     text = "".join(f"n{i}\tn{j}\t1.5\n" for i, j in rng.integers(0, 200, (1000, 2)))
     path = write_bytes(tmp_path, text)
     assert 11_000 < path.stat().st_size < 14_000
     made, opened = [], []
+
+    def counted(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
     monkeypatch.setattr(_parts, "_CORES", 3)
     monkeypatch.setattr(_parts, "_fork", lambda: made.append(1))
-    monkeypatch.setattr(_parts, "open", lambda *a, **k: opened.append(a), raising=False)
+    for module in (_parts, mvne.graph):
+        monkeypatch.setattr(module, "open", counted, raising=False)
     assert parse_outcome(parse_edges, [], path) == reference_outcome([], path)
-    assert made == [] and opened == []
+    assert made == [] and opened == [path]

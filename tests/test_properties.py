@@ -286,20 +286,19 @@ def read_outcome(path):
 @example("1 2\na\x1c1\u20282\r\n", 64, 1)  # whitespace that is no line end
 @example("3 1\ra 1\r\nb 2\rc 3", 1, 3)  # parts cut at \n only, header ends at \r
 @example("2 1\na 1\n\n\n\n\n\nb 2\n", 1, 3)  # a part of blank lines
-@example("3 1\n1e5 1\nnan 2\n-0 3\n", 64, 3)  # names that parse as floats
+@example("3 1\n1e5 1\nnan 2\n-0 3\n", 1, 3)  # names that parse as floats
 @example("2 1\n#a 1\nb 2\n", 64, 1)  # a name starting with '#'
 @example('2 1\na"b 1\n"c" 2\n', 64, 1)  # names holding '"'
-@example("3 1\na 1\n" + "\n" * 12 + "b 2\nc 3\n", 64, 3)  # the middle of 3 parts is blank
+@example("3 1\na 1\n" + "\n" * 12 + "b 2\nc 3\n", 1, 3)  # the middle of 3 parts is blank
 def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
-    """The bulk reader, in up to `parts` processes of one value each, agrees
-    with the per-line one."""
+    """The bulk reader, in up to `parts` processes of at least `read_bytes`
+    bytes each, agrees with the per-line one."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")
         with open(path, "wb") as fh:
             fh.write(text.encode("utf-8"))
-        with mock.patch.object(_parts, "_READ_BYTES", read_bytes), \
-                mock.patch.object(_parts, "_CORES", parts), \
-                mock.patch.object(_parts, "_PART_VALUES", 1):
+        with mock.patch.object(_parts, "_PART_BYTES", read_bytes), \
+                mock.patch.object(_parts, "_CORES", parts):
             bulk = read_outcome(path)
         with mock.patch.object(factorize_module, "_read_rows_bulk", side_effect=ValueError):
             per_line = read_outcome(path)
