@@ -18,6 +18,10 @@ where the plain step alone is taken, grows by 1.2 up to 4 after an accepted
 candidate and halves down to 1 after a rejected one. A rejected candidate
 costs a second kernel pass, for the plain step, so a fit makes
 iterations + 1 + rejected_steps passes.
+
+A pass runs in up to one part per usable core (``_parts.threads``): the
+parts split the entries, never a sum, so the fit's every bit is the same
+for any number of parts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,8 +40,12 @@ from . import _parts
 from .graph import ParseError, SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
-# _BLOCK x d floats each (1 MB at d = 64), allocated once per fit.
+# _BLOCK x d floats each (1 MB at d = 64) per part, allocated once per fit.
 _BLOCK = 2048
+# The fewest i <= j entries worth a kernel part, and a thread, of their own.
+# Handing parts to threads costs about 50 us per kernel step, five steps a
+# pass; 2^16 entries at d = 64 take about 10 ms to reconstruct.
+_PART_ENTRIES = 1 << 16
 # The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
 # and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
@@ -159,27 +168,40 @@ def reconstruct_entry(fac: Factorization, i: int, j: int) -> float:
 class _EdgePlan:
     """What the edge kernel and the ratio update reuse between iterates.
 
-    factorize builds one per fit; the public update_step and kl_objective
-    build one per call. It reads the adjacency's i <= j edge index (CSR
-    positions, rows, columns and mirror positions) by reference, without a
-    copy, and holds the ratio matrix R whose data array every ratio() call
-    overwrites, and the yhat and gather buffers. Its methods take the mass
-    matrix B alone and read lam = colsum(B) from it.
+    factorize opens one per fit; the public update_step and kl_objective
+    open one per call. It reads the adjacency's i <= j edge index (CSR
+    positions, rows, columns and mirror positions) and CSR column indices by
+    reference, without a copy, and holds the yhat buffer and one _Part per
+    usable core, at most one per _PART_ENTRIES upper entries
+    (``_parts.threads``). Each pass of the kernel runs the parts side by
+    side; every sum over a whole array runs in the caller, so no result bit
+    depends on the number of parts. Its methods take the mass matrix B alone
+    and read lam = colsum(B) from it.
     """
 
-    def __init__(self, adj: SparseAdjacency, d: int, epsilon: float):
+    def __init__(self, adj: SparseAdjacency, d: int, epsilon: float, cuts: list, map):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
         self.w = adj.values
         # max(w, epsilon) is w itself unless a weight is below epsilon
         self.w_floor = self.w if (self.w >= epsilon).all() else np.maximum(self.w, epsilon)
         self.total_weight = adj.total_weight
         self.epsilon = epsilon
-        self.R = sp.csr_array((np.empty(adj.nnz), adj.indices, adj.indptr),
-                              shape=(adj.n, adj.n))
         self.yhat = np.empty(adj.nnz)
-        self.left = np.empty((min(_BLOCK, self.rows.size), d))
-        self.right = np.empty_like(self.left)
-        self.half = np.empty(self.left.shape[0])
+        self.map = map
+        # rows cut where the parts hold near-equal shares of the stored entries
+        k = len(cuts) - 1
+        row_cuts = np.searchsorted(adj.indptr, [adj.nnz * i // k for i in range(k)])
+        row_cuts = [*row_cuts.tolist(), adj.n]
+        self.parts = [_Part(adj, d, cuts[i], cuts[i + 1], row_cuts[i], row_cuts[i + 1])
+                      for i in range(k)]
+
+    @classmethod
+    @contextmanager
+    def open(cls, adj: SparseAdjacency, d: int, epsilon: float):
+        """A plan whose parts run in threads that end with the with block."""
+        m = adj.upper_index.pos.size
+        with _parts.threads(-(-m // _BLOCK), m // _PART_ENTRIES) as (cuts, map):
+            yield cls(adj, d, epsilon, [min(c * _BLOCK, m) for c in cuts], map)
 
     def reconstruct(self, mass: np.ndarray) -> np.ndarray:
         """max(yhat_ij, epsilon) at every stored entry, in CSR data order.
@@ -190,30 +212,42 @@ class _EdgePlan:
         """
         lam = mass.sum(axis=0)
         Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
-        left, right, half, yhat = self.left, self.right, self.half, self.yhat
-        for s in range(0, self.rows.size, _BLOCK):
-            e = min(s + _BLOCK, self.rows.size)
-            k = e - s
-            # CSR indices are in range; mode="clip" spares take() the bounds
-            # check that makes it gather through an extra buffer.
-            np.take(Bl, self.rows[s:e], axis=0, out=left[:k], mode="clip")
-            np.take(mass, self.cols[s:e], axis=0, out=right[:k], mode="clip")
-            np.einsum("ep,ep->e", left[:k], right[:k], out=half[:k])
-            yhat[self.pos[s:e]] = half[:k]
-            yhat[self.mirror[s:e]] = half[:k]
-        return np.maximum(yhat, self.epsilon, out=yhat)
+        yhat = self.yhat
+
+        def part(p):
+            left, right, half = p.left, p.right, p.half
+            for s in range(p.lo, p.hi, _BLOCK):
+                e = min(s + _BLOCK, p.hi)
+                k = e - s
+                # CSR indices are in range; mode="clip" spares take() the bounds
+                # check that makes it gather through an extra buffer.
+                np.take(Bl, self.rows[s:e], axis=0, out=left[:k], mode="clip")
+                np.take(mass, self.cols[s:e], axis=0, out=right[:k], mode="clip")
+                np.einsum("ep,ep->e", left[:k], right[:k], out=half[:k])
+                np.maximum(half[:k], self.epsilon, out=half[:k])
+                yhat[self.pos[s:e]] = half[:k]
+                yhat[self.mirror[s:e]] = half[:k]
+
+        self.map(part, self.parts)
+        return yhat
 
     def ratio(self, yhat: np.ndarray) -> None:
-        """Set R_ij = w_ij / yhat_ij, the ratio the next update multiplies by."""
-        np.divide(self.w, yhat, out=self.R.data)
+        """Set R_ij = w_ij / yhat_ij in each part's R, the ratio the next update multiplies by."""
+        self.map(lambda p: np.divide(self.w[p.entries], yhat[p.entries], out=p.R.data),
+                 self.parts)
 
     def objective(self, mass: np.ndarray) -> float:
         """kl_objective of mass from its reconstruct(); overwrites self.yhat."""
         t = self.yhat
-        np.divide(self.w_floor, t, out=t)
-        np.log(t, out=t)
-        t *= self.w
-        t -= self.w
+
+        def part(p):
+            tp, w = t[p.entries], self.w[p.entries]
+            np.divide(self.w_floor[p.entries], tp, out=tp)
+            np.log(tp, out=tp)
+            tp *= w
+            tp -= w
+
+        self.map(part, self.parts)
         # sum_ij yhat_ij = sum_p colsum(B)_p^2 / lam_p = sum(B)
         return float(t.sum()) + float(mass.sum())
 
@@ -225,9 +259,15 @@ class _EdgePlan:
     def update(self, mass: np.ndarray) -> np.ndarray:
         """The ratio update from mass with the R that ratio() set, as a new B."""
         lam = mass.sum(axis=0)
-        new = self.R @ mass
-        new *= mass
-        new /= np.where(lam > 0, lam, np.inf)
+        lam_safe = np.where(lam > 0, lam, np.inf)
+        new = np.empty_like(mass)
+
+        def part(p):
+            out = new[p.rows]
+            np.multiply(p.R @ mass, mass[p.rows], out=out)
+            out /= lam_safe
+
+        self.map(part, self.parts)
         total = new.sum()
         if total <= 0:
             # factorize rejects a zero total weight, so only underflow gets here:
@@ -246,12 +286,40 @@ class _EdgePlan:
         weight. A zero of mass stays zero. Returns mass: the fit keeps either
         the candidate or step, never the old mass, so no buffer is needed.
         """
-        np.maximum(mass, _TINY, out=mass)
-        np.divide(step, mass, out=mass)
-        np.power(mass, t - 1.0, out=mass)
-        mass *= step
+
+        def part(p):
+            m, s = mass[p.rows], step[p.rows]
+            np.maximum(m, _TINY, out=m)
+            np.divide(s, m, out=m)
+            np.power(m, t - 1.0, out=m)
+            m *= s
+
+        self.map(part, self.parts)
         mass *= self.total_weight / mass.sum()
         return mass
+
+
+class _Part:
+    """One part of an _EdgePlan's kernel, with the buffers it writes alone.
+
+    Upper entries lo..hi - 1, cut at _BLOCK boundaries, with their gather
+    buffers; and rows whose stored entries are a contiguous range of CSR
+    positions, with their own ratio matrix R over those entries.
+    """
+
+    def __init__(self, adj: SparseAdjacency, d: int, lo: int, hi: int, r0: int, r1: int):
+        self.lo, self.hi = lo, hi
+        self.rows = slice(r0, r1)
+        a, b = int(adj.indptr[r0]), int(adj.indptr[r1])
+        self.entries = slice(a, b)
+        # ratio() writes R.data, this part's own array. scipy's constructor copies
+        # a slice of less than half its base array, so R gets the index view after.
+        self.R = sp.csr_array((np.empty(b - a), adj.indices[a:b], adj.indptr[r0:r1 + 1] - a),
+                              shape=(r1 - r0, adj.n))
+        self.R.indices = adj.indices[a:b]
+        self.left = np.empty((min(_BLOCK, hi - lo), d))
+        self.right = np.empty_like(self.left)
+        self.half = np.empty(self.left.shape[0])
 
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
@@ -264,9 +332,9 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
     sum_p colsum(B)_p^2 / lam_p folds to sum(B) since lam = colsum(B), so
     the cost is O(|E| d + n d).
     """
-    plan = _EdgePlan(adj, fac.d, epsilon)
-    plan.reconstruct(fac.mass)
-    return plan.objective(fac.mass)
+    with _EdgePlan.open(adj, fac.d, epsilon) as plan:
+        plan.reconstruct(fac.mass)
+        return plan.objective(fac.mass)
 
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
@@ -276,9 +344,9 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
     """
-    plan = _EdgePlan(adj, fac.d, config.epsilon if config else 1e-12)
-    plan.ratio(plan.reconstruct(fac.mass))
-    return Factorization(plan.update(fac.mass))
+    with _EdgePlan.open(adj, fac.d, config.epsilon if config else 1e-12) as plan:
+        plan.ratio(plan.reconstruct(fac.mass))
+        return Factorization(plan.update(fac.mass))
 
 
 def _overflow(kind, flag):
@@ -303,27 +371,29 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
     mass = init_factorization(adj.n, config, adj.total_weight).mass
-    plan = _EdgePlan(adj, config.d, config.epsilon)
-    obj = plan.measure(mass)
-    trace = [obj]
-    stop_reason = "max_iters"
-    t, rejected = 1.0, 0
-    for it in range(1, config.max_iters + 1):
-        step, prev = plan.update(mass), obj
-        if t > 1:
-            mass = plan.relax(mass, step, t)
-            obj = plan.measure(mass)
-        if t > 1 and obj < prev:
-            t = min(_GROW * t, _MAX_EXPONENT)
-        else:
-            rejected += t > 1
-            t = max(t / 2, 1.0) if t > 1 else _GROW
-            mass = step
-            obj = plan.measure(mass)
-        trace.append(obj)
-        if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
-            stop_reason = "tolerance"
-            break
+    with _EdgePlan.open(adj, config.d, config.epsilon) as plan:
+        obj = plan.measure(mass)
+        trace = [obj]
+        stop_reason = "max_iters"
+        t, rejected = 1.0, 0
+        for it in range(1, config.max_iters + 1):
+            step, prev = plan.update(mass), obj
+            if t > 1:
+                mass = plan.relax(mass, step, t)
+                obj = plan.measure(mass)
+            if t > 1 and obj < prev:
+                t = min(_GROW * t, _MAX_EXPONENT)
+                # the next update then holds two n x d arrays, not three
+                del step
+            else:
+                rejected += t > 1
+                t = max(t / 2, 1.0) if t > 1 else _GROW
+                mass = step
+                obj = plan.measure(mass)
+            trace.append(obj)
+            if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
+                stop_reason = "tolerance"
+                break
     run = RunMetadata(
         iterations=it,
         objective=obj,

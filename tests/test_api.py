@@ -1,7 +1,8 @@
 """The public API is the listed names, and they resolve; so does every name
 perfbench's traced replay imports from it: tier-1 runs that replay no other
 way, so a deleted name would otherwise only show in a `perfbench/run.py
---trace 1` run. Outside `_parts`, only its `read` and `write` are used."""
+--trace 1` run. Outside `_parts`, only its `read`, `write` and `threads` are
+used."""
 
 import ast
 import importlib
@@ -41,7 +42,7 @@ def test_parts_is_used_only_through_read_and_write():
             used |= {(path.name, node.attr) for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                      and node.value.id == "_parts"}
-    assert {attr for _, attr in used} <= {"read", "write"}, sorted(used)
+    assert {attr for _, attr in used} <= {"read", "threads", "write"}, sorted(used)
 
 
 def test_traced_replay_imports(monkeypatch):

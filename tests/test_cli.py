@@ -1,18 +1,33 @@
+import importlib
 import json
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvne
 import mvne.cli
+from mvne import _parts
 from mvne.cli import main
+from mvne.factorize import _EdgePlan
 
 from conftest import per_entry_edge_list
 
 
+factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def os_threads():
+    """This process's OS threads, as the kernel counts them."""
+    status = Path("/proc/self/status").read_text()
+    return int(next(line.split()[1] for line in status.splitlines() if line.startswith("Threads:")))
 
 
 @pytest.fixture
@@ -64,6 +79,30 @@ class TestEmbed:
         assert run(["embed", "--edges", dataset / "view0.edges", "-d", 8,
                     "--seed", 2, "--out", out]) == 0
         assert out.read_text().splitlines()[0].endswith(" 8")
+
+    def test_no_os_thread_outlives_an_embed_in_parts(self, tmp_path, dataset, monkeypatch):
+        # the bench fails a run whose process ends with more threads than cores
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status")
+        args = ["embed", "--manifest", dataset / "views.manifest", "-d", 4, "--seed", 3]
+        monkeypatch.setattr(_parts, "_CORES", 1)
+        assert run([*args, "--out", tmp_path / "one.txt"]) == 0
+        monkeypatch.setattr(_parts, "_CORES", 3)
+        monkeypatch.setattr(factorize_module, "_PART_ENTRIES", 1)
+        monkeypatch.setattr(factorize_module, "_BLOCK", 16)
+        measure, during = _EdgePlan.measure, []
+        monkeypatch.setattr(_EdgePlan, "measure", lambda plan, mass: (
+            during.append(os_threads()) or measure(plan, mass)))
+        started, before = threading.active_count(), os_threads()
+        assert run([*args, "--out", tmp_path / "three.txt"]) == 0
+        assert threading.active_count() == started
+        # a joined thread's OS thread ends a moment after the join returns
+        deadline = time.monotonic() + 2
+        while os_threads() != before and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert os_threads() == before
+        assert max(during) > before
+        assert (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
     def test_fits_what_the_library_fits(self, tmp_path, dataset):
         out, combined, meta = tmp_path / "e.txt", tmp_path / "c.edges", tmp_path / "m.json"

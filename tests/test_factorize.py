@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import io
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -60,7 +62,8 @@ def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
         assert cur.run.objective_trace == run.objective_trace[:k + 1]
         step = mvne.update_step(adj, prev, cfg).mass
         if t > 1 and not np.array_equal(cur.mass, step):
-            cand = _EdgePlan(adj, cfg.d, cfg.epsilon).relax(prev.mass.copy(), step, t)
+            with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
+                cand = plan.relax(prev.mass.copy(), step, t)
             assert np.array_equal(cur.mass, cand)
             t = min(factorize_module._GROW * t, factorize_module._MAX_EXPONENT)
         else:
@@ -73,6 +76,24 @@ def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
     for name in ("H", "lam", "mass"):
         assert np.array_equal(getattr(fit, name), getattr(prev, name))
     return run
+
+
+def force_parts(monkeypatch, parts):
+    """Give every edge kernel of at least `parts` blocks exactly `parts` parts."""
+    monkeypatch.setattr(_parts, "_CORES", parts)
+    monkeypatch.setattr(factorize_module, "_PART_ENTRIES", 1)
+
+
+def overflowing_tail(n):
+    """Weights near 1 on nodes 0..n - 1 and near 1e298 on nodes n..2n - 1:
+    the fit's first update overflows float64 in the last n rows only."""
+    light = random_weighted_graph(n, 0.6, 3)
+    heavy = random_weighted_graph(n, 0.4, 4)
+    rows = np.concatenate([light.upper_index.rows, heavy.upper_index.rows + n])
+    cols = np.concatenate([light.upper_index.cols, heavy.upper_index.cols + n])
+    weights = np.concatenate([light.values[light.upper_index.pos],
+                              1e298 * heavy.values[heavy.upper_index.pos]])
+    return mvne.SparseAdjacency.from_undirected(rows, cols, weights, 2 * n)
 
 
 def edges_150k():
@@ -198,17 +219,23 @@ class TestEdgeKernel:
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
         ref = np.maximum(reconstruct_dense(fac)[coo_rows(adj), adj.indices], cfg.epsilon)
-        got = _EdgePlan(adj, fac.d, cfg.epsilon).reconstruct(fac.mass)
+        with _EdgePlan.open(adj, fac.d, cfg.epsilon) as plan:
+            got = plan.reconstruct(fac.mass)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index
         assert np.array_equal(got[pos], got[mirror])
 
-    def test_plan_reads_the_adjacency_index_without_a_copy(self):
+    def test_plan_reads_the_adjacency_index_without_a_copy(self, monkeypatch):
         adj = random_weighted_graph(40, 0.3, 23)
-        plan = _EdgePlan(adj, 4, 1e-12)
-        for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror),
-                               adj.upper_index):
-            assert np.shares_memory(mine, owned)
+        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_parts(monkeypatch, 3)
+        with _EdgePlan.open(adj, 4, 1e-12) as plan:
+            for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror),
+                                   adj.upper_index):
+                assert np.shares_memory(mine, owned)
+            assert len(plan.parts) == 3
+            for part in plan.parts:
+                assert np.shares_memory(part.R.indices, adj.indices)
 
     def test_factorize_trace_matches_stepwise(self, monkeypatch):
         adj = random_weighted_graph(40, 0.3, 23)
@@ -221,14 +248,33 @@ class TestEdgeKernel:
         assert run.stop_reason == "tolerance"
         assert run.rejected_steps >= 1
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("n, block", [(40, 7), (300, _BLOCK)])
     def test_factorize_trace_matches_stepwise_loops_isolated_blocks(self, monkeypatch,
-                                                                    n, block):
+                                                                    n, block, parts):
+        # the stepwise replay holds for every part count, and the fit's bits
+        # are those of one part; a short switch interval stirs the threads
         monkeypatch.setattr(factorize_module, "_BLOCK", block)
         adj = loops_and_isolated_node(n, 0.3, 23, 6)
         assert adj.upper_index.pos.size > block
         assert adj.degrees()[-1] == 0
-        assert_fit_matches_stepwise(adj, small_config(5, seed=23, max_iters=30), monkeypatch)
+        cfg = small_config(5, seed=23, max_iters=30)
+        monkeypatch.setattr(_parts, "_CORES", 1)
+        one = mvne.factorize(adj, cfg)
+        force_parts(monkeypatch, parts)
+        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
+            assert len(plan.parts) == parts
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = assert_fit_matches_stepwise(adj, cfg, monkeypatch)
+            fit = mvne.factorize(adj, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert run.rejected_steps >= 1
+        assert fit.mass.tobytes() == one.mass.tobytes()
+        assert fit.run.objective_trace == one.run.objective_trace
+        assert fit.run.rejected_steps == one.run.rejected_steps
 
     @pytest.mark.parametrize("rows, cols, weights", [
         ([0, 1], [1, 2], [1.0, 1.0]),  # structure
@@ -269,6 +315,46 @@ class TestEdgeKernel:
         # iterate. Measured 3.7x; 6.2x when every iterate built its own plan.
         assert peak < 5 * (adj.n * d + adj.nnz) * 8
         assert peak < 0.25 * adj.nnz * d * 8
+
+    def test_no_part_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_parts(monkeypatch, 3)
+        adj = loops_and_isolated_node(40, 0.3, 23, 6)
+        cfg = small_config(5, seed=23, max_iters=5)
+        before, during = threading.active_count(), []
+        measure = _EdgePlan.measure
+        monkeypatch.setattr(_EdgePlan, "measure", lambda plan, mass: (
+            during.append(threading.active_count()) or measure(plan, mass)))
+        fac = mvne.factorize(adj, cfg)
+        assert max(during) > before
+        assert threading.active_count() == before
+        mvne.update_step(adj, fac, cfg)
+        assert threading.active_count() == before
+        mvne.kl_objective(adj, fac)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="overflows float64"):
+            mvne.factorize(overflowing_tail(20), cfg)
+        assert threading.active_count() == before
+
+    def test_overflow_in_a_thread_part_raises_without_a_warning(self, monkeypatch):
+        adj = overflowing_tail(20)
+        cfg = small_config(2, seed=1, max_iters=5)
+        monkeypatch.setattr(_parts, "_CORES", 1)
+        with pytest.raises(ValueError, match="overflows float64") as one:
+            mvne.factorize(adj, cfg)
+        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_parts(monkeypatch, 2)
+        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
+            assert plan.parts[1].rows.start < 20  # every overflowing row is in part 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as two:
+                mvne.factorize(adj, cfg)
+        assert caught == []
+        assert str(two.value) == str(one.value)
+        # raised in a thread: the wrapper _parts runs a thread's part in is on the traceback
+        assert any(entry.name == "part" and entry.path.name == "_parts.py"
+                   for entry in two.traceback)
 
 
 class TestUpdateStep:

@@ -1,6 +1,8 @@
 """The text writers, the embedding reader and the edge-list parser split over
 processes: the same bytes, values and ids as one part, failures raised in the
-caller, and no child process, temporary file or descriptor left behind."""
+caller, and no child process, temporary file or descriptor left behind. The
+kernel's thread map: every part joined before it returns or raises, and no
+thread left behind."""
 
 import errno
 import importlib
@@ -8,6 +10,7 @@ import io
 import os
 import shutil
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -460,9 +463,42 @@ def test_small_files_fork_nothing_and_open_nothing_more(tmp_path, monkeypatch):
         opened.append(file)
         return open(file, *args, **kwargs)
 
+    span_init = _parts._ByteSpan.__init__
+
+    def counted_span(span, file, *args):  # a span opens its file as a FileIO
+        opened.append(file)
+        span_init(span, file, *args)
+
     monkeypatch.setattr(_parts, "_CORES", 3)
     monkeypatch.setattr(_parts, "_fork", lambda: made.append(1))
     for module in (_parts, mvne.graph):
         monkeypatch.setattr(module, "open", counted, raising=False)
+    monkeypatch.setattr(_parts._ByteSpan, "__init__", counted_span)
     assert parse_outcome(parse_edges, [], path) == reference_outcome([], path)
     assert made == [] and opened == [path]
+
+
+def test_thread_map_joins_every_part_and_raises_the_first_failure(monkeypatch):
+    monkeypatch.setattr(_parts, "_CORES", 3)
+    before, done = threading.active_count(), []
+
+    def fail(i):
+        # part 2 fails first, part 1 later; part 0, in the caller, at once
+        time.sleep(0.05 * (i == 1))
+        done.append(i)
+        raise KeyError(i)
+
+    with _parts.threads(3, 3) as (cuts, map):
+        assert cuts == [0, 1, 2, 3]
+        idents = map(lambda i: threading.get_ident(), [0, 1, 2])
+        assert idents[0] == threading.get_ident() not in idents[1:]
+        assert threading.active_count() > before
+        with pytest.raises(KeyError, match="0"):
+            map(fail, [0, 1, 2])
+        assert sorted(done) == [0, 1, 2]
+        done.clear()
+        with pytest.raises(KeyError, match="1"):
+            map(lambda i: i and fail(i), [0, 1, 2])
+        assert sorted(done) == [1, 2]
+    assert threading.active_count() == before
+
