@@ -5,19 +5,26 @@ communities, and W is reconstructed as
 
     yhat_ij = sum_p b_ip * b_jp / lam_p,      lam_p = sum_i b_ip.
 
-The fit minimizes L(W, Yhat) = sum_ij (w_ij log(w_ij / yhat_ij) - w_ij + yhat_ij)
-by the majorize-minimize update
+The fit minimizes L(W, Yhat) = sum_ij (w_ij log(w_ij / yhat_ij) - w_ij + yhat_ij),
+with yhat_ij floored at epsilon sum(W) in the data terms. Yhat is
+1-homogeneous in B, so L(W, Yhat(B)) = U L(W / U, Yhat(B / U)) for any
+U > 0: the fit runs on B' = B / U for the power of two U nearest the total
+weight, so the masses sum to sum(W) / U, between 2^-1/2 and 2^1/2, and U
+multiplies only the outputs. Scaling by a power of two is exact, so
+factorize(c W) gives the same bits for c = 2^k while every value stays a
+normal float, and one H up to rounding for any c > 0. The step is the
+majorize-minimize update
 
-    B <- B * (R @ B) / lam,     R_ij = w_ij / yhat_ij at stored entries,
+    B' <- B' * (R @ B') / lam',     R_ij = w_ij / yhat_ij at stored entries,
 
-which never raises L, keeps B nonnegative and keeps sum(lam) = sum(W).
-factorize over-relaxes it (Fevotte & Idier, Neural Computation 2011): with
-the update factor G = (R @ B) / lam it tries B * G^t, renormalized to
-sum(W), and keeps it only if L falls strictly. The exponent t starts at 1,
-where the plain step alone is taken, grows by 1.2 up to 4 after an accepted
-candidate and halves down to 1 after a rejected one. A rejected candidate
-costs a second kernel pass, for the plain step, so a fit makes
-iterations + 1 + rejected_steps passes.
+renormalized to sum(B') = sum(W) / U, which never raises L and keeps B'
+nonnegative. factorize over-relaxes it (Fevotte & Idier, Neural
+Computation 2011): with the update factor G = (R @ B') / lam' it tries
+B' * G^t, renormalized alike, and keeps it only if L falls strictly. The
+exponent t starts at 1, where the plain step alone is taken, grows by 1.2
+up to 4 after an accepted candidate and halves down to 1 after a rejected
+one. A rejected candidate costs a second kernel pass, for the plain step,
+so a fit makes iterations + 1 + rejected_steps passes.
 
 A pass runs in up to one part per usable core (``_parts.threads``): the
 parts split the entries, never a sum, so the fit's every bit is the same
@@ -37,20 +44,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _parts
-from .graph import ParseError, SparseAdjacency
+from .graph import _TINY, ParseError, SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (1 MB at d = 64) per part, allocated once per fit.
 _BLOCK = 2048
 # The fewest i <= j entries worth a kernel part, and a thread, of their own.
-# Handing parts to threads costs about 50 us per kernel step, five steps a
+# Handing parts to threads costs about 50 us per kernel step, four steps a
 # pass; 2^16 entries at d = 64 take about 10 ms to reconstruct.
 _PART_ENTRIES = 1 << 16
 # The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
 # and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
 _MAX_EXPONENT = 4.0
-_TINY = np.finfo(np.float64).tiny
+# The reconstruction's floor, relative to the total weight.
+_EPSILON = 1e-12
 
 
 @dataclass
@@ -58,14 +66,15 @@ class FactorizeConfig:
     """Knobs for one factorization run.
 
     rel_tol stops the loop once the relative objective improvement per
-    iteration falls below it; epsilon floors logs and divisions.
+    iteration falls below it; epsilon floors the reconstruction relative to
+    the total weight, yhat_ij >= epsilon * sum(W).
     """
 
     d: int
     max_iters: int = 500
     rel_tol: float = 1e-6
     seed: int = 42
-    epsilon: float = 1e-12
+    epsilon: float = _EPSILON
 
     def __post_init__(self):
         if self.d < 1:
@@ -170,22 +179,26 @@ class _EdgePlan:
 
     factorize opens one per fit; the public update_step and kl_objective
     open one per call. It reads the adjacency's i <= j edge index (CSR
-    positions, rows, columns and mirror positions) and CSR column indices by
-    reference, without a copy, and holds the yhat buffer and one _Part per
-    usable core, at most one per _PART_ENTRIES upper entries
+    positions, rows, columns and mirror positions), CSR column indices and
+    weights by reference, without a copy, and holds the yhat buffer and one
+    _Part per usable core, at most one per _PART_ENTRIES upper entries
     (``_parts.threads``). Each pass of the kernel runs the parts side by
     side; every sum over a whole array runs in the caller, so no result bit
-    depends on the number of parts. Its methods take the mass matrix B alone
-    and read lam = colsum(B) from it.
+    depends on the number of parts. Its methods take the mass matrix
+    B' = B / unit alone, in units of the weights' unit, and read
+    lam' = colsum(B') from it.
     """
 
     def __init__(self, adj: SparseAdjacency, d: int, epsilon: float, cuts: list, map):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
         self.w = adj.values
-        # max(w, epsilon) is w itself unless a weight is below epsilon
-        self.w_floor = self.w if (self.w >= epsilon).all() else np.maximum(self.w, epsilon)
-        self.total_weight = adj.total_weight
-        self.epsilon = epsilon
+        # The one place that knows the weights' scale: their unit is the power of
+        # two nearest their total, a normal float as SparseAdjacency refuses a
+        # smaller total, or 1 for none; self.total is sum(W) in units.
+        total = adj.total_weight
+        self.unit = 2.0 ** min(round(math.log2(total)), 1023) if total > 0 else 1.0
+        self.total = total / self.unit
+        self.floor = epsilon * self.total
         self.yhat = np.empty(adj.nnz)
         self.map = map
         # rows cut where the parts hold near-equal shares of the stored entries
@@ -203,18 +216,20 @@ class _EdgePlan:
         with _parts.threads(-(-m // _BLOCK), m // _PART_ENTRIES) as (cuts, map):
             yield cls(adj, d, epsilon, [min(c * _BLOCK, m) for c in cuts], map)
 
-    def reconstruct(self, mass: np.ndarray) -> np.ndarray:
-        """max(yhat_ij, epsilon) at every stored entry, in CSR data order.
+    def measure(self, mass: np.ndarray) -> float:
+        """The objective of B = unit * mass, in units, with R set for the update from mass.
 
-        A sampled dense-dense product: only the entries with i <= j are
-        evaluated, _BLOCK at a time, and copied to their transposes. The
-        result is self.yhat, which the next call overwrites.
+        The reconstruction yhat_ij = unit * max(yhat'_ij, epsilon * total)
+        is a sampled dense-dense product: only the entries with i <= j are
+        evaluated, _BLOCK at a time, and copied to their transposes. Then
+        each part sets R = w / yhat over its rows and the terms
+        w log R - w in self.yhat, whose sum is in the weights' own units.
         """
         lam = mass.sum(axis=0)
         Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
-        yhat = self.yhat
+        w, yhat, unit = self.w, self.yhat, self.unit
 
-        def part(p):
+        def reconstruct(p):
             left, right, half = p.left, p.right, p.half
             for s in range(p.lo, p.hi, _BLOCK):
                 e = min(s + _BLOCK, p.hi)
@@ -224,40 +239,25 @@ class _EdgePlan:
                 np.take(Bl, self.rows[s:e], axis=0, out=left[:k], mode="clip")
                 np.take(mass, self.cols[s:e], axis=0, out=right[:k], mode="clip")
                 np.einsum("ep,ep->e", left[:k], right[:k], out=half[:k])
-                np.maximum(half[:k], self.epsilon, out=half[:k])
+                np.maximum(half[:k], self.floor, out=half[:k])
+                half[:k] *= unit
                 yhat[self.pos[s:e]] = half[:k]
                 yhat[self.mirror[s:e]] = half[:k]
 
-        self.map(part, self.parts)
-        return yhat
+        def ratio(p):
+            term, wp = yhat[p.entries], w[p.entries]
+            np.divide(wp, term, out=p.R.data)
+            np.log(p.R.data, out=term)
+            term *= wp
+            term -= wp
 
-    def ratio(self, yhat: np.ndarray) -> None:
-        """Set R_ij = w_ij / yhat_ij in each part's R, the ratio the next update multiplies by."""
-        self.map(lambda p: np.divide(self.w[p.entries], yhat[p.entries], out=p.R.data),
-                 self.parts)
-
-    def objective(self, mass: np.ndarray) -> float:
-        """kl_objective of mass from its reconstruct(); overwrites self.yhat."""
-        t = self.yhat
-
-        def part(p):
-            tp, w = t[p.entries], self.w[p.entries]
-            np.divide(self.w_floor[p.entries], tp, out=tp)
-            np.log(tp, out=tp)
-            tp *= w
-            tp -= w
-
-        self.map(part, self.parts)
-        # sum_ij yhat_ij = sum_p colsum(B)_p^2 / lam_p = sum(B)
-        return float(t.sum()) + float(mass.sum())
-
-    def measure(self, mass: np.ndarray) -> float:
-        """The objective of mass, with R set for the update from it."""
-        self.ratio(self.reconstruct(mass))
-        return self.objective(mass)
+        self.map(reconstruct, self.parts)
+        self.map(ratio, self.parts)
+        # sum_ij yhat'_ij = sum_p colsum(B')_p^2 / lam'_p = sum(B')
+        return float(yhat.sum()) / unit + float(mass.sum())
 
     def update(self, mass: np.ndarray) -> np.ndarray:
-        """The ratio update from mass with the R that ratio() set, as a new B."""
+        """The ratio update from mass with the R that measure() set, as a new B'."""
         lam = mass.sum(axis=0)
         lam_safe = np.where(lam > 0, lam, np.inf)
         new = np.empty_like(mass)
@@ -270,21 +270,17 @@ class _EdgePlan:
         self.map(part, self.parts)
         total = new.sum()
         if total <= 0:
-            # factorize rejects a zero total weight, so only underflow gets here:
-            # weights far below the epsilon floor of yhat give ratios near zero
-            raise ValueError(f"the update's mass underflowed to zero: the edge weights total "
-                             f"{self.total_weight!r}, too little against the reconstruction's "
-                             f"epsilon floor {self.epsilon!r}; rescale the edge weights")
-        new *= self.total_weight / total
+            raise ValueError("the update has no mass to move: B has none on a node with edges")
+        new *= self.total / total
         return new
 
     def relax(self, mass: np.ndarray, step: np.ndarray, t: float) -> np.ndarray:
         """Overwrite mass with the relaxed candidate step * (step / mass)^(t - 1).
 
         step is update(mass), so the candidate is mass * G^t for the update
-        factor G = (R @ B) / lam up to rounding, renormalized to the total
-        weight. A zero of mass stays zero. Returns mass: the fit keeps either
-        the candidate or step, never the old mass, so no buffer is needed.
+        factor G = (R @ B') / lam' up to rounding, renormalized as update's.
+        A zero of mass stays zero. Returns mass: the fit keeps either the
+        candidate or step, never the old mass, so no buffer is needed.
         """
 
         def part(p):
@@ -295,7 +291,7 @@ class _EdgePlan:
             m *= s
 
         self.map(part, self.parts)
-        mass *= self.total_weight / mass.sum()
+        mass *= self.total / mass.sum()
         return mass
 
 
@@ -312,7 +308,7 @@ class _Part:
         self.rows = slice(r0, r1)
         a, b = int(adj.indptr[r0]), int(adj.indptr[r1])
         self.entries = slice(a, b)
-        # ratio() writes R.data, this part's own array. scipy's constructor copies
+        # measure() writes R.data, this part's own array. scipy's constructor copies
         # a slice of less than half its base array, so R gets the index view after.
         self.R = sp.csr_array((np.empty(b - a), adj.indices[a:b], adj.indptr[r0:r1 + 1] - a),
                               shape=(r1 - r0, adj.n))
@@ -323,7 +319,7 @@ class _Part:
 
 
 def kl_objective(adj: SparseAdjacency, fac: Factorization,
-                 epsilon: float = 1e-12) -> float:
+                 epsilon: float = _EPSILON) -> float:
     """Generalized KL divergence between W and the reconstruction.
 
     The sum runs over all n^2 pairs; zero-weight pairs contribute their
@@ -333,8 +329,7 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
     the cost is O(|E| d + n d).
     """
     with _EdgePlan.open(adj, fac.d, epsilon) as plan:
-        plan.reconstruct(fac.mass)
-        return plan.objective(fac.mass)
+        return plan.unit * plan.measure(fac.mass / plan.unit)
 
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
@@ -344,17 +339,18 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
     """
-    with _EdgePlan.open(adj, fac.d, config.epsilon if config else 1e-12) as plan:
-        plan.ratio(plan.reconstruct(fac.mass))
-        return Factorization(plan.update(fac.mass))
+    with _EdgePlan.open(adj, fac.d, config.epsilon if config else _EPSILON) as plan:
+        mass = fac.mass / plan.unit
+        plan.measure(mass)
+        return Factorization(plan.update(mass) * plan.unit)
 
 
 def _overflow(kind, flag):
     raise ValueError(f"the fit overflows float64 (numpy: {kind}); rescale the edge weights")
 
 
-# B * (R @ B) grows as the total weight squared, and the init's and objective's sums
-# can overflow too; "invalid" catches the NaN from an inf of R @ B, which sets no flag.
+# The objective's terms and sums are in the weights' own units, and overflow for a
+# total weight near the largest float; "invalid" catches a NaN from an inf.
 @np.errstate(over="call", invalid="call", call=_overflow)
 def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """Fit the factorization from a random init by guarded relaxed steps.
@@ -370,8 +366,8 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
-    mass = init_factorization(adj.n, config, adj.total_weight).mass
     with _EdgePlan.open(adj, config.d, config.epsilon) as plan:
+        mass = init_factorization(adj.n, config, plan.total).mass
         obj = plan.measure(mass)
         trace = [obj]
         stop_reason = "max_iters"
@@ -394,9 +390,11 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
             if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
                 stop_reason = "tolerance"
                 break
+    mass *= plan.unit
+    trace = np.multiply(trace, plan.unit).tolist()
     run = RunMetadata(
         iterations=it,
-        objective=obj,
+        objective=trace[-1],
         objective_trace=trace,
         degenerate_nodes=[int(x) for x in np.flatnonzero(adj.degrees() == 0)],
         stop_reason=stop_reason,

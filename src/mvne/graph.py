@@ -6,11 +6,12 @@ combination of views line up row-by-row with the original identifiers.
 
 Each graph invariant is checked once, by the type that holds it: ingest
 rejects weights that are not finite and positive, SparseAdjacency (every view
-and the combined view) a total that is not finite, and MultiViewGraph its
-views. ``from_undirected`` mirrors each summed weight, so it is bit-exactly
-symmetric, with int32 CSR indices while n and nnz fit. The one i <= j edge
-index (``upper_index``), which the fit, ``write_edge_list`` and
-``edge_count`` read, checks the symmetry when it is built.
+and the combined view) a total that is not finite or is below the smallest
+normal float, and MultiViewGraph its views. ``from_undirected`` mirrors each
+summed weight, so it is bit-exactly symmetric, with int32 CSR indices while
+n and nnz fit. The one i <= j edge index (``upper_index``), which the fit,
+``write_edge_list`` and ``edge_count`` read, checks the symmetry when it is
+built.
 
 Edge lists given as paths are parsed, and exported edge lists written, by up
 to one process per usable core (``_parts``) when they are large enough; the
@@ -39,6 +40,7 @@ from . import _parts
 
 # The most weight reprs write_edge_list's memo holds before it is emptied.
 _MEMO_ENTRIES = 16384
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class ParseError(ValueError):
@@ -115,8 +117,9 @@ class SparseAdjacency:
 
     Each undirected edge {i, j} is stored in both directions with the same
     positive weight; a self-loop is a single diagonal entry. ``total_weight``
-    is the sum over all stored entries; a NaN or overflowing total raises
-    ValueError, with no numpy warning.
+    is the sum over all stored entries; a NaN or overflowing total, and a
+    nonzero one below the smallest normal float, raise ValueError, with no
+    numpy warning.
     """
 
     def __init__(self, mat: sp.csr_array):
@@ -128,6 +131,9 @@ class SparseAdjacency:
             self.total_weight = float(mat.data.sum()) if mat.nnz else 0.0
         if not math.isfinite(self.total_weight):
             raise ValueError(f"edge weights sum to {self.total_weight}, which is not finite")
+        if 0 < self.total_weight < _TINY:
+            raise ValueError(f"edge weights sum to {self.total_weight!r}, below the smallest "
+                             f"normal float {_TINY!r}")
         self._upper_index = None
 
     @classmethod

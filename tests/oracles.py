@@ -9,7 +9,7 @@ ORACLE_MAX_NODES nodes. Tests import them as they import conftest's helpers.
 import numpy as np
 
 from mvne import Factorization, FactorizeConfig, SparseAdjacency, init_factorization
-from mvne.factorize import _GROW, _MAX_EXPONENT
+from mvne.factorize import _EPSILON, _GROW, _MAX_EXPONENT
 
 ORACLE_MAX_NODES = 64
 
@@ -20,24 +20,26 @@ def reconstruct_dense(fac: Factorization) -> np.ndarray:
     return (fac.mass / lam_safe[None, :]) @ fac.mass.T
 
 
-def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12) -> float:
-    """Generalized KL divergence by brute force over all n^2 pairs."""
+def dense_kl_objective(W: np.ndarray, fac: Factorization, epsilon: float = _EPSILON) -> float:
+    """Generalized KL divergence by brute force over all n^2 pairs, with the
+    data terms' reconstruction floored at epsilon times the total weight."""
     Yhat = reconstruct_dense(fac)
     mask = W > 0
-    Yf = np.maximum(Yhat, epsilon)
+    Yf = np.maximum(Yhat, epsilon * W.sum())
     data = float(np.sum(W[mask] * np.log(W[mask] / Yf[mask]) - W[mask]))
     return data + float(Yhat.sum())
 
 
-def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = 1e-12,
+def dense_update_step(W: np.ndarray, fac: Factorization, epsilon: float = _EPSILON,
                       t: float = 1.0) -> Factorization:
     """Full-matrix twin of the sparse ratio-form update, B * G^t renormalized.
 
     G = (R @ B) / lam is the update factor; t = 1 is the plain update and
-    t > 1 the over-relaxed candidate of factorize.
+    t > 1 the over-relaxed candidate of factorize. The reconstruction is
+    floored at epsilon times the total weight, as in dense_kl_objective.
     """
     lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    R = np.where(W > 0, W / np.maximum(reconstruct_dense(fac), epsilon), 0.0)
+    R = np.where(W > 0, W / np.maximum(reconstruct_dense(fac), epsilon * W.sum()), 0.0)
     mass_new = fac.mass * ((R @ fac.mass) / lam_safe[None, :]) ** t
     total = mass_new.sum()
     if total <= 0:

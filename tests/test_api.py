@@ -2,13 +2,21 @@
 perfbench's traced replay imports from it: tier-1 runs that replay no other
 way, so a deleted name would otherwise only show in a `perfbench/run.py
 --trace 1` run. Outside `_parts`, only its `read`, `write` and `threads` are
-used."""
+used. The settable surface, the config fields and `mvne embed`'s options,
+is the listed one."""
 
 import ast
+import contextlib
+import dataclasses
 import importlib
+import io
+import re
 from pathlib import Path
 
+import pytest
+
 import mvne
+from mvne.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(mvne.__file__).resolve().parent
@@ -49,3 +57,24 @@ def test_traced_replay_imports(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     traced = importlib.import_module("traced")
     assert callable(traced.run_traced)
+
+
+# Adding or dropping a knob is an edit here.
+SETTABLE = {
+    "FactorizeConfig": ["d", "max_iters", "rel_tol", "seed", "epsilon"],
+    "MvneConfig": ["factorize", "betas", "normalize_views"],
+    "EvalProtocol": ["fractions", "repeats", "seed", "reg"],
+    "mvne embed": ["--beta", "--config", "--dim", "--edges", "--export-combined",
+                   "--export-weighted", "--help", "--manifest", "--max-iters", "--meta",
+                   "--no-normalize-views", "--out", "--rel-tol", "--seed"],
+}
+
+
+def test_settable_surface_is_the_listed_one():
+    help_text = io.StringIO()
+    with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+        main(["embed", "--help"])
+    surface = {name: [f.name for f in dataclasses.fields(getattr(mvne, name))]
+               for name in ("FactorizeConfig", "MvneConfig", "EvalProtocol")}
+    surface["mvne embed"] = sorted(set(re.findall(r"--[a-z][a-z-]*", help_text.getvalue())))
+    assert surface == SETTABLE

@@ -24,6 +24,24 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def embed_max_difference(tmp_path, texts, flags):
+    """Embed each {file name: edge-list text} view set with flags; the largest
+    difference between the first set's embedding and the others', which
+    list the same nodes."""
+    embeddings = []
+    for k, views in enumerate(texts):
+        manifest = tmp_path / f"views{k}.manifest"
+        for name, text in views.items():
+            (tmp_path / f"{k}-{name}").write_text(text)
+        manifest.write_text("".join(f"{name}\t{k}-{name}\n" for name in views))
+        out = tmp_path / f"emb{k}.txt"
+        assert run(["embed", "--manifest", manifest, *flags, "--out", out]) == 0
+        embeddings.append(mvne.read_embedding(out))
+    (names, X), *others = embeddings
+    assert all(other == names for other, _ in others)
+    return max(np.abs(Y - X).max() for _, Y in others)
+
+
 def os_threads():
     """This process's OS threads, as the kernel counts them."""
     status = Path("/proc/self/status").read_text()
@@ -379,22 +397,26 @@ class TestChecksBeforeInput:
             warnings.simplefilter("error")
             assert run(["embed", "--edges", edges, "-d", 2, "--out", tmp_path / "e.txt"]) == 2
         err = capsys.readouterr().err
-        assert "the view at position 0 has total weight 2e-320" in err
-        assert "--no-normalize-views" in err
+        assert (f"view 'view0' ({edges}): edge weights sum to 2e-320, below the smallest "
+                "normal float") in err
 
     @pytest.mark.parametrize("text", ["a\tb\t1e-320\n", "a\tb\t1e-300\nb\tc\t1e-300\n"],
                              ids=["subnormal", "two-tiny"])
     def test_underflowing_fit_exits_2_naming_the_cause(self, tmp_path, capsys, text):
-        edges = tmp_path / "tiny.edges"
-        edges.write_text(text)
+        # a subnormal total exits 2 at load; any other total fits in the
+        # weights' unit, as the same graph with weights of one does
+        flags = ["--no-normalize-views", "-d", 2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["embed", "--edges", edges, "--no-normalize-views", "-d", 2,
-                        "--out", tmp_path / "e.txt"]) == 2
-        err = capsys.readouterr().err
-        assert "mass underflowed to zero" in err
-        assert "rescale the edge weights" in err
-        assert "edgeless" not in err
+            if "1e-320" in text:
+                edges = tmp_path / "tiny.edges"
+                edges.write_text(text)
+                assert run(["embed", "--edges", edges, *flags, "--out", tmp_path / "e.txt"]) == 2
+                assert "edge weights sum to 2e-320, below the smallest normal float" in \
+                    capsys.readouterr().err
+                return
+            views = [{"tiny.edges": text}, {"tiny.edges": text.replace("1e-300", "1")}]
+            assert embed_max_difference(tmp_path, views, flags) <= 1e-12
 
     @pytest.mark.parametrize("command, flag", [("eval", "--json"), ("eval", "--tsv"),
                                                ("stats", "--json")])
@@ -420,19 +442,27 @@ class TestChecksBeforeInput:
         assert "view name 'v' is repeated" in capsys.readouterr().err
         assert not meta.exists()
 
-    # the same two views overflow first in the update's product, in the
-    # init's column sums or in the objective's sum, depending on d and the layout
+    # The fit runs in the weights' unit, so only the objective can overflow:
+    # one edge of 5e307 fits at d = 2, as with weights of one, while the
+    # objective of two disjoint edges at d = 2 and of one edge at d = 128
+    # passes the largest float
     @pytest.mark.parametrize("second, dim", [("a\tb", 2), ("c\td", 2), ("a\tb", 128)],
                              ids=["update", "init", "objective"])
     def test_overflow_inside_the_fit_exits_2_silently(self, tmp_path, capsys, second, dim):
-        (tmp_path / "v1.edges").write_text("a\tb\t5e307\n")
-        (tmp_path / "v2.edges").write_text(f"{second}\t5e307\n")
-        manifest = tmp_path / "views.manifest"
-        manifest.write_text("v1\tv1.edges\nv2\tv2.edges\n")
+        flags = ["-d", dim, "--no-normalize-views"]
+        views = {"v1.edges": "a\tb\t5e307\n", "v2.edges": f"{second}\t5e307\n"}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run(["embed", "--manifest", manifest, "-d", dim, "--no-normalize-views",
-                        "--out", tmp_path / "e.txt"]) == 2
+            if second == "a\tb" and dim == 2:
+                one = {name: text.replace("5e307", "1") for name, text in views.items()}
+                assert embed_max_difference(tmp_path, [views, one], flags) <= 1e-12
+                assert caught == []
+                return
+            for name, text in views.items():
+                (tmp_path / name).write_text(text)
+            manifest = tmp_path / "views.manifest"
+            manifest.write_text("v1\tv1.edges\nv2\tv2.edges\n")
+            assert run(["embed", "--manifest", manifest, *flags, "--out", tmp_path / "e.txt"]) == 2
         assert caught == []
         assert "the fit overflows float64" in capsys.readouterr().err
 

@@ -39,9 +39,10 @@ def loops_and_isolated_node(n, density, seed, loops):
 def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
     """Each accepted iterate of factorize is, bit for bit, update_step of the
     one before or the relaxed candidate built from it with the exponent t
-    the loop's schedule gives; the trace does not rise; and the kernel
-    passes are one per accepted step, one for the init and one per
-    rejected candidate. Returns the fit's run metadata.
+    the loop's schedule gives, replayed on the plan's state B / unit (the
+    unit is a power of two, so the scalings are exact); the trace does not
+    rise; and the kernel passes are one per accepted step, one for the init
+    and one per rejected candidate. Returns the fit's run metadata.
     """
     measure, passes = _EdgePlan.measure, []
     monkeypatch.setattr(_EdgePlan, "measure",
@@ -63,7 +64,7 @@ def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
         step = mvne.update_step(adj, prev, cfg).mass
         if t > 1 and not np.array_equal(cur.mass, step):
             with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
-                cand = plan.relax(prev.mass.copy(), step, t)
+                cand = plan.relax(prev.mass / plan.unit, step / plan.unit, t) * plan.unit
             assert np.array_equal(cur.mass, cand)
             t = min(factorize_module._GROW * t, factorize_module._MAX_EXPONENT)
         else:
@@ -85,14 +86,14 @@ def force_parts(monkeypatch, parts):
 
 
 def overflowing_tail(n):
-    """Weights near 1 on nodes 0..n - 1 and near 1e298 on nodes n..2n - 1:
-    the fit's first update overflows float64 in the last n rows only."""
+    """Weights near 1 on nodes 0..n - 1 and one edge of weight 8e307 between
+    nodes n and n + 1, on 2n nodes. The total weight, 1.6e308, is finite,
+    but at d = 5 the init's objective term of the heavy edge is not: the fit
+    overflows float64 in the last n rows only."""
     light = random_weighted_graph(n, 0.6, 3)
-    heavy = random_weighted_graph(n, 0.4, 4)
-    rows = np.concatenate([light.upper_index.rows, heavy.upper_index.rows + n])
-    cols = np.concatenate([light.upper_index.cols, heavy.upper_index.cols + n])
-    weights = np.concatenate([light.values[light.upper_index.pos],
-                              1e298 * heavy.values[heavy.upper_index.pos]])
+    rows = np.append(light.upper_index.rows, n)
+    cols = np.append(light.upper_index.cols, n + 1)
+    weights = np.append(light.values[light.upper_index.pos], 8e307)
     return mvne.SparseAdjacency.from_undirected(rows, cols, weights, 2 * n)
 
 
@@ -212,15 +213,18 @@ class TestObjective:
 
 class TestEdgeKernel:
     def test_matches_dense_reconstruction_across_blocks(self):
-        # more than one block of upper-half entries, plus self-loops
+        # more than one block of upper-half entries, plus self-loops; the
+        # kernel's ratio is w / yhat, yhat floored at epsilon times sum(W)
         n = 300
         adj = loops_and_isolated_node(n, 0.4, 41, 25)
         assert adj.upper_index.pos.size > _BLOCK
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
-        ref = np.maximum(reconstruct_dense(fac)[coo_rows(adj), adj.indices], cfg.epsilon)
         with _EdgePlan.open(adj, fac.d, cfg.epsilon) as plan:
-            got = plan.reconstruct(fac.mass)
+            plan.measure(fac.mass / plan.unit)
+            got = np.concatenate([part.R.data for part in plan.parts])
+        floor = cfg.epsilon * adj.total_weight
+        ref = adj.values / np.maximum(reconstruct_dense(fac)[coo_rows(adj), adj.indices], floor)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index
         assert np.array_equal(got[pos], got[mirror])
@@ -338,7 +342,7 @@ class TestEdgeKernel:
 
     def test_overflow_in_a_thread_part_raises_without_a_warning(self, monkeypatch):
         adj = overflowing_tail(20)
-        cfg = small_config(2, seed=1, max_iters=5)
+        cfg = small_config(5, seed=1, max_iters=5)
         monkeypatch.setattr(_parts, "_CORES", 1)
         with pytest.raises(ValueError, match="overflows float64") as one:
             mvne.factorize(adj, cfg)
@@ -491,15 +495,19 @@ class TestFactorize:
     @pytest.mark.parametrize("text", ["a\tb\t1e-320\n", "a\tb\t1e-300\nb\tc\t1e-300\n"],
                              ids=["subnormal", "two-tiny"])
     def test_underflowing_mass_names_the_cause(self, text):
-        adj, _ = make_adjacency(text)
+        # a subnormal total is refused where the adjacency is built; any
+        # other total fits in the weights' unit, as the weights of one do
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="mass underflowed to zero") as info:
-                mvne.factorize(adj, small_config(2))
-        message = str(info.value)
-        assert f"total {adj.total_weight!r}" in message
-        assert "epsilon floor 1e-12" in message
-        assert "rescale the edge weights" in message
+            if text.startswith("a\tb\t1e-320"):
+                with pytest.raises(ValueError, match="edge weights sum to 2e-320, below the "
+                                                     "smallest normal float"):
+                    make_adjacency(text)
+                return
+            adj, _ = make_adjacency(text)
+            fit = mvne.factorize(adj, small_config(2))
+        one = mvne.factorize(make_adjacency(text.replace("1e-300", "1"))[0], small_config(2))
+        assert np.abs(fit.H - one.H).max() <= 1e-12
 
     def test_result_passes_invariant_checker(self):
         adj = random_weighted_graph(14, 0.4, 17)

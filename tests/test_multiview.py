@@ -174,14 +174,14 @@ class TestCombineViews:
                 mvne.SparseAdjacency(sp.csr_array([[0.0, 1e308], [1e308, 0.0]]))
 
     def test_subnormal_view_total_rejected_silently(self):
-        # 1 / 2e-320 overflows; the error names the view and the way out
-        g = mvne.build_multiview([("v1", io.StringIO("a\tb\t1\n")),
-                                  ("v2", io.StringIO("a\tb\t1e-320\n"))])
+        # 1 / 2e-320 would overflow: the adjacency refuses the total, so
+        # every view combine_views is given divides to a finite scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"view at position 1 has total weight 2e-320"
-                                                 r".*--no-normalize-views"):
-                mvne.combine_views(g, mvne.ViewWeights([0.5, 0.5]))
+            with pytest.raises(ValueError, match=r"view 'v2' \(.*\): edge weights sum to "
+                                                 r"2e-320, below the smallest normal float"):
+                mvne.build_multiview([("v1", io.StringIO("a\tb\t1\n")),
+                                      ("v2", io.StringIO("a\tb\t1e-320\n"))])
 
     def test_sum_with_overflowing_total_rejected_silently(self):
         # each view's total is finite; 1 + 5e-13 passes as a weight total of

@@ -3,9 +3,11 @@ the edge-list parser agrees with its per-line reference, the mirror index
 with a stable-argsort oracle, the bulk embedding reader with the per-line
 one and the batched top-k and F1 with per-node scoring, config
 constructors accept exactly the finite, valid values, every path that builds
-an adjacency accepts a total weight or raises alike, and the ratio update
-and the fit keep their invariants on any small graph."""
+an adjacency accepts a total weight or raises alike, the ratio update and
+the fit keep their invariants on any small graph, and the fit does not
+depend on the unit of the weights."""
 
+import dataclasses
 import importlib
 import io
 import math
@@ -62,12 +64,17 @@ def write(adj, reg):
 @given(edge_lists())
 @example("c\t#a\nd\t#a\n")  # used to write the line "#a\td\t1.0", a comment on reload
 @example("0\t#'\n")  # the error message quotes this id with double quotes
+@example("a\tb\t5e-324\n")  # the total, 1e-323, is below the smallest normal float
 def test_edge_list_round_trip(text):
     try:
         adj, reg = mvne.load_edge_list(io.StringIO(text))
     except ParseError as exc:
         # the one refused id: a leading '#' would make a written line a comment
         assert "node identifier '#" in str(exc) or 'node identifier "#' in str(exc)
+        return
+    except ValueError as exc:
+        # the one refused total
+        assert "below the smallest normal float" in str(exc)
         return
     adj.upper_index  # raises unless structure and values are bit-exactly symmetric
     first = write(adj, reg)
@@ -604,3 +611,56 @@ def test_graph_paths_accept_a_total_or_all_raise(a, b):
     else:
         assert math.isfinite(totals[0]) and totals[:5] == [totals[0]] * 5
         assert totals[5] == pytest.approx(1.0, rel=1e-12)
+
+
+@st.composite
+def scaled_fits(draw):
+    """A graph builder, from fit_cases or the raw combine of two views: the
+    graph with every weight times c; a config; and k for c = 10^k."""
+    k = draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        adj, config = draw(fit_cases())
+        _, i, j, _ = adj.upper_index
+        w = adj.values[adj.upper_index.pos]
+        return (lambda c: mvne.SparseAdjacency.from_undirected(i, j, w * c, adj.n),
+                dataclasses.replace(config, rel_tol=1e-6), k)
+    graph = mvne.build_multiview([("v1", io.StringIO("a\tb\t1\nb\tc\t2\nc\ta\t1\n")),
+                                  ("v2", io.StringIO("c\td\t3\nd\ta\t0.5\na\ta\t2\n"))])
+
+    def combined(c):
+        views = [mvne.SparseAdjacency(view.mat * c) for view in graph.views]
+        return mvne.combine_views(mvne.MultiViewGraph(graph.registry, graph.view_names, views),
+                                  mvne.ViewWeights([0.5, 0.5]), normalize_views=False)
+
+    return combined, mvne.FactorizeConfig(d=draw(st.integers(1, 4)),
+                                          seed=draw(st.integers(0, 2**16))), k
+
+
+@settings(deadline=None)
+@given(scaled_fits())
+@example((lambda c: mvne.SparseAdjacency.from_undirected([0], [1], [c], 2),
+          mvne.FactorizeConfig(d=2), -300))
+def test_factorize_does_not_depend_on_the_unit_of_the_weights(case):
+    """The fit of c W, c = 10^k, has the H of the c = 1 fit within 1e-12,
+    as many iterations and c times its objective; or it raises the overflow.
+
+    c W rounds each weight, and on these small graphs an ulp of input alone
+    moves H by up to 4e-10 (and decides where an exact fit's rounding stops
+    it), so the c = 1 fit is that of the same rounded weights, brought back
+    by the power of two nearest 1 / c, which scales them exactly.
+    """
+    scaled, config, k = case
+    c = 10.0 ** k
+    back = 2.0 ** -round(math.log2(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adj = scaled(c)
+        one = mvne.factorize(mvne.SparseAdjacency(adj.mat * back), config)
+        try:
+            fit = mvne.factorize(adj, config)
+        except ValueError as exc:
+            assert "overflows float64" in str(exc)
+            return
+    assert np.abs(fit.H - one.H).max() <= 1e-12
+    assert fit.run.iterations == one.run.iterations
+    assert fit.run.objective * back == pytest.approx(one.run.objective, rel=1e-12)
