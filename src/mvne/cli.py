@@ -5,14 +5,17 @@ flags: all randomness flows from --seed, and identical flags and inputs give
 byte-identical output files. Files are read by the library's own readers
 (eval keys graph.load_labels by the embedding's names), and flag values are
 checked by the config objects, so a NaN or infinite --rel-tol, --reg or
---beta, or a negative --seed, is an input error; stats takes no --seed. embed,
-eval and stats check their flags and output directories before reading any
-input. Exit codes: 0 success, 2 input/validation error, 1 runtime error.
+--beta, or a negative --seed, is an input error; stats takes no --seed. A
+flag that sets a config field has no default of its own, so an omitted one
+keeps the field's. embed, eval and stats check their flags and output
+directories before reading any input. Exit codes: 0 success, 2
+input/validation error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -27,9 +30,9 @@ from .multiview import MvneConfig, ViewWeights, fit_views
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
-def _add_common(parser, *, seed=True):
-    if seed:
-        parser.add_argument("--seed", type=int, default=42, help="base PRNG seed")
+def _add_common(parser, *, seed=argparse.SUPPRESS):
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=seed, help="base PRNG seed")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value defaults file; flags override it")
 
@@ -59,8 +62,8 @@ def build_parser():
     src.add_argument("--edges", help="edge-list file (single view)")
     src.add_argument("--manifest", help="view manifest file (multi-view)")
     p.add_argument("-d", "--dim", type=int, default=128, help="embedding dimension")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--max-iters", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
     p.add_argument("--beta", help="comma-separated explicit view weights")
     p.add_argument("--no-normalize-views", action="store_true",
                    help="combine raw view weights instead of unit-total views")
@@ -76,9 +79,9 @@ def build_parser():
                        help="score an embedding on node-label prediction")
     p.add_argument("--embedding", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--fractions", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--reg", type=float, default=0.01)
+    p.add_argument("--fractions", default=argparse.SUPPRESS)
+    p.add_argument("--repeats", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--reg", type=float, default=argparse.SUPPRESS)
     p.add_argument("--json", help="report JSON output path")
     p.add_argument("--tsv", help="plot-ready TSV output path")
     _add_common(p)
@@ -89,7 +92,7 @@ def build_parser():
     src.add_argument("--edges")
     src.add_argument("--manifest")
     p.add_argument("--json", help="stats JSON output path")
-    _add_common(p, seed=False)
+    _add_common(p, seed=None)
 
     p = sub.add_parser("synth", allow_abbrev=False,
                        help="generate a synthetic multi-view dataset")
@@ -98,10 +101,10 @@ def build_parser():
     p.add_argument("--p-in", type=float, default=0.3)
     p.add_argument("--p-out", type=float, default=0.01)
     p.add_argument("--views", type=int, default=3)
-    p.add_argument("--keep", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--keep", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--noise", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out-dir", required=True)
-    _add_common(p)
+    _add_common(p, seed=42)
 
     return parser
 
@@ -139,6 +142,12 @@ def _expand_config(argv):
     return argv[:at + 1] + list(flags) + argv[at + 1:], flags
 
 
+def _config(cls, args, **values):
+    """cls(**values) plus each field of cls that a flag of the same name was given for."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
+    return cls(**given, **values)
+
+
 def _load_graph(args) -> MultiViewGraph:
     if getattr(args, "manifest", None):
         return build_multiview(read_manifest(args.manifest))
@@ -155,8 +164,7 @@ def _check_out_dirs(args, *flags):
 
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
-    fit = FactorizeConfig(d=args.dim, max_iters=args.max_iters, rel_tol=args.rel_tol,
-                          seed=args.seed)
+    fit = _config(FactorizeConfig, args, d=args.dim)
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
     _check_out_dirs(args, "--out", "--meta", "--export-combined")
@@ -174,19 +182,20 @@ def cmd_embed(args) -> int:
             "views": graph.view_names,
             "betas": [float(b) for b in weights.beta],
             "normalize_views": config.normalize_views,
-            "d": args.dim,
-            "seed": args.seed,
+            "d": fit.d,
+            "seed": fit.seed,
             "wall_time_s": time.perf_counter() - t0,
         })
         write_run_metadata(args.meta, meta)
-    print(f"embedded {graph.n} nodes from {graph.k} view(s) into d={args.dim} "
+    print(f"embedded {graph.n} nodes from {graph.k} view(s) into d={fit.d} "
           f"({fac.run.iterations} iterations, objective {fac.run.objective:.6g})")
     return 0
 
 
 def cmd_eval(args) -> int:
-    protocol = EvalProtocol(fractions=tuple(_parse_floats("--fractions", args.fractions)),
-                            repeats=args.repeats, seed=args.seed, reg=args.reg)
+    if "fractions" in args:
+        args.fractions = _parse_floats("--fractions", args.fractions)
+    protocol = _config(EvalProtocol, args)
     _check_out_dirs(args, "--json", "--tsv")
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
@@ -219,9 +228,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SbmSpec(n=args.nodes, communities=args.communities,
-                   p_in=args.p_in, p_out=args.p_out, views=args.views,
-                   keep=args.keep, noise=args.noise, seed=args.seed)
+    spec = _config(SbmSpec, args, n=args.nodes)
     graph, labels = generate_multiview_sbm(spec)
     manifest = dump_dataset(graph, labels, args.out_dir)
     print(f"wrote {graph.k} view(s) of {graph.n} nodes to {args.out_dir} "

@@ -190,7 +190,8 @@ def _ovr_model(X: np.ndarray, Y: np.ndarray, reg: float) -> OvrModel:
     return OvrModel(weights, biases)
 
 
-def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes, reg: float = 0.01) -> OvrModel:
+def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes,
+              reg: float = EvalProtocol.reg) -> OvrModel:
     """Fit one binary classifier per vocabulary label on the train nodes.
 
     Labels with no positive train node get a constant-negative classifier.

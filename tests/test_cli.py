@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import threading
@@ -569,3 +570,64 @@ class TestMisc:
         assert run(["embed", "--manifest", dataset / "views.manifest", "--config", cfg,
                     "--out", tmp_path / "e.txt", "--meta", meta]) == 0
         assert json.loads(meta.read_text())["normalize_views"] is normalized
+
+
+def spelled_defaults(cls, *fields):
+    """The flags that set each named field of cls to its dataclass default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    flags = []
+    for name in fields:
+        value = defaults[name]
+        text = ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        flags += ["--" + name.replace("_", "-"), text]
+    return flags
+
+
+def output_bytes(out_dir):
+    """Every file under out_dir by relative path; a run record without its wall time."""
+    files = {}
+    for path in sorted(out_dir.rglob("*")):
+        if path.suffix == ".json" and path.name.startswith("meta"):
+            record = json.loads(path.read_text())
+            del record["wall_time_s"]
+            files[path.relative_to(out_dir)] = record
+        elif path.is_file():
+            files[path.relative_to(out_dir)] = path.read_bytes()
+    return files
+
+
+class TestOneDefaultPerSetting:
+    """An omitted config flag writes what the flag spelled out at its field's default
+    writes, so the CLI cannot hold a second copy of a config's default."""
+
+    def test_embed(self, tmp_path, dataset):
+        runs = [[], spelled_defaults(mvne.FactorizeConfig, "max_iters", "rel_tol", "seed")]
+        for k, flags in enumerate(runs):
+            out = tmp_path / f"run{k}"
+            out.mkdir()
+            assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4, *flags,
+                        "--out", out / "emb.txt", "--meta", out / "meta.json",
+                        "--export-combined", out / "combined.edges"]) == 0
+        assert output_bytes(tmp_path / "run0") == output_bytes(tmp_path / "run1")
+
+    def test_eval(self, tmp_path, dataset):
+        emb = tmp_path / "emb.txt"
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4,
+                    "--out", emb]) == 0
+        runs = [[], spelled_defaults(mvne.EvalProtocol, "fractions", "repeats", "reg", "seed")]
+        for k, flags in enumerate(runs):
+            out = tmp_path / f"run{k}"
+            out.mkdir()
+            assert run(["eval", "--embedding", emb, "--labels", dataset / "labels.tsv", *flags,
+                        "--json", out / "report.json", "--tsv", out / "report.tsv"]) == 0
+        assert output_bytes(tmp_path / "run0") == output_bytes(tmp_path / "run1")
+
+    def test_synth(self, tmp_path):
+        # the shape, --views 3 and --seed 42 are the CLI's own defaults
+        cli_defaults = ["--nodes", 200, "--communities", 4, "--p-in", 0.3, "--p-out", 0.01,
+                        "--views", 3, "--seed", 42]
+        runs = [[], cli_defaults + spelled_defaults(mvne.SbmSpec, "keep", "noise")]
+        for k, flags in enumerate(runs):
+            assert run(["synth", *flags, "--out-dir", tmp_path / f"run{k}"]) == 0
+        first = output_bytes(tmp_path / "run0")
+        assert len(first) == 5 and first == output_bytes(tmp_path / "run1")
