@@ -13,7 +13,7 @@ from .evaluate import (EvalProtocol, EvalReport, OvrModel, macro_f1, micro_f1,
                        train_ovr)
 from .factorize import (Factorization, FactorizeConfig, embedding, factorize,
                         init_factorization, kl_objective, read_embedding,
-                        reconstruct_entry, update_step, write_embedding)
+                        update_step, write_embedding)
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, ParseError,
                     SparseAdjacency, build_multiview, load_edge_list,
                     load_labels, read_manifest, view_stats, write_edge_list)
@@ -26,7 +26,7 @@ __all__ = [
     "predict_multilabel", "run_protocol", "split_labeled", "train_ovr",
     "Factorization", "FactorizeConfig", "embedding", "factorize",
     "init_factorization", "kl_objective", "read_embedding",
-    "reconstruct_entry", "update_step", "write_embedding",
+    "update_step", "write_embedding",
     "LabelStore", "MultiViewGraph", "NodeRegistry", "ParseError",
     "SparseAdjacency", "build_multiview", "load_edge_list", "load_labels",
     "read_manifest", "view_stats", "write_edge_list",

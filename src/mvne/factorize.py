@@ -164,16 +164,6 @@ def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> 
     return Factorization(B)
 
 
-def reconstruct_entry(fac: Factorization, i: int, j: int) -> float:
-    """Reconstructed weight between nodes i and j.
-
-    The model's two-hop path weight sum_p b_ip * b_jp / lam_p, read from the
-    mass matrix B; a community with no mass contributes nothing.
-    """
-    lam_safe = np.where(fac.lam > 0, fac.lam, np.inf)
-    return float(np.sum(fac.mass[i] * fac.mass[j] / lam_safe))
-
-
 class _EdgePlan:
     """What the edge kernel and the ratio update reuse between iterates.
 

@@ -29,8 +29,8 @@ PUBLIC = [
     "SparseAdjacency", "ViewWeights", "build_multiview", "combine_views", "default_betas",
     "dump_dataset", "embedding", "factorize", "generate_multiview_sbm", "init_factorization",
     "kl_objective", "load_edge_list", "load_labels", "macro_f1", "micro_f1", "mvne_embed",
-    "predict_multilabel", "read_embedding", "read_manifest", "reconstruct_entry",
-    "run_protocol", "split_labeled", "svne_embed", "train_ovr", "update_step", "view_stats",
+    "predict_multilabel", "read_embedding", "read_manifest", "run_protocol",
+    "split_labeled", "svne_embed", "train_ovr", "update_step", "view_stats",
     "write_edge_list", "write_embedding",
 ]
 
