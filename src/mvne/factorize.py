@@ -146,21 +146,21 @@ class Factorization:
 
 
 def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> Factorization:
-    """Uniform-positive random memberships H0 and the B0 that reconstructs H0 (total/d) H0^T.
+    """Uniform-positive random memberships H0 and a B0 of mass total_weight.
 
     H0 rows are drawn uniform-positive then row-normalized; B0 scales column
-    p of H0 by (total/d) colsum(H0)_p, the one B whose reconstruction
-    B diag(1/colsum B) B^T is H0 diag(total/d) H0^T. The masses are not
-    total/d: B0 sums to (total/d) sum_p colsum(H0)_p^2, about total (n/d)^2,
-    and so does its reconstruction. The first update renormalizes the mass
-    to total. Deterministic given config.seed.
+    p of H0 by colsum(H0)_p, the one B whose reconstruction
+    B diag(1/colsum B) B^T is H0 H0^T, and then by the one factor that makes
+    B0, and so its reconstruction, sum to total_weight. Deterministic given
+    config.seed.
     """
     if n < 1:
         raise ValueError("need at least one node")
     rng = np.random.default_rng(config.seed)
     B = rng.uniform(0.1, 1.0, size=(n, config.d))
     B /= B.sum(axis=1, keepdims=True)  # H0
-    B *= total_weight / config.d * B.sum(axis=0)
+    B *= B.sum(axis=0)
+    B *= total_weight / B.sum()
     return Factorization(B)
 
 

@@ -25,6 +25,9 @@ def run(args):
     return main([str(a) for a in args])
 
 
+TEN_HEAVY_EDGES = "".join(f"a{k}\tb{k}\t4e306\n" for k in range(10))
+
+
 def embed_max_difference(tmp_path, texts, flags):
     """Embed each {file name: edge-list text} view set with flags; the largest
     difference between the first set's embedding and the others', which
@@ -443,18 +446,23 @@ class TestChecksBeforeInput:
         assert "view name 'v' is repeated" in capsys.readouterr().err
         assert not meta.exists()
 
-    # The fit runs in the weights' unit, so only the objective can overflow:
-    # one edge of 5e307 fits at d = 2, as with weights of one, while the
-    # objective of two disjoint edges at d = 2 and of one edge at d = 128
-    # passes the largest float
-    @pytest.mark.parametrize("second, dim", [("a\tb", 2), ("c\td", 2), ("a\tb", 128)],
-                             ids=["update", "init", "objective"])
-    def test_overflow_inside_the_fit_exits_2_silently(self, tmp_path, capsys, second, dim):
+    # The fit runs in the weights' unit and starts at their total, so a graph
+    # whose weight nears the largest float fits as its weights-of-one twin
+    # does: one edge of 5e307 in both views, or two disjoint ones, at d = 2.
+    # Only a fitted objective past the largest float overflows: ten disjoint
+    # edges of 4e306 in both views, a total of 1.6e308, fit at d = 1 to
+    # about 1.5 times that total
+    @pytest.mark.parametrize("v1, v2, dim", [
+        ("a\tb\t5e307\n", "a\tb\t5e307\n", 2),
+        ("a\tb\t5e307\n", "c\td\t5e307\n", 2),
+        (TEN_HEAVY_EDGES, TEN_HEAVY_EDGES, 1),
+    ], ids=["update", "init", "objective"])
+    def test_overflow_inside_the_fit_exits_2_silently(self, tmp_path, capsys, v1, v2, dim):
         flags = ["-d", dim, "--no-normalize-views"]
-        views = {"v1.edges": "a\tb\t5e307\n", "v2.edges": f"{second}\t5e307\n"}
+        views = {"v1.edges": v1, "v2.edges": v2}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if second == "a\tb" and dim == 2:
+            if dim == 2:
                 one = {name: text.replace("5e307", "1") for name, text in views.items()}
                 assert embed_max_difference(tmp_path, [views, one], flags) <= 1e-12
                 assert caught == []

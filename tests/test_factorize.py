@@ -121,11 +121,14 @@ class TestInit:
         assert np.array_equal(a.lam, b.lam)
 
     def test_uniform_mass_split(self):
-        # B0 reconstructs to H0 diag(total/d) H0^T, with H0 redrawn from the seed
+        # B0 reconstructs to a multiple of H0 H0^T, with H0 redrawn from the
+        # seed, and it and its reconstruction sum to the total weight
         fac = mvne.init_factorization(3, small_config(4), total_weight=8.0)
         H0 = np.random.default_rng(0).uniform(0.1, 1.0, size=(3, 4))
         H0 /= H0.sum(axis=1, keepdims=True)
-        assert np.abs(reconstruct_dense(fac) - (H0 * 2.0) @ H0.T).max() <= 1e-12
+        ref = H0 @ H0.T
+        assert np.abs(reconstruct_dense(fac) - ref * (8.0 / ref.sum())).max() <= 1e-12
+        assert abs(fac.mass.sum() - 8.0) <= 1e-12
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError):

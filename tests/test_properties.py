@@ -4,8 +4,8 @@ with a stable-argsort oracle, the bulk embedding reader with the per-line
 one and the batched top-k and F1 with per-node scoring, config
 constructors accept exactly the finite, valid values, every path that builds
 an adjacency accepts a total weight or raises alike, the ratio update and
-the fit keep their invariants on any small graph, and the fit does not
-depend on the unit of the weights."""
+the fit keep their invariants on any small graph, the fit starts at the
+total weight and does not depend on the unit of the weights."""
 
 import dataclasses
 import importlib
@@ -562,6 +562,14 @@ def test_factorize_keeps_invariants(case):
     # may rise by rounding, which ends the loop (scale as in the update test).
     for prev, obj in zip(trace, trace[1:]):
         assert obj <= prev + 1e-9 * max(abs(prev), adj.total_weight)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300), st.integers(1, 64), st.integers(0, 2**32),
+       st.floats(1e-300, 1e300))
+def test_init_mass_is_the_total_weight(n, d, seed, total):
+    fac = mvne.init_factorization(n, mvne.FactorizeConfig(d=d, seed=seed), total)
+    assert abs(fac.mass.sum() - total) <= 1e-13 * total
 
 
 FLOAT_MAX = float(np.finfo(np.float64).max)
