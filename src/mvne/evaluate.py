@@ -4,14 +4,9 @@ One-vs-rest L2-regularized logistic regression on embedding rows, multi-label
 top-k prediction (k = the node's true label count), Micro/Macro-F1, and the
 fraction-sweep / repeated-split protocols.
 
-Each split fits every label's classifier at once from an m x L indicator
-matrix, by a batched damped Newton method: per label a (d+1) x (d+1)
-Hessian, one batched solve for all steps, and a per-label Armijo guard
-that halves a step until it lowers that label's objective. The weights are
-L2-regularized and the bias is not. With reg > 0 each label's objective is
-strictly convex; a label stops once its gradient norm falls below 1e-6,
-typically after about five steps. The computation is deterministic, so
-identical inputs always produce identical reports.
+Each split fits every label's classifier at once (_fit_ovr: a batched,
+damped Newton method, typically about five steps). The computation is
+deterministic, so identical inputs always produce identical reports.
 
 Each split is scored with matrices. Its labels are one m x L boolean
 indicator matrix, built by the helper that also builds the fit's. One product
@@ -26,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -254,22 +249,15 @@ def micro_f1(truth: dict, predicted: dict) -> float:
 
 
 def macro_f1(truth: dict, predicted: dict) -> float:
-    """Unweighted mean of per-label F1 over labels with any support.
-
-    A label enters the mean if it has a true or predicted instance; a label
-    with support but no true positives scores 0.
-    """
+    """Unweighted mean of per-label F1 over the labels with a true or predicted instance."""
     return _f1_of_maps(truth, predicted)[1]
 
 
 @dataclass
 class EvalReport:
-    """Per-(fraction, repeat) scores plus per-fraction aggregates."""
+    """The protocol a run followed, its per-(fraction, repeat) scores and their aggregates."""
 
-    fractions: tuple
-    repeats: int
-    seed: int
-    reg: float
+    protocol: EvalProtocol
     micro: dict = field(default_factory=dict)  # fraction -> [score per repeat]
     macro: dict = field(default_factory=dict)
 
@@ -286,19 +274,17 @@ class EvalReport:
         return float(np.std(self.macro[fraction]))
 
     def to_dict(self) -> dict:
+        def by_fraction(score):
+            return {f"{f:g}": score(f) for f in self.protocol.fractions}
+
         return {
-            "protocol": {
-                "fractions": list(self.fractions),
-                "repeats": self.repeats,
-                "seed": self.seed,
-                "reg": self.reg,
-            },
-            "micro_f1": {f"{f:g}": list(self.micro[f]) for f in self.fractions},
-            "macro_f1": {f"{f:g}": list(self.macro[f]) for f in self.fractions},
-            "mean_micro": {f"{f:g}": self.mean_micro(f) for f in self.fractions},
-            "mean_macro": {f"{f:g}": self.mean_macro(f) for f in self.fractions},
-            "sd_micro": {f"{f:g}": self.sd_micro(f) for f in self.fractions},
-            "sd_macro": {f"{f:g}": self.sd_macro(f) for f in self.fractions},
+            "protocol": {**asdict(self.protocol), "fractions": list(self.protocol.fractions)},
+            "micro_f1": by_fraction(lambda f: list(self.micro[f])),
+            "macro_f1": by_fraction(lambda f: list(self.macro[f])),
+            "mean_micro": by_fraction(self.mean_micro),
+            "mean_macro": by_fraction(self.mean_macro),
+            "sd_micro": by_fraction(self.sd_micro),
+            "sd_macro": by_fraction(self.sd_macro),
         }
 
     def to_json(self) -> str:
@@ -306,11 +292,9 @@ class EvalReport:
 
     def to_tsv(self) -> str:
         lines = ["fraction\tmean_micro\tsd_micro\tmean_macro\tsd_macro"]
-        for f in self.fractions:
-            lines.append(
-                f"{f:g}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
-                f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}"
-            )
+        for f in self.protocol.fractions:
+            lines.append(f"{f:g}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
+                         f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}")
         return "\n".join(lines) + "\n"
 
 
@@ -325,17 +309,14 @@ def run_protocol(X: np.ndarray, labels: LabelStore,
     """
     nodes = labels.labeled_nodes()
     X, Y = X[nodes], _indicator(map(labels.labels_of, nodes), labels.num_labels)
-    report = EvalReport(fractions=protocol.fractions, repeats=protocol.repeats,
-                        seed=protocol.seed, reg=protocol.reg)
+    report = EvalReport(protocol)
     for fraction in protocol.fractions:
-        report.micro[fraction] = []
-        report.macro[fraction] = []
         for rep in range(protocol.repeats):
             # split row positions: X and Y hold the labeled nodes' rows
             train, test = split_labeled(range(len(nodes)), fraction, protocol.seed + rep)
             model = _ovr_model(X[train], Y[train], protocol.reg)
             truth = Y[test]
             micro, macro = _f1(truth, _top_k(model.scores(X[test]), truth.sum(axis=1)))
-            report.micro[fraction].append(micro)
-            report.macro[fraction].append(macro)
+            report.micro.setdefault(fraction, []).append(micro)
+            report.macro.setdefault(fraction, []).append(macro)
     return report

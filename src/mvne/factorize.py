@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _parts
-from .graph import _TINY, ParseError, SparseAdjacency
+from .graph import _TINY, ParseError, SparseAdjacency, _name_fault
 
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (1 MB at d = 64) per part, allocated once per fit.
@@ -53,8 +53,7 @@ _BLOCK = 2048
 # Handing parts to threads costs about 50 us per kernel step, four steps a
 # pass; 2^16 entries at d = 64 take about 10 ms to reconstruct.
 _PART_ENTRIES = 1 << 16
-# The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
-# and growth 1.1 and 1.5 were measured too (CHANGES.md).
+# The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT.
 _GROW = 1.2
 _MAX_EXPONENT = 4.0
 # The reconstruction's floor, relative to the total weight.
@@ -405,10 +404,10 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     ``X`` is a 2-D real (bool, integer or float) array and ``names`` a
     sequence of its n row names. Before the file is opened, ValueError is
     raised for any other X, a count other than n, and, naming the first bad
-    row, a name that is not a str, is empty, holds whitespace or does not
-    encode as UTF-8, then for what _embedding_fault finds: read_embedding
-    could not read these back. Rows are formatted by ``_parts.write``, one
-    `%` operation per row; the bytes do not depend on its parts.
+    row, a name that the node-name rule (graph._name_fault) refuses, then
+    for what _embedding_fault finds: read_embedding could not read these
+    back. Rows are formatted by ``_parts.write``, one `%` operation per row;
+    the bytes do not depend on its parts.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.dtype.kind not in "biuf":
@@ -435,19 +434,6 @@ def write_embedding(path, X: np.ndarray, names) -> None:
         fh.write(f"{n} {d}\n")
         _parts.write(fh, n, n * d, lambda lo, hi: "".join(
             [line % (name, *row) for name, row in zip(names[lo:hi], X[lo:hi].tolist())]))
-
-
-def _name_fault(name):
-    """Why write_embedding cannot write the row name ``name``, or None."""
-    if not isinstance(name, str):
-        return "is not a str"
-    if name.split() != [name]:
-        return "is empty or holds whitespace"
-    try:
-        name.encode("utf-8")
-    except UnicodeEncodeError:
-        return "does not encode as UTF-8"
-    return None
 
 
 def _embedding_fault(names, X):

@@ -53,13 +53,29 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
+def _name_fault(name):
+    """Why ``name`` cannot be a node name, or None: the one rule, which
+    NodeRegistry.intern and write_embedding apply. A name is a non-empty str
+    with no whitespace (the embedding file's separator) and a UTF-8 form."""
+    if not isinstance(name, str):
+        return "is not a str"
+    if name.split() != [name]:
+        return "is empty or holds whitespace"
+    if not name.isascii():
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            return "does not encode as UTF-8"
+    return None
+
+
 class NodeRegistry:
     """Bijective map between string node identifiers and dense indices.
 
     Indices are assigned in first-appearance order, which makes every run
-    reproducible from identical inputs. Identifiers are non-empty and free of
-    whitespace, because the embedding file separates fields by whitespace,
-    and do not start with ``#``, which would make an edge-list line a comment.
+    reproducible from identical inputs. The id rule: an identifier passes
+    _name_fault and does not start with ``#``, which would make an edge-list
+    line a comment, so every writer can write every registered id.
     """
 
     def __init__(self):
@@ -69,14 +85,13 @@ class NodeRegistry:
     def intern(self, name: str) -> int:
         """Return the index for ``name``, registering it if unseen.
 
-        Raises ValueError for an unseen ``name`` that is empty, holds
-        whitespace or starts with ``#``.
+        Raises ValueError, naming it, for an unseen ``name`` the id rule refuses.
         """
         idx = self._index.get(name)
         if idx is None:
-            if name.split() != [name] or name.startswith("#"):
-                raise ValueError(f"node identifier {name!r} is empty, contains "
-                                 "whitespace or starts with '#'")
+            fault = _name_fault(name) or (name[0] == "#" and "starts with '#'")
+            if fault:
+                raise ValueError(f"node identifier {name!r} {fault}")
             idx = len(self._names)
             self._index[name] = idx
             self._names.append(name)

@@ -16,6 +16,9 @@ import numpy as np
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency,
                     write_edge_list)
 
+# The most base-graph pair draws generate_multiview_sbm holds at once.
+_PAIR_BLOCK = 1 << 20
+
 
 @dataclass
 class SbmSpec:
@@ -54,10 +57,7 @@ def generate_multiview_sbm(spec: SbmSpec):
     n, c = spec.n, spec.communities
     z = rng.integers(0, c, size=n)
 
-    iu, ju = np.triu_indices(n, k=1)
-    p_edge = np.where(z[iu] == z[ju], spec.p_in, spec.p_out)
-    base_mask = rng.random(iu.size) < p_edge
-    base_i, base_j = iu[base_mask], ju[base_mask]
+    base_i, base_j = _base_edges(rng, z, spec.p_in, spec.p_out)
     m = base_i.size
 
     registry = NodeRegistry()
@@ -67,16 +67,14 @@ def generate_multiview_sbm(spec: SbmSpec):
     names, views = [], []
     for view in range(spec.views):
         kept = rng.random(m) < spec.keep
-        vi = base_i[kept]
-        vj = base_j[kept]
+        vi, vj = base_i[kept], base_j[kept]
         n_noise = rng.binomial(m, spec.noise) if m else 0
         if n_noise:
             ni = rng.integers(0, n, size=n_noise)
             nj = rng.integers(0, n, size=n_noise)
             ok = ni != nj
             lo, hi = np.minimum(ni[ok], nj[ok]), np.maximum(ni[ok], nj[ok])
-            vi = np.concatenate([vi, lo])
-            vj = np.concatenate([vj, hi])
+            vi, vj = np.concatenate([vi, lo]), np.concatenate([vj, hi])
         # collapse duplicates (kept-base vs noise collisions) to unit weight
         pair_ids = np.unique(vi.astype(np.int64) * n + vj.astype(np.int64))
         names.append(f"view{view}")
@@ -87,6 +85,26 @@ def generate_multiview_sbm(spec: SbmSpec):
     for v in range(n):
         labels.add(v, [f"c{z[v]}"])
     return MultiViewGraph(registry=registry, view_names=names, views=views), labels
+
+
+def _base_edges(rng, z, p_in: float, p_out: float):
+    """The base graph's edges, a 2 x m array of (i, j) with i < j in row-major order.
+
+    Pair (i, j) is an edge when its uniform draw is below p_in inside a block
+    and below p_out across blocks. The pairs draw in row-major order,
+    _PAIR_BLOCK at a time: one draw's stream in O(edges + _PAIR_BLOCK) memory.
+    """
+    n = z.size
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # pairs in the rows before row i
+    pairs = n * (n - 1) // 2
+    edges = [np.zeros((2, 0), np.int64)]
+    for lo in range(0, pairs, _PAIR_BLOCK):
+        u = rng.random(min(_PAIR_BLOCK, pairs - lo))
+        k = lo + np.flatnonzero(u < p_in)  # p_out < p_in, so no other pair is an edge
+        i = np.searchsorted(starts, k, side="right") - 1
+        j = k - starts[i] + i + 1
+        edges.append(np.stack([i, j])[:, (u[k - lo] < p_out) | (z[i] == z[j])])
+    return np.concatenate(edges, axis=1)
 
 
 def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):

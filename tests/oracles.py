@@ -1,14 +1,18 @@
-"""Dense brute-force oracles for the sparse factorization, and a random test graph.
+"""Dense brute-force oracles for the sparse factorization and the SBM generator,
+and a random test graph.
 
 The dense functions mirror the sparse kernel with full n x n arithmetic and
 share its initialization and step schedule, so sparse and dense trajectories
 are directly comparable; tests hold them to 1e-10. They are guarded to
-ORACLE_MAX_NODES nodes. Tests import them as they import conftest's helpers.
+ORACLE_MAX_NODES nodes. all_pairs_multiview_sbm draws the SBM's base graph
+from all n(n - 1)/2 pairs at once. Tests import them as they import
+conftest's helpers.
 """
 
 import numpy as np
 
-from mvne import Factorization, FactorizeConfig, SparseAdjacency, init_factorization
+from mvne import (Factorization, FactorizeConfig, LabelStore, MultiViewGraph, NodeRegistry,
+                  SbmSpec, SparseAdjacency, init_factorization)
 from mvne.factorize import _EPSILON, _GROW, _MAX_EXPONENT
 
 ORACLE_MAX_NODES = 64
@@ -89,3 +93,41 @@ def random_weighted_graph(n: int, density: float, seed: int) -> SparseAdjacency:
     mask = rng.random(iu.size) < density
     return SparseAdjacency.from_undirected(iu[mask], ju[mask],
                                            rng.uniform(0.5, 2.0, size=mask.sum()), n)
+
+
+def all_pairs_multiview_sbm(spec: SbmSpec):
+    """generate_multiview_sbm with the base graph drawn over all pairs in one array.
+
+    The reference for the generator's blocked draw: one uniform per pair
+    i < j, all n(n - 1)/2 of them at once, in np.triu_indices order.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    z = rng.integers(0, spec.communities, size=n)
+    iu, ju = np.triu_indices(n, k=1)
+    p_edge = np.where(z[iu] == z[ju], spec.p_in, spec.p_out)
+    base_mask = rng.random(iu.size) < p_edge
+    base_i, base_j = iu[base_mask], ju[base_mask]
+    m = base_i.size
+    registry = NodeRegistry()
+    for v in range(n):
+        registry.intern(f"n{v}")
+    names, views = [], []
+    for view in range(spec.views):
+        kept = rng.random(m) < spec.keep
+        vi, vj = base_i[kept], base_j[kept]
+        n_noise = rng.binomial(m, spec.noise) if m else 0
+        if n_noise:
+            ni = rng.integers(0, n, size=n_noise)
+            nj = rng.integers(0, n, size=n_noise)
+            ok = ni != nj
+            lo, hi = np.minimum(ni[ok], nj[ok]), np.maximum(ni[ok], nj[ok])
+            vi, vj = np.concatenate([vi, lo]), np.concatenate([vj, hi])
+        pair_ids = np.unique(vi.astype(np.int64) * n + vj.astype(np.int64))
+        names.append(f"view{view}")
+        views.append(SparseAdjacency.from_undirected(pair_ids // n, pair_ids % n,
+                                                     np.ones(pair_ids.size), n))
+    labels = LabelStore()
+    for v in range(n):
+        labels.add(v, [f"c{z[v]}"])
+    return MultiViewGraph(registry=registry, view_names=names, views=views), labels

@@ -280,6 +280,21 @@ class TestEval:
                                    "seed": 42, "reg": 0.01}
         assert len(doc["micro_f1"]["0.5"]) == 10
 
+    def test_json_is_the_library_report(self, tmp_path, dataset):
+        # the CLI writes write_run_metadata(report.to_dict()), the library report.to_json()
+        emb, rep = tmp_path / "emb.txt", tmp_path / "r.json"
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 6,
+                    "--seed", 2, "--out", emb]) == 0
+        assert run(["eval", "--embedding", emb, "--labels", dataset / "labels.tsv",
+                    "--fractions", "0.3,0.7", "--repeats", 3, "--seed", 5, "--reg", 0.1,
+                    "--json", rep]) == 0
+        names, X = mvne.read_embedding(emb)
+        labels = mvne.load_labels(dataset / "labels.tsv",
+                                  {name: i for i, name in enumerate(names)})
+        protocol = mvne.EvalProtocol(fractions=(0.3, 0.7), repeats=3, seed=5, reg=0.1)
+        expected = mvne.run_protocol(X, labels, protocol).to_json()
+        assert rep.read_bytes() == expected.encode("utf-8")
+
     def test_perfect_one_hot_embedding(self, tmp_path):
         emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
         n, L = 45, 3

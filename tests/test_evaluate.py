@@ -325,6 +325,17 @@ class TestProtocol:
         assert report.mean_micro(0.5) == pytest.approx(
             np.mean(report.micro[0.5]), abs=1e-12)
 
+    def test_report_holds_the_protocol_it_ran(self):
+        X, store = one_hot_dataset(n_per_label=8, labels=3)
+        protocol = mvne.EvalProtocol(fractions=(0.25, 0.75), repeats=2, seed=3, reg=0.5)
+        report = mvne.run_protocol(X, store, protocol)
+        assert report.protocol is protocol
+        assert list(report.micro) == list(report.macro) == [0.25, 0.75]
+        assert report.to_dict()["protocol"] == {"fractions": [0.25, 0.75], "repeats": 2,
+                                                "seed": 3, "reg": 0.5}
+        assert [line.split("\t")[0] for line in report.to_tsv().splitlines()[1:]] == \
+            ["0.25", "0.75"]
+
     def test_deterministic(self):
         X, store = one_hot_dataset(n_per_label=8, labels=3)
         protocol = mvne.EvalProtocol(fractions=(0.4, 0.6), repeats=3, seed=9)

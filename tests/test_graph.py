@@ -96,6 +96,40 @@ class TestLoadEdgeList:
         assert adj.total_weight == 2 * 2.0 + 2 * 1.0
 
 
+class TestNodeNames:
+    @pytest.mark.parametrize("name, fault", [
+        ("bad\ud800", "does not encode as UTF-8"),
+        ("a b", "is empty or holds whitespace"),
+        ("", "is empty or holds whitespace"),
+        (3, "is not a str"),
+    ])
+    def test_registry_and_embedding_writer_refuse_by_one_rule(self, tmp_path, name, fault):
+        registry = mvne.NodeRegistry()
+        with pytest.raises(ValueError) as exc:
+            registry.intern(name)
+        assert str(exc.value) == f"node identifier {name!r} {fault}"
+        assert len(registry) == 0
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError) as exc:
+            mvne.write_embedding(path, np.ones((1, 2)), [name])
+        assert str(exc.value) == f"embedding row 0: node name {name!r} {fault}"
+        assert not path.exists()
+
+    def test_registry_refuses_a_leading_hash_that_the_embedding_may_hold(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^node identifier '#a' starts with '#'$"):
+            mvne.NodeRegistry().intern("#a")
+        mvne.write_embedding(tmp_path / "emb.txt", np.ones((1, 2)), ["#a"])
+        assert mvne.read_embedding(tmp_path / "emb.txt")[0] == ["#a"]
+
+    def test_unencodable_id_refused_before_any_edge_list_is_written(self, tmp_path):
+        # a registry could hold this id: write_edge_list then raised UnicodeEncodeError
+        # with 4,096 of the 5,000 lines in the file
+        text = "".join(f"n{k}\tn{k + 1}\n" for k in range(4999)) + "n4999\tbad\ud800\n"
+        with pytest.raises(ParseError, match=r"^line 5000: node identifier 'bad\\ud800' "
+                                             "does not encode as UTF-8$"):
+            make_adjacency(text)
+
+
 class TestRoundTrip:
     def test_write_then_load_identical(self):
         adj, reg = make_adjacency("a\tb\t0.123456789012345\nb\tc\t7\nc\tc\t2\n")

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import mvne
+from mvne import testkit
 
 from conftest import argmax_purity, community_array
-from oracles import (dense_factorize_oracle, dense_kl_objective, dense_update_step,
-                     random_weighted_graph)
+from oracles import (all_pairs_multiview_sbm, dense_factorize_oracle, dense_kl_objective,
+                     dense_update_step, random_weighted_graph)
 
 
 class TestDenseOracle:
@@ -41,7 +42,31 @@ class TestDenseOracle:
             assert np.abs(sparse.lam - dense.lam).max() <= 1e-10
 
 
+def assert_same_dataset(got, expected):
+    (g1, l1), (g2, l2) = got, expected
+    assert g1.registry.names == g2.registry.names and g1.view_names == g2.view_names
+    for a, b in zip(g1.views, g2.views, strict=True):
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.values, b.values)
+    assert [l1.label_name(i) for i in range(l1.num_labels)] == \
+        [l2.label_name(i) for i in range(l2.num_labels)]
+    assert all(l1.labels_of(v) == l2.labels_of(v) for v in range(g2.n))
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("n, seed, views, keep, noise", [
+        (1, 0, 1, 1.0, 0.0), (2, 3, 2, 0.5, 0.5), (57, 1, 3, 0.4, 0.2),
+        (200, 7, 3, 0.4, 0.2), (120, 4, 1, 1.0, 0.0), (90, 11, 4, 0.9, 1.0)])
+    @pytest.mark.parametrize("block", [1 << 20, 1, 37, 1000])
+    def test_blocked_draw_matches_the_all_pairs_oracle(self, monkeypatch, n, seed, views,
+                                                       keep, noise, block):
+        # a block of 1 draws one pair at a time; 37 and 1000 cut rows apart
+        monkeypatch.setattr(testkit, "_PAIR_BLOCK", block)
+        spec = mvne.SbmSpec(n=n, communities=3, p_in=0.3, p_out=0.02, views=views,
+                            keep=keep, noise=noise, seed=seed)
+        assert_same_dataset(mvne.generate_multiview_sbm(spec), all_pairs_multiview_sbm(spec))
+
     def test_deterministic_per_seed(self):
         spec = mvne.SbmSpec(n=60, communities=3, p_in=0.4, p_out=0.05,
                             views=2, keep=0.7, noise=0.1, seed=9)
