@@ -49,7 +49,8 @@ _PART_VALUES = 1 << 16
 # lines, 0.18 s of parsing, or 2^15-2^16 embedding values.
 _PART_BYTES = 1 << 20
 # Values formatted per write: 64 embedding rows at d = 64, 512 at d = 8, or
-# 4,096 edge-list entries.
+# 4,096 edge-list entries. Blocks of 2^13 wrote a 100k x 8 embedding about
+# 10% slower in fresh processes (larger strings to allocate and free).
 _BLOCK_VALUES = 1 << 12
 
 
@@ -86,8 +87,9 @@ class _ByteSpan(io.FileIO):
     """Bytes lo..hi - 1 of a file as a raw stream.
 
     A FileIO, not a wrapper of one: a text stream over a wrapper looks up
-    its closed attribute through Python once per line, which CPython checks
-    in C only for an exact FileIO.
+    its closed attribute through Python once per line. On CPython 3.11 that
+    took 20.9 MB of edge-list lines from 119 ms to 93-97 ms to iterate
+    (open(): 64 ms; only an exact FileIO is checked in C).
     """
 
     # read and readall go through readinto, as in io.RawIOBase, so they stop at hi too

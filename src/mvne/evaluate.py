@@ -4,9 +4,14 @@ One-vs-rest L2-regularized logistic regression on embedding rows, multi-label
 top-k prediction (k = the node's true label count), Micro/Macro-F1, and the
 fraction-sweep / repeated-split protocols.
 
-Each split fits every label's classifier at once (_fit_ovr: a batched,
-damped Newton method, typically about five steps). The computation is
-deterministic, so identical inputs always produce identical reports.
+Each split fits every label's classifier at once from an m x L indicator
+matrix, by a batched damped Newton method: per label a (d+1) x (d+1)
+Hessian, one batched solve for all steps, and a per-label Armijo guard
+that halves a step until it lowers that label's objective. The weights are
+L2-regularized and the bias is not. With reg > 0 each label's objective is
+strictly convex; a label stops once its gradient norm falls below 1e-6,
+typically after about five steps. The computation is deterministic, so
+identical inputs always produce identical reports.
 
 Each split is scored with matrices. Its labels are one m x L boolean
 indicator matrix, built by the helper that also builds the fit's. One product
@@ -34,9 +39,9 @@ _GRAD_TOL = 1e-6  # a label stops once its gradient norm falls below this
 _NEWTON_ITERS = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalProtocol:
-    """Train-fraction sweep with repeated random splits."""
+    """Train-fraction sweep with repeated random splits; frozen, as an EvalReport holds it."""
 
     fractions: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     repeats: int = 10
@@ -44,7 +49,7 @@ class EvalProtocol:
     reg: float = 0.01
 
     def __post_init__(self):
-        self.fractions = tuple(float(f) for f in self.fractions)
+        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
         if not self.fractions:
             raise ValueError("need at least one train fraction")
         if any(not (0.0 < f < 1.0) for f in self.fractions):
@@ -249,7 +254,11 @@ def micro_f1(truth: dict, predicted: dict) -> float:
 
 
 def macro_f1(truth: dict, predicted: dict) -> float:
-    """Unweighted mean of per-label F1 over the labels with a true or predicted instance."""
+    """Unweighted mean of per-label F1 over labels with any support.
+
+    A label enters the mean if it has a true or predicted instance; a label
+    with support but no true positives scores 0.
+    """
     return _f1_of_maps(truth, predicted)[1]
 
 
@@ -293,8 +302,10 @@ class EvalReport:
     def to_tsv(self) -> str:
         lines = ["fraction\tmean_micro\tsd_micro\tmean_macro\tsd_macro"]
         for f in self.protocol.fractions:
-            lines.append(f"{f:g}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
-                         f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}")
+            lines.append(
+                f"{f:g}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
+                f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}"
+            )
         return "\n".join(lines) + "\n"
 
 

@@ -53,7 +53,8 @@ _BLOCK = 2048
 # Handing parts to threads costs about 50 us per kernel step, four steps a
 # pass; 2^16 entries at d = 64 take about 10 ms to reconstruct.
 _PART_ENTRIES = 1 << 16
-# The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT.
+# The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
+# and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
 _MAX_EXPONENT = 4.0
 # The reconstruction's floor, relative to the total weight.

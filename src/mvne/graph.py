@@ -54,9 +54,7 @@ class ParseError(ValueError):
 
 
 def _name_fault(name):
-    """Why ``name`` cannot be a node name, or None: the one rule, which
-    NodeRegistry.intern and write_embedding apply. A name is a non-empty str
-    with no whitespace (the embedding file's separator) and a UTF-8 form."""
+    """Why ``name`` cannot be a node name, or None; whitespace separates embedding-file fields."""
     if not isinstance(name, str):
         return "is not a str"
     if name.split() != [name]:

@@ -16,8 +16,7 @@ import numpy as np
 from .graph import (LabelStore, MultiViewGraph, NodeRegistry, SparseAdjacency,
                     write_edge_list)
 
-# The most base-graph pair draws generate_multiview_sbm holds at once.
-_PAIR_BLOCK = 1 << 20
+_PAIR_BLOCK = 1 << 20  # the most base-graph pair draws generate_multiview_sbm holds at once
 
 
 @dataclass
@@ -57,7 +56,15 @@ def generate_multiview_sbm(spec: SbmSpec):
     n, c = spec.n, spec.communities
     z = rng.integers(0, c, size=n)
 
-    base_i, base_j = _base_edges(rng, z, spec.p_in, spec.p_out)
+    # pairs i < j, row-major, drawn a block of rows at a time: one draw's stream
+    rows, base = max(1, _PAIR_BLOCK // n), []
+    for lo in range(0, n, rows):
+        iu, ju = np.triu_indices(min(rows, n - lo), k=lo + 1, m=n)
+        iu += lo
+        p_edge = np.where(z[iu] == z[ju], spec.p_in, spec.p_out)
+        base_mask = rng.random(iu.size) < p_edge
+        base.append((iu[base_mask], ju[base_mask]))
+    base_i, base_j = map(np.concatenate, zip(*base))
     m = base_i.size
 
     registry = NodeRegistry()
@@ -67,14 +74,16 @@ def generate_multiview_sbm(spec: SbmSpec):
     names, views = [], []
     for view in range(spec.views):
         kept = rng.random(m) < spec.keep
-        vi, vj = base_i[kept], base_j[kept]
+        vi = base_i[kept]
+        vj = base_j[kept]
         n_noise = rng.binomial(m, spec.noise) if m else 0
         if n_noise:
             ni = rng.integers(0, n, size=n_noise)
             nj = rng.integers(0, n, size=n_noise)
             ok = ni != nj
             lo, hi = np.minimum(ni[ok], nj[ok]), np.maximum(ni[ok], nj[ok])
-            vi, vj = np.concatenate([vi, lo]), np.concatenate([vj, hi])
+            vi = np.concatenate([vi, lo])
+            vj = np.concatenate([vj, hi])
         # collapse duplicates (kept-base vs noise collisions) to unit weight
         pair_ids = np.unique(vi.astype(np.int64) * n + vj.astype(np.int64))
         names.append(f"view{view}")
@@ -85,26 +94,6 @@ def generate_multiview_sbm(spec: SbmSpec):
     for v in range(n):
         labels.add(v, [f"c{z[v]}"])
     return MultiViewGraph(registry=registry, view_names=names, views=views), labels
-
-
-def _base_edges(rng, z, p_in: float, p_out: float):
-    """The base graph's edges, a 2 x m array of (i, j) with i < j in row-major order.
-
-    Pair (i, j) is an edge when its uniform draw is below p_in inside a block
-    and below p_out across blocks. The pairs draw in row-major order,
-    _PAIR_BLOCK at a time: one draw's stream in O(edges + _PAIR_BLOCK) memory.
-    """
-    n = z.size
-    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # pairs in the rows before row i
-    pairs = n * (n - 1) // 2
-    edges = [np.zeros((2, 0), np.int64)]
-    for lo in range(0, pairs, _PAIR_BLOCK):
-        u = rng.random(min(_PAIR_BLOCK, pairs - lo))
-        k = lo + np.flatnonzero(u < p_in)  # p_out < p_in, so no other pair is an edge
-        i = np.searchsorted(starts, k, side="right") - 1
-        j = k - starts[i] + i + 1
-        edges.append(np.stack([i, j])[:, (u[k - lo] < p_out) | (z[i] == z[j])])
-    return np.concatenate(edges, axis=1)
 
 
 def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import tracemalloc
@@ -335,6 +336,11 @@ class TestProtocol:
                                                 "seed": 3, "reg": 0.5}
         assert [line.split("\t")[0] for line in report.to_tsv().splitlines()[1:]] == \
             ["0.25", "0.75"]
+        # the protocol is frozen, so the report cannot come to describe another run
+        before = report.to_json()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            protocol.fractions = (0.5,)
+        assert report.to_json() == before
 
     def test_deterministic(self):
         X, store = one_hot_dataset(n_per_label=8, labels=3)

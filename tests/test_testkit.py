@@ -57,11 +57,13 @@ def assert_same_dataset(got, expected):
 class TestGenerator:
     @pytest.mark.parametrize("n, seed, views, keep, noise", [
         (1, 0, 1, 1.0, 0.0), (2, 3, 2, 0.5, 0.5), (57, 1, 3, 0.4, 0.2),
-        (200, 7, 3, 0.4, 0.2), (120, 4, 1, 1.0, 0.0), (90, 11, 4, 0.9, 1.0)])
+        (200, 7, 3, 0.4, 0.2), (120, 4, 1, 1.0, 0.0), (90, 11, 4, 0.9, 1.0),
+        (1500, 5, 2, 0.5, 0.1)])
     @pytest.mark.parametrize("block", [1 << 20, 1, 37, 1000])
     def test_blocked_draw_matches_the_all_pairs_oracle(self, monkeypatch, n, seed, views,
                                                        keep, noise, block):
-        # a block of 1 draws one pair at a time; 37 and 1000 cut rows apart
+        # a block is whole rows: 1 and 37 draw one row at a time, 1000 several rows;
+        # n = 1500 has 1,124,250 pairs, three blocks at the shipped 2^20
         monkeypatch.setattr(testkit, "_PAIR_BLOCK", block)
         spec = mvne.SbmSpec(n=n, communities=3, p_in=0.3, p_out=0.02, views=views,
                             keep=keep, noise=noise, seed=seed)
