@@ -8,7 +8,7 @@ multi-view generator for verification at desk scale.
 
 __version__ = "0.1.0"
 
-from .evaluate import (EvalProtocol, EvalReport, OvrModel, macro_f1, micro_f1,
+from .evaluate import (EvalProtocol, EvalReport, macro_f1, micro_f1,
                        predict_multilabel, run_protocol, split_labeled,
                        train_ovr)
 from .factorize import (Factorization, FactorizeConfig, embedding, factorize,
@@ -22,7 +22,7 @@ from .multiview import (MvneConfig, ViewWeights, combine_views, default_betas,
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 __all__ = [
-    "EvalProtocol", "EvalReport", "OvrModel", "macro_f1", "micro_f1",
+    "EvalProtocol", "EvalReport", "macro_f1", "micro_f1",
     "predict_multilabel", "run_protocol", "split_labeled", "train_ovr",
     "Factorization", "FactorizeConfig", "embedding", "factorize",
     "init_factorization", "kl_objective", "read_embedding",

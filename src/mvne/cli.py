@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .evaluate import EvalProtocol, run_protocol
+from .evaluate import EvalProtocol, _fraction_key, run_protocol
 from .factorize import (FactorizeConfig, embedding, read_embedding, write_embedding,
                         write_run_metadata)
 from .graph import (MultiViewGraph, ParseError, _iter_data_lines, build_multiview,
@@ -121,13 +121,15 @@ def _expand_config(argv):
     map from each inserted flag to its line number.
     """
     pre = argparse.ArgumentParser(prog="mvne", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    pre.add_argument("--config", action="append")
+    paths = pre.parse_known_args(argv)[0].config
     at = next((k for k, tok in enumerate(argv) if tok in COMMANDS), None)
-    if path is None or at is None:
+    if paths is None or at is None:
         return argv, {}
+    if len(paths) > 1:  # argparse would keep the last and ignore the rest
+        raise ParseError(f"--config given {len(paths)} times; give one file")
     flags = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(paths[0], "r", encoding="utf-8") as fh:
         for line_no, line in _iter_data_lines(fh):
             if "=" not in line:
                 raise ParseError("expected key=value", line_no)
@@ -207,7 +209,7 @@ def cmd_eval(args) -> int:
             fh.write(report.to_tsv())
     print("fraction  micro-F1 (sd)      macro-F1 (sd)")
     for f in protocol.fractions:
-        print(f"{f:8.2f}  {report.mean_micro(f):.4f} ({report.sd_micro(f):.4f})"
+        print(f"{_fraction_key(f):>8}  {report.mean_micro(f):.4f} ({report.sd_micro(f):.4f})"
               f"   {report.mean_macro(f):.4f} ({report.sd_macro(f):.4f})")
     return 0
 

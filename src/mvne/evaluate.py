@@ -24,13 +24,13 @@ micro_f1 and macro_f1 adapt that same code to one feature vector and to
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from .factorize import _json_text
 from .graph import LabelStore
 
 NEG_CONST = -1e30  # score of the constant-negative classifier
@@ -54,7 +54,7 @@ class EvalProtocol:
             raise ValueError("need at least one train fraction")
         if any(not (0.0 < f < 1.0) for f in self.fractions):
             raise ValueError("train fractions must lie strictly in (0, 1)")
-        if len({f"{f:g}" for f in self.fractions}) < len(self.fractions):
+        if len(set(map(_fraction_key, self.fractions))) < len(self.fractions):
             raise ValueError("fractions must give distinct report keys (6 significant "
                              f"digits), got {list(self.fractions)}")
         if self.repeats < 1:
@@ -65,20 +65,9 @@ class EvalProtocol:
             raise ValueError(f"reg must be finite and >= 0, got {self.reg!r}")
 
 
-class OvrModel:
-    """One binary classifier per label: weights (L x d) and biases (L,)."""
-
-    def __init__(self, weights: np.ndarray, biases: np.ndarray):
-        self.weights = weights
-        self.biases = biases
-
-    @property
-    def num_labels(self) -> int:
-        return self.weights.shape[0]
-
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        """Per-label decision values: one row per row of x, or one vector for a vector x."""
-        return x @ self.weights.T + self.biases
+def _fraction_key(f: float) -> str:
+    """A train fraction as reports name it: 6 significant digits, as ``%g``."""
+    return f"{f:g}"
 
 
 def split_labeled(nodes, fraction: float, seed: int):
@@ -179,22 +168,24 @@ def _indicator(id_sets, num_labels: int) -> np.ndarray:
     return Y
 
 
-def _ovr_model(X: np.ndarray, Y: np.ndarray, reg: float) -> OvrModel:
-    """Fit the columns of Y with a positive row; the rest get constant-negative classifiers."""
+def _ovr_model(X: np.ndarray, Y: np.ndarray, reg: float):
+    """The model (weights L x d, biases L): a fit for each column of Y with a positive
+    row, constant-negative for the rest. ``x @ weights.T + biases`` scores x."""
     present = Y.any(axis=0)
     if not present.any():
         raise ValueError("no label is present in the train set")
     weights = np.zeros((Y.shape[1], X.shape[1]))
     biases = np.full(Y.shape[1], NEG_CONST)
     weights[present], biases[present] = _fit_ovr(X, Y[:, present], reg)
-    return OvrModel(weights, biases)
+    return weights, biases
 
 
 def train_ovr(X: np.ndarray, labels: LabelStore, train_nodes,
-              reg: float = EvalProtocol.reg) -> OvrModel:
+              reg: float = EvalProtocol.reg):
     """Fit one binary classifier per vocabulary label on the train nodes.
 
-    Labels with no positive train node get a constant-negative classifier.
+    Returns the (weights, biases) model of _ovr_model: labels with no positive
+    train node get a constant-negative classifier.
     """
     train_nodes = list(train_nodes)
     if not train_nodes:
@@ -228,13 +219,15 @@ def _f1(truth: np.ndarray, predicted: np.ndarray):
     return micro, macro
 
 
-def predict_multilabel(model: OvrModel, x: np.ndarray, k: int):
-    """The k labels with highest scores; ties broken by ascending label id."""
+def predict_multilabel(model, x: np.ndarray, k: int):
+    """The k labels of the (weights, biases) model with highest scores on x;
+    ties broken by ascending label id."""
+    weights, biases = model
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > model.num_labels:
-        raise ValueError(f"k={k} exceeds the vocabulary size {model.num_labels}")
-    top = _top_k(model.scores(np.atleast_2d(x)), np.array([k]))[0]
+    if k > len(biases):
+        raise ValueError(f"k={k} exceeds the vocabulary size {len(biases)}")
+    top = _top_k(np.atleast_2d(x) @ weights.T + biases, np.array([k]))[0]
     return frozenset(np.flatnonzero(top).tolist())
 
 
@@ -284,7 +277,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         def by_fraction(score):
-            return {f"{f:g}": score(f) for f in self.protocol.fractions}
+            return {_fraction_key(f): score(f) for f in self.protocol.fractions}
 
         return {
             "protocol": {**asdict(self.protocol), "fractions": list(self.protocol.fractions)},
@@ -297,13 +290,13 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_dict())
 
     def to_tsv(self) -> str:
         lines = ["fraction\tmean_micro\tsd_micro\tmean_macro\tsd_macro"]
         for f in self.protocol.fractions:
             lines.append(
-                f"{f:g}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
+                f"{_fraction_key(f)}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
                 f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}"
             )
         return "\n".join(lines) + "\n"
@@ -325,9 +318,9 @@ def run_protocol(X: np.ndarray, labels: LabelStore,
         for rep in range(protocol.repeats):
             # split row positions: X and Y hold the labeled nodes' rows
             train, test = split_labeled(range(len(nodes)), fraction, protocol.seed + rep)
-            model = _ovr_model(X[train], Y[train], protocol.reg)
+            weights, biases = _ovr_model(X[train], Y[train], protocol.reg)
             truth = Y[test]
-            micro, macro = _f1(truth, _top_k(model.scores(X[test]), truth.sum(axis=1)))
+            micro, macro = _f1(truth, _top_k(X[test] @ weights.T + biases, truth.sum(axis=1)))
             report.micro.setdefault(fraction, []).append(micro)
             report.macro.setdefault(fraction, []).append(macro)
     return report

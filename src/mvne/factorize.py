@@ -417,9 +417,8 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     if len(names) != n:
         raise ValueError(f"got {len(names)} names for {n} embedding rows")
     try:
-        joined = "".join(names)
-        # every whitespace character but " " is unprintable, so most names pass here at once
-        plain = all(names) and joined.isprintable() and " " not in joined
+        # the rule holds for every name if it holds for their join and none is empty
+        plain = all(names) and _name_fault("".join(names)) is None
     except TypeError:  # a name that is not a str
         plain = False
     if not plain:
@@ -539,8 +538,12 @@ def _read_span(text):
     return names, X
 
 
+def _json_text(value) -> str:
+    """The one JSON layout of every output: indent 2, sorted keys, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def write_run_metadata(path, meta) -> None:
-    """Write the JSON value meta to path: indent 2, sorted keys, a final newline."""
+    """Write the JSON value meta to path in the _json_text layout."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(meta))

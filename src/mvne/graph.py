@@ -349,7 +349,8 @@ def _parse_lines(stream, registry: NodeRegistry):
             except ValueError:
                 raise ParseError(f"bad weight {parts[2]!r}", line_no) from None
             if not 0.0 < w < math.inf:
-                raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
+                raise ParseError(f"non-positive weight {parts[2]!r}" if math.isfinite(w)
+                                 else f"weight {parts[2]!r} is not finite", line_no)
         elif len(parts) == 2:
             w = 1.0
         else:

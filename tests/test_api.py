@@ -25,7 +25,7 @@ PACKAGE = Path(mvne.__file__).resolve().parent
 # Adding or dropping a public name is an edit here.
 PUBLIC = [
     "EvalProtocol", "EvalReport", "Factorization", "FactorizeConfig", "LabelStore",
-    "MultiViewGraph", "MvneConfig", "NodeRegistry", "OvrModel", "ParseError", "SbmSpec",
+    "MultiViewGraph", "MvneConfig", "NodeRegistry", "ParseError", "SbmSpec",
     "SparseAdjacency", "ViewWeights", "build_multiview", "combine_views", "default_betas",
     "dump_dataset", "embedding", "factorize", "generate_multiview_sbm", "init_factorization",
     "kl_objective", "load_edge_list", "load_labels", "macro_f1", "micro_f1", "mvne_embed",

@@ -295,6 +295,18 @@ class TestEval:
         expected = mvne.run_protocol(X, labels, protocol).to_json()
         assert rep.read_bytes() == expected.encode("utf-8")
 
+    def test_stdout_names_each_fraction_as_the_tsv_does(self, tmp_path, dataset, capsys):
+        # at two decimals these would print as 0.12, 0.12 and 0.01
+        emb, tsv = tmp_path / "emb.txt", tmp_path / "r.tsv"
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 6,
+                    "--seed", 2, "--out", emb]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--embedding", emb, "--labels", dataset / "labels.tsv",
+                    "--fractions", "0.115,0.12,0.005", "--repeats", 2, "--tsv", tsv]) == 0
+        printed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert printed == [line.split("\t")[0] for line in tsv.read_text().splitlines()[1:]]
+        assert printed == ["0.115", "0.12", "0.005"]
+
     def test_perfect_one_hot_embedding(self, tmp_path):
         emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
         n, L = 45, 3
@@ -584,6 +596,17 @@ class TestMisc:
         assert run(["embed", "--edges", dataset / "view0.edges",
                     "--config", cfg, "--out", tmp_path / "e.txt"]) == 2
         assert f"line {line}: unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_repeated_config_exits_2_naming_it(self, tmp_path, dataset, capsys):
+        # argparse alone keeps the last --config, so b.cfg would run with a.cfg ignored
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("dim=3\n")
+        b.write_text("max_iters=2\n")
+        out = tmp_path / "e.txt"
+        assert run(["embed", "--edges", dataset / "view0.edges", "--config", a,
+                    f"--config={b}", "--out", out]) == 2
+        assert "--config given 2 times" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value, normalized", [("true", False), ("off", True)])
     def test_config_sets_store_true_flag(self, tmp_path, dataset, value, normalized):

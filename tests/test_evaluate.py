@@ -64,9 +64,9 @@ class TestTrainOvr:
         x = np.concatenate([rng.uniform(0.2, 1.0, 30), rng.uniform(-1.0, -0.2, 30)])
         X = x[:, None]
         store = store_from({i: ["pos"] if x[i] > 0 else ["neg"] for i in range(60)})
-        model = mvne.train_ovr(X, store, range(60), reg=1e-4)
+        W, b = mvne.train_ovr(X, store, range(60), reg=1e-4)
         pos = store._vocab["pos"]
-        correct = sum((model.scores(X[i])[pos] > 0) == (x[i] > 0) for i in range(60))
+        correct = sum(((X[i] @ W.T + b)[pos] > 0) == (x[i] > 0) for i in range(60))
         assert correct == 60
 
     def test_all_positive_label_dominates_absent_label(self):
@@ -75,9 +75,9 @@ class TestTrainOvr:
         everywhere, nowhere = store.label_id("everywhere"), store.label_id("nowhere")
         for v in range(12):
             store.add(v, ["everywhere"])
-        model = mvne.train_ovr(X, store, range(12), reg=0.01)
+        W, b = mvne.train_ovr(X, store, range(12), reg=0.01)
         for v in range(12):
-            s = model.scores(X[v])
+            s = X[v] @ W.T + b
             assert s[everywhere] > s[nowhere]
 
     def test_gradient_norm_below_tolerance(self):
@@ -235,9 +235,8 @@ class TestNewtonSolver:
 
 class TestPredict:
     def make_model(self, scores):
-        # one feature; weight chosen so scores(x=[1]) equals the given values
-        L = len(scores)
-        return mvne.OvrModel(np.array(scores)[:, None], np.zeros(L))
+        # one feature; weights chosen so the scores at x=[1] equal the given values
+        return np.array(scores)[:, None], np.zeros(len(scores))
 
     def test_top_k(self):
         model = self.make_model([0.9, 0.2, 0.8])

@@ -57,6 +57,11 @@ class TestLoadEdgeList:
         with pytest.raises(ParseError, match="non-positive"):
             make_adjacency("a\tb\t-1.5\n")
 
+    @pytest.mark.parametrize("weight", ["inf", "nan", "1e999", "-inf", "NaN"])
+    def test_non_finite_weight_rejected_as_not_finite(self, weight):
+        with pytest.raises(ParseError, match=rf"^line 2: weight '{weight}' is not finite$"):
+            make_adjacency(f"a\tb\nb\tc\t{weight}\n")
+
     @pytest.mark.parametrize("text, line", [
         ("x\ty\na b\tc\n", 2),
         ("a\tb c\t2.0\n", 1),
@@ -101,6 +106,8 @@ class TestNodeNames:
         ("bad\ud800", "does not encode as UTF-8"),
         ("a b", "is empty or holds whitespace"),
         ("", "is empty or holds whitespace"),
+        ("a\u00a0b", "is empty or holds whitespace"),  # NBSP
+        ("a\u2028b", "is empty or holds whitespace"),  # line separator
         (3, "is not a str"),
     ])
     def test_registry_and_embedding_writer_refuse_by_one_rule(self, tmp_path, name, fault):
@@ -114,6 +121,26 @@ class TestNodeNames:
             mvne.write_embedding(path, np.ones((1, 2)), [name])
         assert str(exc.value) == f"embedding row 0: node name {name!r} {fault}"
         assert not path.exists()
+
+    @pytest.mark.parametrize("names, row, fault", [
+        (["a", "", "b"], 1, "is empty or holds whitespace"),  # the join "ab" is clean
+        (["\ud83d", "\ude00"], 0, "does not encode as UTF-8"),  # a pair only when joined
+    ])
+    def test_embedding_writer_refuses_names_a_clean_join_would_hide(self, tmp_path, names,
+                                                                   row, fault):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError) as exc:
+            mvne.write_embedding(path, np.ones((len(names), 2)), names)
+        assert str(exc.value) == f"embedding row {row}: node name {names[row]!r} {fault}"
+        assert not path.exists()
+
+    def test_nul_is_a_legal_name_character(self, tmp_path):
+        # unprintable but not whitespace, so it splits as one field
+        path = tmp_path / "emb.txt"
+        mvne.write_embedding(path, np.ones((2, 1)), ["a\x00b", "c"])
+        assert path.read_bytes() == b"2 1\na\x00b 1\nc 1\n"
+        assert mvne.read_embedding(path)[0] == ["a\x00b", "c"]
+        assert mvne.NodeRegistry().intern("a\x00b") == 0
 
     def test_registry_refuses_a_leading_hash_that_the_embedding_may_hold(self, tmp_path):
         with pytest.raises(ValueError, match=r"^node identifier '#a' starts with '#'$"):

@@ -115,7 +115,9 @@ def per_line_parse_edges(source, registry):
                 w = float(parts[2])
             except ValueError:
                 raise ParseError(f"bad weight {parts[2]!r}", line_no) from None
-            if not math.isfinite(w) or w <= 0:
+            if not math.isfinite(w):
+                raise ParseError(f"weight {parts[2]!r} is not finite", line_no)
+            if w <= 0:
                 raise ParseError(f"non-positive weight {parts[2]!r}", line_no)
         else:
             raise ParseError(f"expected 2 or 3 fields, got {len(parts)}", line_no)
@@ -418,7 +420,8 @@ def test_eval_protocol_accepts_exactly_finite_valid_values(fractions, repeats, r
 def per_node_predict(model, x, k):
     if k == 0:
         return frozenset()
-    s = model.weights @ x + model.biases
+    weights, biases = model
+    s = weights @ x + biases
     order = np.lexsort((np.arange(len(s)), -s))  # score desc, label id asc
     return frozenset(int(l) for l in order[:k])
 
@@ -466,11 +469,11 @@ def test_batched_top_k_and_f1_agree_with_per_node_reference(case):
     scores, absent, truth = case
     m, L = truth.shape
     # features e_r make row r's scores exact in any summation order
-    model = mvne.OvrModel(np.where(absent[:, None], 0.0, scores.T),
-                          np.where(absent, evaluate_module.NEG_CONST, 0.0))
+    model = (np.where(absent[:, None], 0.0, scores.T),
+             np.where(absent, evaluate_module.NEG_CONST, 0.0))
     X = np.eye(m)
     k = truth.sum(axis=1)
-    predicted = evaluate_module._top_k(model.scores(X), k)
+    predicted = evaluate_module._top_k(X @ model[0].T + model[1], k)
     truth_sets = {r: set(np.flatnonzero(truth[r]).tolist()) for r in range(m)}
     expected = {r: set(per_node_predict(model, X[r], int(k[r]))) for r in range(m)}
     assert {r: set(np.flatnonzero(predicted[r]).tolist()) for r in range(m)} == expected
