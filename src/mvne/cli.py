@@ -8,8 +8,9 @@ checked by the config objects, so a NaN or infinite --rel-tol, --reg or
 --beta, or a negative --seed, is an input error; stats takes no --seed. A
 flag that sets a config field has no default of its own, so an omitted one
 keeps the field's. embed, eval and stats check their flags and output
-directories before reading any input. Exit codes: 0 success, 2
-input/validation error, 1 runtime error.
+paths before reading any input, and embed releases the graph once its views
+are combined, so the fit holds the combined view alone. Exit codes: 0
+success, 2 input/validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .factorize import (FactorizeConfig, embedding, read_embedding, write_embedd
                         write_run_metadata)
 from .graph import (MultiViewGraph, ParseError, _iter_data_lines, build_multiview,
                     load_labels, read_manifest, view_stats, write_edge_list)
-from .multiview import MvneConfig, ViewWeights, fit_views
+from .multiview import MvneConfig, ViewWeights, combine_as_configured, fit_combined
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
@@ -156,12 +157,27 @@ def _load_graph(args) -> MultiViewGraph:
     return build_multiview([("view0", args.edges)])
 
 
-def _check_out_dirs(args, *flags):
-    """Raise ParseError naming the first output flag whose parent directory is missing."""
-    for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+def _check_out_paths(paths):
+    """Raise ParseError naming the first flag in the {flag: output path or None} map
+    whose path is a directory or whose parent directory is missing."""
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ParseError(f"{flag}: {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ParseError(f"{flag}: directory {os.path.dirname(path)!r} does not exist")
+
+
+def _combined_input(args, config):
+    """(node names, view names, weights, combined view) of embed's input.
+
+    The graph lives in this frame alone, so its registry index and per-view
+    adjacencies are freed when it returns, before the fit.
+    """
+    graph = _load_graph(args)
+    weights, combined = combine_as_configured(graph.views, config)
+    return graph.registry.names, graph.view_names, weights, combined
 
 
 def cmd_embed(args) -> int:
@@ -169,27 +185,27 @@ def cmd_embed(args) -> int:
     fit = _config(FactorizeConfig, args, d=args.dim)
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
-    _check_out_dirs(args, "--out", "--meta", "--export-combined")
-    graph = _load_graph(args)
-    weights, combined, fac = fit_views(graph.views, config)
+    weighted = args.out + ".weighted" if args.export_weighted else None
+    _check_out_paths({"--out": args.out, "--meta": args.meta,
+                      "--export-combined": args.export_combined, "--export-weighted": weighted})
+    names, view_names, weights, combined = _combined_input(args, config)
+    fac = fit_combined(combined, config)
     if args.export_combined:
-        write_edge_list(combined, graph.registry, args.export_combined)
-    names = graph.registry.names
+        write_edge_list(combined, names, args.export_combined)
     write_embedding(args.out, embedding(fac), names)
-    if args.export_weighted:
-        write_embedding(args.out + ".weighted", fac.H * fac.lam[None, :], names)
+    if weighted:
+        write_embedding(weighted, fac.H * fac.lam[None, :], names)
     if args.meta:
         meta = fac.run.to_dict()
+        meta.update(dataclasses.asdict(fit))  # every FactorizeConfig field, as used
         meta.update({
-            "views": graph.view_names,
+            "views": view_names,
             "betas": [float(b) for b in weights.beta],
             "normalize_views": config.normalize_views,
-            "d": fit.d,
-            "seed": fit.seed,
             "wall_time_s": time.perf_counter() - t0,
         })
         write_run_metadata(args.meta, meta)
-    print(f"embedded {graph.n} nodes from {graph.k} view(s) into d={fit.d} "
+    print(f"embedded {len(names)} nodes from {len(view_names)} view(s) into d={fit.d} "
           f"({fac.run.iterations} iterations, objective {fac.run.objective:.6g})")
     return 0
 
@@ -198,7 +214,7 @@ def cmd_eval(args) -> int:
     if "fractions" in args:
         args.fractions = _parse_floats("--fractions", args.fractions)
     protocol = _config(EvalProtocol, args)
-    _check_out_dirs(args, "--json", "--tsv")
+    _check_out_paths({"--json": args.json, "--tsv": args.tsv})
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
@@ -215,7 +231,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _check_out_dirs(args, "--json")
+    _check_out_paths({"--json": args.json})
     graph = _load_graph(args)
     rows = view_stats(graph)
     if args.json:

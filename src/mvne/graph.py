@@ -233,9 +233,8 @@ class MultiViewGraph:
             raise ValueError("empty view list: a multi-view graph needs at least one view")
         if len(names) != len(self.views):
             raise ValueError(f"got {len(names)} view names for {len(self.views)} views")
-        for k, (name, adj) in enumerate(zip(names, self.views)):
-            if name in names[:k]:
-                raise ValueError(f"view name {name!r} is repeated")
+        _refuse_repeated_view_names(names)
+        for name, adj in zip(names, self.views):
             if adj.n != n:
                 raise ValueError(f"view {name!r} has {adj.n} nodes; the registry has {n}")
 
@@ -246,6 +245,13 @@ class MultiViewGraph:
     @property
     def n(self) -> int:
         return len(self.registry)
+
+
+def _refuse_repeated_view_names(names):
+    """Raise ValueError naming the first view name that an earlier one repeats."""
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValueError(f"view name {name!r} is repeated")
 
 
 class LabelStore:
@@ -412,9 +418,10 @@ def load_edge_list(source, registry: NodeRegistry | None = None):
     return adj, registry
 
 
-def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
+def write_edge_list(adj: SparseAdjacency, registry, sink):
     """Write one line per entry of ``upper_index`` so a reload round-trips.
 
+    ``registry`` names the nodes: a NodeRegistry, or its ``names`` list.
     A non-symmetric adjacency raises ValueError before anything is written.
     Each weight's repr is made once, in a memo keyed by its float64 bits (0.0
     and -0.0 compare equal but print apart) and emptied past _MEMO_ENTRIES.
@@ -423,7 +430,7 @@ def write_edge_list(adj: SparseAdjacency, registry: NodeRegistry, sink):
     text is the same.
     """
     pos, rows, cols, _ = adj.upper_index
-    names = registry.names
+    names = registry.names if isinstance(registry, NodeRegistry) else registry
     reprs = {}
 
     def entries(lo, hi):
@@ -474,9 +481,12 @@ def build_multiview(manifest) -> MultiViewGraph:
     All views are indexed against one shared registry (the union of node
     identifiers across views), in first-appearance order over the views in
     manifest order. Each source is parsed by parse_edges, a large file by
-    up to one process per usable core. An adjacency's ValueError names its view.
+    up to one process per usable core. An adjacency's ValueError names its
+    view; a repeated view name raises ValueError before any source is parsed.
     """
     manifest = list(manifest)
+    names = [name for name, _ in manifest]
+    _refuse_repeated_view_names(names)
     registry = NodeRegistry()
     parsed = [parse_edges(source, registry) for _, source in manifest]
     views = []
@@ -485,7 +495,6 @@ def build_multiview(manifest) -> MultiViewGraph:
             views.append(SparseAdjacency.from_undirected(*triples, len(registry)))
         except ValueError as exc:
             raise ValueError(f"view {name!r} ({source}): {exc}") from exc
-    names = [name for name, _ in manifest]
     return MultiViewGraph(registry=registry, view_names=names, views=views)
 
 

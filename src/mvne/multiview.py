@@ -6,6 +6,8 @@ combination, so every view is explained by the same latent communities.
 View weights beta default to the per-view active-node counts, normalized to
 sum 1; per-view total weights can differ by orders of magnitude, so each
 view is rescaled to unit total weight before combining unless disabled.
+A fit is two steps, combine_as_configured then fit_combined; the second
+reads the combined view alone.
 """
 
 from __future__ import annotations
@@ -92,14 +94,23 @@ def _weighted_sum(views, weights: ViewWeights, normalize_views: bool) -> SparseA
     return SparseAdjacency(acc)
 
 
-def fit_views(views, config: MvneConfig):
-    """(weights, combined view, factorization): combine_views then factorize, as configured.
+def combine_as_configured(views, config: MvneConfig):
+    """(weights, combined view): combine_views as configured, the first step of a fit.
 
     The weights are config.betas, or else default_betas' active-node counts.
+    The combined view shares no array with the views, so a caller that drops
+    them after this step holds only the combined view during fit_combined.
     """
     weights = config.betas if config.betas is not None else _active_count_weights(views)
-    combined = _weighted_sum(views, weights, config.normalize_views)
-    return weights, combined, factorize(combined, config.factorize)
+    return weights, _weighted_sum(views, weights, config.normalize_views)
+
+
+def fit_combined(combined: SparseAdjacency, config: MvneConfig) -> Factorization:
+    """The second step of a fit: factorize the combined view with config.factorize.
+
+    The fit reads the combined view alone, never the views it came from.
+    """
+    return factorize(combined, config.factorize)
 
 
 def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
@@ -107,11 +118,11 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
 
     The returned embedding covers every registry node; nodes absent from all
     positive-weight views get the uniform membership row 1/d and are listed
-    in the run metadata.
+    in the run metadata. The graph is left as it was given.
     """
-    return fit_views(graph.views, config)[2]
+    return fit_combined(combine_as_configured(graph.views, config)[1], config)
 
 
 def svne_embed(adj: SparseAdjacency, config: MvneConfig) -> Factorization:
     """Single-view embedding: the k = 1 case of mvne_embed, through the same fit."""
-    return fit_views([adj], config)[2]
+    return fit_combined(combine_as_configured([adj], config)[1], config)

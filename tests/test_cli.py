@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import importlib
 import json
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from conftest import per_entry_edge_list
 
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+graph_module = importlib.import_module("mvne.graph")
 
 
 def run(args):
@@ -44,6 +47,13 @@ def embed_max_difference(tmp_path, texts, flags):
     (names, X), *others = embeddings
     assert all(other == names for other, _ in others)
     return max(np.abs(Y - X).max() for _, Y in others)
+
+
+def bad_output_paths(tmp_path, flag):
+    """(path, error) for an output path whose directory is missing and for one
+    that is an existing directory."""
+    return [(tmp_path / "missing" / "x", f"{flag}: directory "),
+            (tmp_path, f"{flag}: {str(tmp_path)!r} is a directory")]
 
 
 def os_threads():
@@ -146,6 +156,52 @@ class TestEmbed:
         adj, reg = mvne.load_edge_list(dataset / "view0.edges")
         mvne.write_embedding(lib / "e.txt", mvne.svne_embed(adj, cfg).H, reg.names)
         assert out.read_bytes() == (lib / "e.txt").read_bytes()
+
+    @pytest.mark.parametrize("source", ["--manifest", "--edges"])
+    def test_fit_holds_no_view_of_the_graph(self, tmp_path, dataset, monkeypatch, source):
+        refs, alive = [], []
+        build, fit = mvne.cli.build_multiview, mvne.multiview.factorize
+
+        def recorded_build(manifest):
+            graph = build(manifest)
+            refs.extend(weakref.ref(x) for x in (graph, graph.registry, *graph.views,
+                                                 *(adj.mat for adj in graph.views)))
+            return graph
+
+        def checked_fit(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref() is not None for ref in refs)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(mvne.cli, "build_multiview", recorded_build)
+        monkeypatch.setattr(mvne.multiview, "factorize", checked_fit)
+        path = dataset / ("views.manifest" if source == "--manifest" else "view0.edges")
+        assert run(["embed", source, path, "-d", 2, "--out", tmp_path / "e.txt",
+                    "--meta", tmp_path / "m.json", "--export-combined", tmp_path / "c.edges"]) == 0
+        views = 2 if source == "--manifest" else 1
+        assert len(refs) == 2 + 2 * views
+        assert alive == [False] * len(refs)
+
+    @pytest.mark.parametrize("flag, values, fixed", [
+        ("--max-iters", (400, 500), ["--rel-tol", 1e-2]),   # both stop at the tolerance
+        ("--rel-tol", (1e-6, 1e-7), ["--max-iters", 2]),    # both stop at max_iters
+    ], ids=["max-iters", "rel-tol"])
+    def test_meta_records_every_fit_setting(self, tmp_path, dataset, flag, values, fixed):
+        docs, embeddings = [], []
+        for k, value in enumerate(values):
+            out, meta = tmp_path / f"e{k}.txt", tmp_path / f"m{k}.json"
+            assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4,
+                        *fixed, flag, value, "--out", out, "--meta", meta]) == 0
+            docs.append(json.loads(meta.read_text()))
+            del docs[-1]["wall_time_s"]
+            embeddings.append(out.read_bytes())
+        key, fixed_key = (f[2:].replace("-", "_") for f in (flag, fixed[0]))
+        assert embeddings[0] == embeddings[1]
+        assert [doc.pop(key) for doc in docs] == list(values)
+        assert docs[0] == docs[1]
+        settings = dataclasses.asdict(mvne.FactorizeConfig(d=4, **{fixed_key: fixed[1]}))
+        del settings[key]
+        assert {name: docs[0][name] for name in settings} == settings
 
     def test_manifest_metadata_betas(self, tmp_path):
         data = tmp_path / "three"
@@ -388,14 +444,28 @@ class TestChecksBeforeInput:
     @pytest.mark.parametrize("flag", ["--out", "--meta", "--export-combined"])
     def test_missing_output_directory_exits_2_before_the_fit(self, tmp_path, dataset, capsys,
                                                              monkeypatch, flag):
-        fits = []
-        monkeypatch.setattr(mvne.multiview, "factorize", lambda *a, **k: fits.append(a))
-        paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--meta", "--export-combined")}
-        paths[flag] = tmp_path / "missing" / "x"
-        args = [tok for f, path in paths.items() for tok in (f, path)]
-        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2, *args]) == 2
-        assert f"{flag}: directory " in capsys.readouterr().err
-        assert fits == []
+        calls = []
+        monkeypatch.setattr(mvne.multiview, "factorize", lambda *a, **k: calls.append("fit"))
+        monkeypatch.setattr(mvne.cli, "build_multiview", lambda *a: calls.append("load"))
+        for bad, error in bad_output_paths(tmp_path, flag):
+            paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--meta", "--export-combined")}
+            paths[flag] = bad
+            args = [tok for f, path in paths.items() for tok in (f, path)]
+            assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2, *args]) == 2
+            assert error in capsys.readouterr().err
+            assert calls == []
+
+    def test_weighted_export_directory_exits_2_before_input_is_read(self, tmp_path, dataset,
+                                                                    capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mvne.cli, "build_multiview", lambda *a: calls.append("load"))
+        out = tmp_path / "e.txt"
+        (tmp_path / "e.txt.weighted").mkdir()
+        assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2, "--out", out,
+                    "--export-weighted"]) == 2
+        assert f"--export-weighted: {str(out) + '.weighted'!r} is a directory" in \
+            capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--no-normalize-views"]], ids=["normalized", "raw"])
     def test_overflowing_view_total_exits_2_naming_view_and_file(self, tmp_path, capsys, extra):
@@ -460,11 +530,14 @@ class TestChecksBeforeInput:
         mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
         inputs = {"eval": ["--embedding", emb, "--labels", dataset / "labels.tsv"],
                   "stats": ["--manifest", dataset / "views.manifest"]}
-        assert run([command, *inputs[command], flag, tmp_path / "missing" / "x"]) == 2
-        assert f"{flag}: directory " in capsys.readouterr().err
-        assert calls == []
+        for bad, error in bad_output_paths(tmp_path, flag):
+            assert run([command, *inputs[command], flag, bad]) == 2
+            assert error in capsys.readouterr().err
+            assert calls == []
 
-    def test_repeated_view_name_exits_2_naming_it(self, tmp_path, dataset, capsys):
+    def test_repeated_view_name_exits_2_naming_it(self, tmp_path, dataset, capsys, monkeypatch):
+        parses = []
+        monkeypatch.setattr(graph_module, "parse_edges", lambda *a: parses.append(a))
         manifest = tmp_path / "views.manifest"
         manifest.write_text(f"v\t{dataset / 'view0.edges'}\nv\t{dataset / 'view1.edges'}\n")
         meta = tmp_path / "meta.json"
@@ -472,6 +545,7 @@ class TestChecksBeforeInput:
                     "--meta", meta]) == 2
         assert "view name 'v' is repeated" in capsys.readouterr().err
         assert not meta.exists()
+        assert parses == []
 
     # The fit runs in the weights' unit and starts at their total, so a graph
     # whose weight nears the largest float fits as its weights-of-one twin

@@ -211,6 +211,17 @@ class TestMvneEmbed:
         assert np.array_equal(mv.H, sv.H)
         assert np.array_equal(mv.lam, sv.lam)
 
+    def test_embed_leaves_the_graph_as_given(self):
+        g = two_view_graph()
+        stats = mvne.view_stats(g)
+        arrays = [(adj.mat.indptr.copy(), adj.mat.indices.copy(), adj.mat.data.copy())
+                  for adj in g.views]
+        mvne.mvne_embed(g, mvne.MvneConfig(factorize=mvne.FactorizeConfig(d=2, seed=3)))
+        assert mvne.view_stats(g) == stats
+        for adj, before in zip(g.views, arrays):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip((adj.mat.indptr, adj.mat.indices, adj.mat.data), before))
+
     def test_identical_views_match_single_view_run(self):
         text = "a\tb\nb\tc\nc\ta\nc\td\n"
         g2 = mvne.build_multiview([("v1", io.StringIO(text)), ("v2", io.StringIO(text))])
