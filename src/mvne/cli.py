@@ -2,15 +2,17 @@
 
 Subcommands: embed, eval, stats, synth. Every run is reproducible from its
 flags: all randomness flows from --seed, and identical flags and inputs give
-byte-identical output files. Files are read by the library's own readers
-(eval keys graph.load_labels by the embedding's names), and flag values are
-checked by the config objects, so a NaN or infinite --rel-tol, --reg or
---beta, or a negative --seed, is an input error; stats takes no --seed. A
-flag that sets a config field has no default of its own, so an omitted one
-keeps the field's. embed, eval and stats check their flags and output
-paths before reading any input, and embed releases the graph once its views
-are combined, so the fit holds the combined view alone. Exit codes: 0
-success, 2 input/validation error, 1 runtime error.
+byte-identical output files. An argument @FILE stands for FILE's lines, one
+argument each, minus blank and `#` lines; a later flag wins. Files are read
+by the library's own readers (eval keys graph.load_labels by the embedding's
+names), and flag values are checked by the config objects, so a NaN or
+infinite --rel-tol, --reg or --beta, or a negative --seed, is an input
+error; stats takes no --seed. A flag that sets a config field has no
+default of its own, so an omitted one keeps the field's. embed, eval and
+stats check their flags and output paths, which may name no input or other
+output, before parsing any edge list or embedding. embed releases the graph
+once its views are combined, so the fit holds the combined view alone.
+Exit codes: 0 success, 2 input/validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -25,17 +27,16 @@ from . import __version__
 from .evaluate import EvalProtocol, _fraction_key, run_protocol
 from .factorize import (FactorizeConfig, embedding, read_embedding, write_embedding,
                         write_run_metadata)
-from .graph import (MultiViewGraph, ParseError, _iter_data_lines, build_multiview,
-                    load_labels, read_manifest, view_stats, write_edge_list)
+from .graph import (ParseError, build_multiview, load_labels, read_manifest, view_stats,
+                    write_edge_list)
 from .multiview import MvneConfig, ViewWeights, combine_as_configured, fit_combined
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
-def _add_common(parser, *, seed=argparse.SUPPRESS):
-    if seed is not None:
-        parser.add_argument("--seed", type=int, default=seed, help="base PRNG seed")
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value defaults file; flags override it")
+class _Parser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line):
+        """One argument per line of an @FILE; blank lines and `#` lines are skipped."""
+        return [] if not arg_line.strip() or arg_line.startswith("#") else [arg_line]
 
 
 def _parse_floats(flag, text):
@@ -47,12 +48,12 @@ def _parse_floats(flag, text):
 
 
 def build_parser():
-    # allow_abbrev=False everywhere: a flag, and so a --config key, must be
-    # written out in full (`max=2` would otherwise set --max-iters)
-    parser = argparse.ArgumentParser(
+    # allow_abbrev=False everywhere: a flag, on the command line or in an
+    # @FILE, must be written out in full (`--max=2` would otherwise set --max-iters)
+    parser = _Parser(
         prog="mvne",
         description="Sparse-graph node embeddings via shared-community factorization",
-        allow_abbrev=False,
+        allow_abbrev=False, fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"mvne {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -74,7 +75,7 @@ def build_parser():
                    help="also write the mass-weighted matrix H*Lambda next to --out")
     p.add_argument("--export-combined", metavar="PATH",
                    help="write the combined view as an edge list for inspection")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="base PRNG seed")
 
     p = sub.add_parser("eval", allow_abbrev=False,
                        help="score an embedding on node-label prediction")
@@ -85,7 +86,7 @@ def build_parser():
     p.add_argument("--reg", type=float, default=argparse.SUPPRESS)
     p.add_argument("--json", help="report JSON output path")
     p.add_argument("--tsv", help="plot-ready TSV output path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="base PRNG seed")
 
     p = sub.add_parser("stats", allow_abbrev=False,
                        help="per-view node/edge statistics")
@@ -93,7 +94,6 @@ def build_parser():
     src.add_argument("--edges")
     src.add_argument("--manifest")
     p.add_argument("--json", help="stats JSON output path")
-    _add_common(p, seed=None)
 
     p = sub.add_parser("synth", allow_abbrev=False,
                        help="generate a synthetic multi-view dataset")
@@ -105,44 +105,9 @@ def build_parser():
     p.add_argument("--keep", type=float, default=argparse.SUPPRESS)
     p.add_argument("--noise", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out-dir", required=True)
-    _add_common(p, seed=42)
+    p.add_argument("--seed", type=int, default=42, help="base PRNG seed")
 
     return parser
-
-
-# store_true flags: a config file sets one with a truthy value
-_CONFIG_FLAGS = ("--no-normalize-views", "--export-weighted")
-
-
-def _expand_config(argv):
-    """Insert the --config file's key=value lines as --key=value flags.
-
-    They go right after the subcommand, so argparse converts the values and
-    explicit flags later on the command line win. Returns the new argv and a
-    map from each inserted flag to its line number.
-    """
-    pre = argparse.ArgumentParser(prog="mvne", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", action="append")
-    paths = pre.parse_known_args(argv)[0].config
-    at = next((k for k, tok in enumerate(argv) if tok in COMMANDS), None)
-    if paths is None or at is None:
-        return argv, {}
-    if len(paths) > 1:  # argparse would keep the last and ignore the rest
-        raise ParseError(f"--config given {len(paths)} times; give one file")
-    flags = {}
-    with open(paths[0], "r", encoding="utf-8") as fh:
-        for line_no, line in _iter_data_lines(fh):
-            if "=" not in line:
-                raise ParseError("expected key=value", line_no)
-            key, value = (x.strip() for x in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            if flag == "--config":  # accepted, it would be ignored: the given --config wins
-                raise ParseError(f"unknown config key {key!r}", line_no)
-            if flag not in _CONFIG_FLAGS:
-                flags[f"{flag}={value}"] = line_no
-            elif value.lower() in ("1", "true", "yes", "on"):
-                flags[flag] = line_no
-    return argv[:at + 1] + list(flags) + argv[at + 1:], flags
 
 
 def _config(cls, args, **values):
@@ -151,15 +116,21 @@ def _config(cls, args, **values):
     return cls(**given, **values)
 
 
-def _load_graph(args) -> MultiViewGraph:
-    if getattr(args, "manifest", None):
-        return build_multiview(read_manifest(args.manifest))
-    return build_multiview([("view0", args.edges)])
+def _views(args):
+    """The (view name, edge-list path) pairs of --manifest or --edges, and the
+    (flag, path) of every file embed or stats reads; parses no edge list."""
+    if not args.manifest:
+        return [("view0", args.edges)], [("--edges", args.edges)]
+    views = read_manifest(args.manifest)
+    return views, [("--manifest", args.manifest)] + [
+        (f"--manifest view {name!r}", path) for name, path in views]
 
 
-def _check_out_paths(paths):
+def _check_out_paths(paths, inputs):
     """Raise ParseError naming the first flag in the {flag: output path or None} map
-    whose path is a directory or whose parent directory is missing."""
+    whose path is a directory, whose parent directory is missing, or that an
+    earlier output or one of the (flag, path) inputs also names."""
+    named = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path in paths.items():
         if path is None:
             continue
@@ -167,15 +138,18 @@ def _check_out_paths(paths):
             raise ParseError(f"{flag}: {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ParseError(f"{flag}: directory {os.path.dirname(path)!r} does not exist")
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ParseError(f"{flag}: {path!r} is also named by {other}")
 
 
-def _combined_input(args, config):
+def _combined_input(views, config):
     """(node names, view names, weights, combined view) of embed's input.
 
     The graph lives in this frame alone, so its registry index and per-view
     adjacencies are freed when it returns, before the fit.
     """
-    graph = _load_graph(args)
+    graph = build_multiview(views)
     weights, combined = combine_as_configured(graph.views, config)
     return graph.registry.names, graph.view_names, weights, combined
 
@@ -186,9 +160,11 @@ def cmd_embed(args) -> int:
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
     weighted = args.out + ".weighted" if args.export_weighted else None
+    views, inputs = _views(args)
     _check_out_paths({"--out": args.out, "--meta": args.meta,
-                      "--export-combined": args.export_combined, "--export-weighted": weighted})
-    names, view_names, weights, combined = _combined_input(args, config)
+                      "--export-combined": args.export_combined, "--export-weighted": weighted},
+                     inputs)
+    names, view_names, weights, combined = _combined_input(views, config)
     fac = fit_combined(combined, config)
     if args.export_combined:
         write_edge_list(combined, names, args.export_combined)
@@ -214,7 +190,8 @@ def cmd_eval(args) -> int:
     if "fractions" in args:
         args.fractions = _parse_floats("--fractions", args.fractions)
     protocol = _config(EvalProtocol, args)
-    _check_out_paths({"--json": args.json, "--tsv": args.tsv})
+    _check_out_paths({"--json": args.json, "--tsv": args.tsv},
+                     [("--embedding", args.embedding), ("--labels", args.labels)])
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
@@ -231,8 +208,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _check_out_paths({"--json": args.json})
-    graph = _load_graph(args)
+    views, inputs = _views(args)
+    _check_out_paths({"--json": args.json}, inputs)
+    graph = build_multiview(views)
     rows = view_stats(graph)
     if args.json:
         write_run_metadata(args.json, rows)
@@ -258,16 +236,8 @@ COMMANDS = {"embed": cmd_embed, "eval": cmd_eval, "stats": cmd_stats, "synth": c
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv, config_lines = _expand_config(argv)
-        args, extras = parser.parse_known_args(argv)
-        for tok in extras:
-            if tok in config_lines:
-                raise ParseError(f"unknown config key {tok[2:].split('=')[0]!r}", config_lines[tok])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"mvne: {exc}", file=sys.stderr)

@@ -54,11 +54,18 @@ class ParseError(ValueError):
 
 
 def _name_fault(name):
-    """Why ``name`` cannot be a node name, or None; whitespace separates embedding-file fields."""
+    """Why ``name`` cannot be a node name, or None; whitespace separates embedding-file
+    fields, and a byte-order mark or C0 control character would be an invisible part
+    of an id (a BOM read as part of a file's first id)."""
     if not isinstance(name, str):
         return "is not a str"
     if name.split() != [name]:
         return "is empty or holds whitespace"
+    if not name.isprintable():  # the cheap test passes almost every name
+        if "\ufeff" in name:
+            return "holds a byte-order mark (U+FEFF)"
+        if min(name) < " ":
+            return "holds a control character"
     if not name.isascii():
         try:
             name.encode("utf-8")

@@ -2,8 +2,8 @@
 perfbench's traced replay imports from it: tier-1 runs that replay no other
 way, so a deleted name would otherwise only show in a `perfbench/run.py
 --trace 1` run. Outside `_parts`, only its `read`, `write` and `threads` are
-used. The settable surface, the config fields and `mvne embed`'s options,
-is the listed one."""
+used. The settable surface, the config fields and every subcommand's
+options, is the listed one."""
 
 import ast
 import contextlib
@@ -64,17 +64,24 @@ SETTABLE = {
     "FactorizeConfig": ["d", "max_iters", "rel_tol", "seed", "epsilon"],
     "MvneConfig": ["factorize", "betas", "normalize_views"],
     "EvalProtocol": ["fractions", "repeats", "seed", "reg"],
-    "mvne embed": ["--beta", "--config", "--dim", "--edges", "--export-combined",
-                   "--export-weighted", "--help", "--manifest", "--max-iters", "--meta",
-                   "--no-normalize-views", "--out", "--rel-tol", "--seed"],
+    "mvne embed": ["--beta", "--dim", "--edges", "--export-combined", "--export-weighted",
+                   "--help", "--manifest", "--max-iters", "--meta", "--no-normalize-views",
+                   "--out", "--rel-tol", "--seed"],
+    "mvne eval": ["--embedding", "--fractions", "--help", "--json", "--labels", "--reg",
+                  "--repeats", "--seed", "--tsv"],
+    "mvne stats": ["--edges", "--help", "--json", "--manifest"],
+    "mvne synth": ["--communities", "--help", "--keep", "--nodes", "--noise", "--out-dir",
+                   "--p-in", "--p-out", "--seed", "--views"],
 }
 
 
 def test_settable_surface_is_the_listed_one():
-    help_text = io.StringIO()
-    with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
-        main(["embed", "--help"])
     surface = {name: [f.name for f in dataclasses.fields(getattr(mvne, name))]
                for name in ("FactorizeConfig", "MvneConfig", "EvalProtocol")}
-    surface["mvne embed"] = sorted(set(re.findall(r"--[a-z][a-z-]*", help_text.getvalue())))
+    for command in ("embed", "eval", "stats", "synth"):
+        help_text = io.StringIO()
+        with contextlib.redirect_stdout(help_text), pytest.raises(SystemExit):
+            main([command, "--help"])
+        surface[f"mvne {command}"] = sorted(set(re.findall(r"--[a-z][a-z-]*",
+                                                           help_text.getvalue())))
     assert surface == SETTABLE

@@ -2,6 +2,9 @@ import dataclasses
 import gc
 import importlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -47,6 +50,21 @@ def embed_max_difference(tmp_path, texts, flags):
     (names, X), *others = embeddings
     assert all(other == names for other, _ in others)
     return max(np.abs(Y - X).max() for _, Y in others)
+
+
+def args_file(tmp_path, text, name="run.args"):
+    """The `@FILE` argument for a file holding text."""
+    path = tmp_path / name
+    path.write_text(text)
+    return f"@{path}"
+
+
+def exits_2(args, capsys):
+    """Run args, which argparse refuses; its message."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 def bad_output_paths(tmp_path, flag):
@@ -535,6 +553,38 @@ class TestChecksBeforeInput:
             assert error in capsys.readouterr().err
             assert calls == []
 
+    @pytest.mark.parametrize("case", ["out-meta", "out-view", "edges-out", "weighted-meta",
+                                      "json-tsv", "json-labels", "stats-manifest"])
+    def test_output_path_named_twice_exits_2_naming_both_flags(self, tmp_path, dataset, capsys,
+                                                               monkeypatch, case):
+        calls = []
+        for name in ("read_embedding", "build_multiview"):
+            monkeypatch.setattr(mvne.cli, name, lambda *a, name=name: calls.append(name))
+        emb, x = tmp_path / "emb.txt", tmp_path / "x.txt"
+        mvne.write_embedding(emb, np.eye(2), ["n0", "n1"])
+        x.write_text("kept\n")
+        manifest, labels = dataset / "views.manifest", dataset / "labels.tsv"
+        view = dataset / ".." / "data" / "view0.edges"  # another spelling of a view file
+        embed, evaluate = ["embed", "--manifest", manifest], ["eval", "--embedding", emb,
+                                                              "--labels", labels]
+        args, path, flag, other = {
+            "out-meta": (embed + ["--out", x, "--meta", x], x, "--meta", "--out"),
+            "out-view": (embed + ["--out", view], view, "--out", "--manifest view 'view0'"),
+            "edges-out": (["embed", "--edges", x, "--out", x], x, "--out", "--edges"),
+            "weighted-meta": (embed + ["--out", emb, "--export-weighted",
+                                       "--meta", f"{emb}.weighted"],
+                              f"{emb}.weighted", "--export-weighted", "--meta"),
+            "json-tsv": (evaluate + ["--json", x, "--tsv", x], x, "--tsv", "--json"),
+            "json-labels": (evaluate + ["--json", labels], labels, "--json", "--labels"),
+            "stats-manifest": (["stats", "--manifest", manifest, "--json", manifest], manifest,
+                               "--json", "--manifest"),
+        }[case]
+        files = lambda: {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        before = files()
+        assert run(args) == 2
+        assert f"{flag}: {str(path)!r} is also named by {other}" in capsys.readouterr().err
+        assert calls == [] and files() == before
+
     def test_repeated_view_name_exits_2_naming_it(self, tmp_path, dataset, capsys, monkeypatch):
         parses = []
         monkeypatch.setattr(graph_module, "parse_edges", lambda *a: parses.append(a))
@@ -586,12 +636,12 @@ class TestStats:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
 
-    def test_seed_config_key_exits_2_naming_the_line(self, tmp_path, capsys):
-        edges, cfg = tmp_path / "t.edges", tmp_path / "run.cfg"
+    def test_seed_in_an_args_file_is_refused(self, tmp_path, capsys):
+        edges = tmp_path / "t.edges"
         edges.write_text("a\tb\n")
-        cfg.write_text("# stats defaults\nseed=3\n")
-        assert run(["stats", "--edges", edges, "--config", cfg]) == 2
-        assert "line 2: unknown config key 'seed'" in capsys.readouterr().err
+        at = args_file(tmp_path, "# stats defaults\n--seed=3\n")
+        assert "unrecognized arguments: --seed=3" in exits_2(["stats", "--edges", edges, at],
+                                                             capsys)
 
     def test_triangle_fixture(self, tmp_path, capsys):
         edges = tmp_path / "t.edges"
@@ -630,64 +680,70 @@ class TestMisc:
         assert exc.value.code == 0
         assert "mvne" in capsys.readouterr().out
 
+    def test_python_m_mvne_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(mvne.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "mvne", "--version"], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.startswith("mvne ")
+
     def test_config_file_defaults_and_flag_override(self, tmp_path, dataset):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("dim=4\nseed=99\n")
-        a = tmp_path / "a.txt"
-        assert run(["embed", "--edges", dataset / "view0.edges",
-                    "--config", cfg, "--out", a]) == 0
+        # an @FILE's lines stand where it does, so a later flag wins
+        at = args_file(tmp_path, "# defaults\n--dim=4\n\n--seed=99\n")
+        edges = dataset / "view0.edges"
+        a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
+        assert run(["embed", "--edges", edges, at, "--out", a]) == 0
         assert a.read_text().splitlines()[0].endswith(" 4")
-        b = tmp_path / "b.txt"
-        assert run(["embed", "--edges", dataset / "view0.edges",
-                    "--config", cfg, "-d", 6, "--out", b]) == 0
+        assert run(["embed", "--edges", edges, at, "-d", 6, "--out", b]) == 0
         assert b.read_text().splitlines()[0].endswith(" 6")
+        assert run(["embed", "--edges", edges, "-d", 4, "--seed", 99, "--out", c]) == 0
+        assert a.read_bytes() == c.read_bytes()
 
-    def test_malformed_config_file_exits_2(self, tmp_path, dataset):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dim 4\n")
-        assert run(["embed", "--edges", dataset / "view0.edges",
-                    "--config", cfg, "--out", tmp_path / "e.txt"]) == 2
-
-    def test_config_equals_form_is_read(self, tmp_path, dataset):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("dim=4\n")
+    def test_malformed_config_file_exits_2(self, tmp_path, dataset, capsys):
+        # one argument a line: a flag and its value on one line are one argument
+        at = args_file(tmp_path, "--dim 4\n")
         out = tmp_path / "e.txt"
-        assert run(["embed", "--edges", dataset / "view0.edges",
-                    f"--config={cfg}", "--out", out]) == 0
-        assert out.read_text().splitlines()[0].endswith(" 4")
-
-    @pytest.mark.parametrize("text, line, key", [
-        ("# defaults\nseed=3\ndimm=5\n", 3, "dimm"),
-        ("repeats=3\n", 1, "repeats"),  # an option of `mvne eval` only
-        ("max=2\n", 1, "max"),  # a prefix of --max-iters
-        ("di=3\n", 1, "di"),  # a prefix of --dim
-        ("dim=3\nconfig=other.cfg\n", 2, "config"),  # the --config given would win
-    ])
-    def test_unknown_config_key_exits_2_naming_the_line(self, tmp_path, dataset, capsys,
-                                                         text, line, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
-        assert run(["embed", "--edges", dataset / "view0.edges",
-                    "--config", cfg, "--out", tmp_path / "e.txt"]) == 2
-        assert f"line {line}: unknown config key '{key}'" in capsys.readouterr().err
-
-    def test_repeated_config_exits_2_naming_it(self, tmp_path, dataset, capsys):
-        # argparse alone keeps the last --config, so b.cfg would run with a.cfg ignored
-        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        a.write_text("dim=3\n")
-        b.write_text("max_iters=2\n")
-        out = tmp_path / "e.txt"
-        assert run(["embed", "--edges", dataset / "view0.edges", "--config", a,
-                    f"--config={b}", "--out", out]) == 2
-        assert "--config given 2 times" in capsys.readouterr().err
+        err = exits_2(["embed", "--edges", dataset / "view0.edges", at, "--out", out], capsys)
+        assert "unrecognized arguments: --dim 4" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value, normalized", [("true", False), ("off", True)])
-    def test_config_sets_store_true_flag(self, tmp_path, dataset, value, normalized):
+    @pytest.mark.parametrize("line", [
+        "--dimm=5",
+        "--repeats=3",  # an option of `mvne eval` only
+        "--max=2",  # a prefix of --max-iters
+        "--di=3",  # a prefix of --dim
+        "--config=other.args",
+    ])
+    def test_unknown_flag_in_an_args_file_exits_2_naming_it(self, tmp_path, dataset, capsys,
+                                                             line):
+        at = args_file(tmp_path, f"# defaults\n--seed=3\n{line}\n")
+        out = tmp_path / "e.txt"
+        err = exits_2(["embed", "--edges", dataset / "view0.edges", at, "--out", out], capsys)
+        assert f"unrecognized arguments: {line}" in err
+        assert not out.exists()
+
+    def test_config_flag_is_an_unrecognized_argument(self, tmp_path, dataset, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"no-normalize-views={value}\ndim=3\n")
+        cfg.write_text("dim=4\n")
+        err = exits_2(["embed", "--edges", dataset / "view0.edges", "--config", cfg,
+                       "--out", tmp_path / "e.txt"], capsys)
+        assert f"unrecognized arguments: --config {cfg}" in err
+
+    def test_two_args_files_apply_in_order(self, tmp_path, dataset):
+        a = args_file(tmp_path, "--dim=3\n--max-iters=2\n", "a.args")
+        b = args_file(tmp_path, "--dim=5\n", "b.args")
         meta = tmp_path / "meta.json"
-        assert run(["embed", "--manifest", dataset / "views.manifest", "--config", cfg,
+        assert run(["embed", "--edges", dataset / "view0.edges", a, b,
+                    "--out", tmp_path / "e.txt", "--meta", meta]) == 0
+        record = json.loads(meta.read_text())
+        assert (record["d"], record["max_iters"]) == (5, 2)
+
+    @pytest.mark.parametrize("line, normalized", [("--no-normalize-views", False),
+                                                  ("# --no-normalize-views", True)],
+                             ids=["set", "commented"])
+    def test_args_file_sets_store_true_flag(self, tmp_path, dataset, line, normalized):
+        at = args_file(tmp_path, f"{line}\n--dim=3\n")
+        meta = tmp_path / "meta.json"
+        assert run(["embed", "--manifest", dataset / "views.manifest", at,
                     "--out", tmp_path / "e.txt", "--meta", meta]) == 0
         assert json.loads(meta.read_text())["normalize_views"] is normalized
 

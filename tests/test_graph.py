@@ -108,6 +108,9 @@ class TestNodeNames:
         ("", "is empty or holds whitespace"),
         ("a\u00a0b", "is empty or holds whitespace"),  # NBSP
         ("a\u2028b", "is empty or holds whitespace"),  # line separator
+        ("a\x00b", "holds a control character"),
+        ("\x1b", "holds a control character"),
+        ("\ufeffa", "holds a byte-order mark (U+FEFF)"),
         (3, "is not a str"),
     ])
     def test_registry_and_embedding_writer_refuse_by_one_rule(self, tmp_path, name, fault):
@@ -134,13 +137,22 @@ class TestNodeNames:
         assert str(exc.value) == f"embedding row {row}: node name {names[row]!r} {fault}"
         assert not path.exists()
 
-    def test_nul_is_a_legal_name_character(self, tmp_path):
-        # unprintable but not whitespace, so it splits as one field
-        path = tmp_path / "emb.txt"
-        mvne.write_embedding(path, np.ones((2, 1)), ["a\x00b", "c"])
-        assert path.read_bytes() == b"2 1\na\x00b 1\nc 1\n"
-        assert mvne.read_embedding(path)[0] == ["a\x00b", "c"]
-        assert mvne.NodeRegistry().intern("a\x00b") == 0
+    @pytest.mark.parametrize("text, line, name, fault", [
+        ("\ufeffa\tb\nb\ta\n", 1, "\ufeffa", "holds a byte-order mark (U+FEFF)"),
+        ("a\tb\nb\x00\ta\n", 2, "b\x00", "holds a control character"),
+    ], ids=["bom", "nul"])
+    def test_bom_and_nul_ids_are_refused_naming_the_line(self, tmp_path, text, line, name,
+                                                          fault):
+        # neither is whitespace: both were read as part of an id, a node other than
+        # `a` or `b`, and a NUL was written and read back
+        path = tmp_path / "v.edges"
+        path.write_bytes(text.encode("utf-8"))  # U+FEFF is the UTF-8 byte-order mark
+        with pytest.raises(ParseError) as exc:
+            mvne.load_edge_list(str(path))
+        assert str(exc.value) == f"line {line}: node identifier {name!r} {fault}"
+        with pytest.raises(ValueError, match="^embedding row 1: node name "):
+            mvne.write_embedding(tmp_path / "emb.txt", np.ones((2, 1)), ["c", name])
+        assert not (tmp_path / "emb.txt").exists()
 
     def test_registry_refuses_a_leading_hash_that_the_embedding_may_hold(self, tmp_path):
         with pytest.raises(ValueError, match=r"^node identifier '#a' starts with '#'$"):
