@@ -25,11 +25,11 @@ import time
 
 from . import __version__
 from .evaluate import EvalProtocol, _fraction_key, run_protocol
-from .factorize import (FactorizeConfig, embedding, read_embedding, write_embedding,
-                        write_run_metadata)
+from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
+                        write_embedding, write_run_metadata)
 from .graph import (ParseError, build_multiview, load_labels, read_manifest, view_stats,
                     write_edge_list)
-from .multiview import MvneConfig, ViewWeights, combine_as_configured, fit_combined
+from .multiview import MvneConfig, ViewWeights, combine_as_configured
 from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
 
 
@@ -165,7 +165,7 @@ def cmd_embed(args) -> int:
                       "--export-combined": args.export_combined, "--export-weighted": weighted},
                      inputs)
     names, view_names, weights, combined = _combined_input(views, config)
-    fac = fit_combined(combined, config)
+    fac = factorize(combined, fit)
     if args.export_combined:
         write_edge_list(combined, names, args.export_combined)
     write_embedding(args.out, embedding(fac), names)

@@ -405,10 +405,9 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     ``X`` is a 2-D real (bool, integer or float) array and ``names`` a
     sequence of its n row names. Before the file is opened, ValueError is
     raised for any other X, a count other than n, and, naming the first bad
-    row, a name that the node-name rule (graph._name_fault) refuses, then
-    for what _embedding_fault finds: read_embedding could not read these
-    back. Rows are formatted by ``_parts.write``, one `%` operation per row;
-    the bytes do not depend on its parts.
+    row, for what _embedding_fault finds: read_embedding could not read
+    these back. Rows are formatted by ``_parts.write``, one `%` operation
+    per row; the bytes do not depend on its parts.
     """
     X = np.asarray(X)
     if X.ndim != 2 or X.dtype.kind not in "biuf":
@@ -416,16 +415,6 @@ def write_embedding(path, X: np.ndarray, names) -> None:
     n, d = X.shape
     if len(names) != n:
         raise ValueError(f"got {len(names)} names for {n} embedding rows")
-    try:
-        # the rule holds for every name if it holds for their join and none is empty
-        plain = all(names) and _name_fault("".join(names)) is None
-    except TypeError:  # a name that is not a str
-        plain = False
-    if not plain:
-        for r, name in enumerate(names):
-            fault = _name_fault(name)
-            if fault:
-                raise ValueError(f"embedding row {r}: node name {name!r} {fault}")
     fault = _embedding_fault(names, X)
     if fault:
         raise ValueError("embedding row %d: %s" % fault)
@@ -437,9 +426,20 @@ def write_embedding(path, X: np.ndarray, names) -> None:
 
 
 def _embedding_fault(names, X):
-    """(row, reason) for the first repeated name, else for the first row
-    holding a NaN or infinite value, else None: the one rule for a legal
-    embedding, which write_embedding and read_embedding both apply."""
+    """(row, reason) for the first name that the node-name rule
+    (graph._name_fault) refuses, else for the first repeated name, else for
+    the first row holding a NaN or infinite value, else None: the one rule
+    for a legal embedding, which write_embedding and read_embedding both apply."""
+    try:
+        # the rule holds for every name if it holds for their join and none is empty
+        plain = all(names) and _name_fault("".join(names)) is None
+    except TypeError:  # a name that is not a str
+        plain = False
+    if not plain:
+        for r, name in enumerate(names):
+            fault = _name_fault(name)
+            if fault:
+                return r, f"node name {name!r} {fault}"
     if len(set(names)) < len(names):
         first = {}
         r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
@@ -456,16 +456,16 @@ def read_embedding(path):
 
     The per-line reader _read_rows defines the legal input: a bad header,
     field or row count, a value that is not a float, and what
-    _embedding_fault finds raise ParseError naming the file line. The rows
-    are read in bulk (``_parts.read``, so a large file by up to one process
-    per usable core); a file that read cannot vouch for, or whose rows hold
-    a fault, is read again line by line.
+    _embedding_fault finds (a refused or repeated name, a NaN or infinite
+    value) raise ParseError naming the file line. The rows are read in bulk
+    (``_parts.read``, so a large file by up to one process per usable core);
+    a file that read cannot vouch for, or whose rows hold a fault, is read
+    again line by line.
     """
     try:
-        names, X = _read_rows_bulk(path)
+        return _read_rows_bulk(path)
     except (ValueError, ChildProcessError):
         return _read_rows(path)
-    return (names, X) if _embedding_fault(names, X) is None else _read_rows(path)
 
 
 def _read_header(line: str):
@@ -493,7 +493,7 @@ def _read_rows(path):
             except ValueError as exc:
                 raise ParseError(f"embedding file: {exc}", line_no) from None
     if len(names) != n:
-        raise ValueError(f"embedding file: header promised {n} rows, found {len(names)}")
+        raise ParseError(f"embedding file: header promised {n} rows, found {len(names)}", 1)
     X = np.asarray(rows, dtype=np.float64).reshape(n, d)
     fault = _embedding_fault(names, X)
     if fault:
@@ -508,7 +508,8 @@ def _read_rows_bulk(path):
     whose converter for the first column collects the names. loadtxt splits
     on the whitespace str.split splits on, skips blank lines and refuses
     ragged rows, so parts of d + 1 columns, n rows and n names in all are
-    the rows _read_rows reads. A child that fails raises ChildProcessError.
+    the rows _read_rows reads; ValueError also stands for rows that
+    _embedding_fault refuses. A child that fails raises ChildProcessError.
     """
     # newline="": lines end as in text mode, but the header keeps its line
     # end, so its UTF-8 length is where the data starts
@@ -522,8 +523,8 @@ def _read_rows_bulk(path):
         raise ValueError("not d + 1 fields per row")
     names = [name for names, _ in parts for name in names]
     X = np.concatenate([X[:, 1:] for X in blocks])
-    if len(names) != n or X.shape[0] != n:
-        raise ValueError("not n rows")
+    if len(names) != n or X.shape[0] != n or _embedding_fault(names, X):
+        raise ValueError("not n legal rows")
     return names, X
 
 

@@ -506,7 +506,11 @@ def build_multiview(manifest) -> MultiViewGraph:
 
 
 def read_manifest(path):
-    """Read a `view_name<TAB>path` manifest; paths resolved against its dir."""
+    """Read a `view_name<TAB>path` manifest; paths resolved against its dir.
+
+    A view name that is not printable (a control character, or a BOM left by
+    the editor that saved the file) raises ParseError naming the line.
+    """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -517,6 +521,8 @@ def read_manifest(path):
             if len(parts) != 2:
                 raise ParseError("expected `view_name<TAB>path`", line_no)
             name, p = parts
+            if not name.isprintable():
+                raise ParseError(f"view name {name!r} holds an unprintable character", line_no)
             if not os.path.isabs(p):
                 p = os.path.join(base, p)
             entries.append((name, p))

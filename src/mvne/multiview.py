@@ -6,8 +6,8 @@ combination, so every view is explained by the same latent communities.
 View weights beta default to the per-view active-node counts, normalized to
 sum 1; per-view total weights can differ by orders of magnitude, so each
 view is rescaled to unit total weight before combining unless disabled.
-A fit is two steps, combine_as_configured then fit_combined; the second
-reads the combined view alone.
+A fit is two steps: combine_as_configured, then factorize on the combined
+view alone.
 """
 
 from __future__ import annotations
@@ -99,18 +99,10 @@ def combine_as_configured(views, config: MvneConfig):
 
     The weights are config.betas, or else default_betas' active-node counts.
     The combined view shares no array with the views, so a caller that drops
-    them after this step holds only the combined view during fit_combined.
+    them after this step holds only the combined view during the fit.
     """
     weights = config.betas if config.betas is not None else _active_count_weights(views)
     return weights, _weighted_sum(views, weights, config.normalize_views)
-
-
-def fit_combined(combined: SparseAdjacency, config: MvneConfig) -> Factorization:
-    """The second step of a fit: factorize the combined view with config.factorize.
-
-    The fit reads the combined view alone, never the views it came from.
-    """
-    return factorize(combined, config.factorize)
 
 
 def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
@@ -120,9 +112,9 @@ def mvne_embed(graph: MultiViewGraph, config: MvneConfig) -> Factorization:
     positive-weight views get the uniform membership row 1/d and are listed
     in the run metadata. The graph is left as it was given.
     """
-    return fit_combined(combine_as_configured(graph.views, config)[1], config)
+    return factorize(combine_as_configured(graph.views, config)[1], config.factorize)
 
 
 def svne_embed(adj: SparseAdjacency, config: MvneConfig) -> Factorization:
     """Single-view embedding: the k = 1 case of mvne_embed, through the same fit."""
-    return fit_combined(combine_as_configured([adj], config)[1], config)
+    return factorize(combine_as_configured([adj], config)[1], config.factorize)

@@ -178,7 +178,7 @@ class TestEmbed:
     @pytest.mark.parametrize("source", ["--manifest", "--edges"])
     def test_fit_holds_no_view_of_the_graph(self, tmp_path, dataset, monkeypatch, source):
         refs, alive = [], []
-        build, fit = mvne.cli.build_multiview, mvne.multiview.factorize
+        build, fit = mvne.cli.build_multiview, mvne.cli.factorize
 
         def recorded_build(manifest):
             graph = build(manifest)
@@ -192,7 +192,7 @@ class TestEmbed:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(mvne.cli, "build_multiview", recorded_build)
-        monkeypatch.setattr(mvne.multiview, "factorize", checked_fit)
+        monkeypatch.setattr(mvne.cli, "factorize", checked_fit)
         path = dataset / ("views.manifest" if source == "--manifest" else "view0.edges")
         assert run(["embed", source, path, "-d", 2, "--out", tmp_path / "e.txt",
                     "--meta", tmp_path / "m.json", "--export-combined", tmp_path / "c.edges"]) == 0
@@ -411,14 +411,28 @@ class TestEval:
         (["a 0.5 0.5", "b 0.5 -inf", "c 1 0"], 3, "node 'b' has a NaN or infinite"),
         (["a 0.5 0.5", "b 0.5 0.5", "c 1e999 0"], 4, "node 'c' has a NaN or infinite"),
         (["a 0.5 0.5", "b x1 0.5", "c 1 0"], 3, "could not convert string to float: 'x1'"),
+        (["a 0.5 0.5", "b\x00c 0.5 0.5", "c 1 0"], 3, "holds a control character"),
+        (["a 0.5 0.5", "b 0.5 0.5", "\ufeffc 1 0"], 4, "holds a byte-order mark"),
     ])
     def test_bad_embedding_exits_2_naming_the_line(self, tmp_path, capsys, rows, line, what):
         emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
-        emb.write_text("3 2\n" + "\n".join(rows) + "\n")
+        emb.write_text("3 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
         labels.write_text("a\tc0\nb\tc1\n")
         assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
         err = capsys.readouterr().err
         assert f"line {line}: " in err and what in err
+
+    def test_refused_name_in_a_split_embedding_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                                       forks):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        names = [f"n{i}" for i in range(7)]
+        names[5] = "n\x1b5"
+        emb.write_text("7 1\n" + "".join(f"{name} 1\n" for name in names), encoding="utf-8")
+        labels.write_text("n0\tc0\n")
+        assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
+        assert len(forks) == 2  # the bulk reader ran in three parts
+        assert "line 7: embedding file: node name 'n\\x1b5' holds a control character" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_reg_exits_2_naming_the_field(self, tmp_path, capsys, value):
@@ -463,7 +477,7 @@ class TestChecksBeforeInput:
     def test_missing_output_directory_exits_2_before_the_fit(self, tmp_path, dataset, capsys,
                                                              monkeypatch, flag):
         calls = []
-        monkeypatch.setattr(mvne.multiview, "factorize", lambda *a, **k: calls.append("fit"))
+        monkeypatch.setattr(mvne.cli, "factorize", lambda *a, **k: calls.append("fit"))
         monkeypatch.setattr(mvne.cli, "build_multiview", lambda *a: calls.append("load"))
         for bad, error in bad_output_paths(tmp_path, flag):
             paths = {f: tmp_path / f"{f[2:]}.out" for f in ("--out", "--meta", "--export-combined")}

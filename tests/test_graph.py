@@ -153,6 +153,11 @@ class TestNodeNames:
         with pytest.raises(ValueError, match="^embedding row 1: node name "):
             mvne.write_embedding(tmp_path / "emb.txt", np.ones((2, 1)), ["c", name])
         assert not (tmp_path / "emb.txt").exists()
+        # the reader refuses the name by the writer's rule, naming the file line
+        (tmp_path / "emb.txt").write_text(f"2 1\nc 1\n{name} 1\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            mvne.read_embedding(tmp_path / "emb.txt")
+        assert str(exc.value) == f"line 3: embedding file: node name {name!r} {fault}"
 
     def test_registry_refuses_a_leading_hash_that_the_embedding_may_hold(self, tmp_path):
         with pytest.raises(ValueError, match=r"^node identifier '#a' starts with '#'$"):
@@ -353,6 +358,23 @@ class TestMultiView:
         g = mvne.build_multiview([("only", io.StringIO("a\tb\n"))])
         assert g.k == 1
         assert g.views[0].total_weight == 2.0
+
+    @pytest.mark.parametrize("text, line, name", [
+        ("\ufeffv1\tv1.edges\n", 1, "\ufeffv1"),  # saved with a byte-order mark
+        ("v1\tv1.edges\nv\x1b2\tv2.edges\n", 2, "v\x1b2"),
+    ], ids=["bom", "esc"])
+    def test_manifest_refuses_an_unprintable_view_name_naming_the_line(self, tmp_path, text,
+                                                                      line, name):
+        path = tmp_path / "views.manifest"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            mvne.read_manifest(path)
+        assert str(exc.value) == f"line {line}: view name {name!r} holds an unprintable character"
+
+    def test_manifest_view_name_may_hold_a_space(self, tmp_path):
+        path = tmp_path / "views.manifest"
+        path.write_text("my view\tv1.edges\n", encoding="utf-8")
+        assert mvne.read_manifest(path) == [("my view", str(tmp_path / "v1.edges"))]
 
     def test_empty_manifest_rejected(self):
         with pytest.raises(ValueError, match="empty"):

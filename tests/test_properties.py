@@ -263,10 +263,16 @@ values = finite_values | st.floats().map(repr) | st.sampled_from(
     ["nan", "-inf", "1e999", "1_0", "0x10", "\u0661", "1.", ".5", "+2", "1E5", "x1", '"1"'])
 
 
+# An id that holds a character the id rule refuses; one that is whitespace
+# or a line end splits the id instead.
+refused_ids = st.builds("".join, st.tuples(st.sampled_from(["", "a"]), st.sampled_from(REFUSED),
+                                           st.sampled_from(["", "b"])))
+
+
 @st.composite
 def embedding_texts(draw):
     """Embedding-file text, mostly well formed: odd whitespace and line ends,
-    blank lines, and now and then a bad header, value or field or row count."""
+    blank lines, and now and then a bad header, value, id or field or row count."""
     n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
     lines = [draw(st.sampled_from([f"{n} {d}"] * 4 + [f"{n}\t{d} ", "x 2", f"{n}"]))]
     value = draw(st.sampled_from([finite_values, values]))
@@ -274,7 +280,8 @@ def embedding_texts(draw):
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(separators))
         k = draw(st.sampled_from([d] * 8 + [d + 1, max(d - 1, 0)]))
-        fields = [draw(node_ids)] + draw(st.lists(value, min_size=k, max_size=k))
+        name = draw(st.sampled_from([node_ids] * 9 + [refused_ids]))
+        fields = [draw(name)] + draw(st.lists(value, min_size=k, max_size=k))
         lines.append(draw(separators).join(fields))
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 
@@ -302,9 +309,12 @@ def read_outcome(path):
 @example("2 1\n#a 1\nb 2\n", 64, 1)  # a name starting with '#'
 @example('2 1\na"b 1\n"c" 2\n', 64, 1)  # names holding '"'
 @example("3 1\na 1\n" + "\n" * 12 + "b 2\nc 3\n", 1, 3)  # the middle of 3 parts is blank
+@example("3 1\na 1\nb 2\nc\x00 3\n", 1, 3)  # a refused id in the last of 3 parts
+@example("2 1\n\ufeffa 1\nb\x1b 2\n", 64, 1)  # two refused ids: the first is named
 def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
     """The bulk reader, in up to `parts` processes of at least `read_bytes`
-    bytes each, agrees with the per-line one."""
+    bytes each, agrees with the per-line one, and neither reads back an id
+    that write_embedding refuses."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "emb.txt")
         with open(path, "wb") as fh:
@@ -315,6 +325,7 @@ def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
         with mock.patch.object(factorize_module, "_read_rows_bulk", side_effect=ValueError):
             per_line = read_outcome(path)
     assert bulk == per_line
+    assert bulk[0] == "error" or all(writable(name) for name in bulk[0])
 
 
 @st.composite
