@@ -50,7 +50,7 @@ print(f"\nobjective trace: {trace[0]:.3f} -> {trace[-1]:.3f} "
 
 # Reconstructed edge weights approximate the adjacency: the two-hop path
 # weight sum_p b_ip * b_jp / lam_p through the communities.
-i, j = registry.index_of("a1"), registry.index_of("a2")
-k = registry.index_of("b1")
+i, j = registry.get("a1"), registry.get("a2")
+k = registry.get("b1")
 print(f"\nreconstructed weight a1~a2 (linked):   {fac.mass[i] @ (fac.mass[j] / fac.lam):.3f}")
 print(f"reconstructed weight a1~b1 (unlinked): {fac.mass[i] @ (fac.mass[k] / fac.lam):.3f}")

@@ -2,20 +2,9 @@
 
 Printing or parsing a float to 17 digits, or interning a node id, costs
 about 1 us in CPython and holds the GIL, so threads do not help text.
-``write`` formats k contiguous parts of a range of items, each of at least
-_PART_VALUES values, and ``read`` parses k ranges of whole lines of a file,
-each of at least _PART_BYTES bytes; both run part 0 in the calling process and
-parts 1..k-1 in children made with ``os.fork`` and join the results in part
-order, so output bytes do not depend on k. A child writes only to the pipe
-or temporary file made for it and leaves only through ``os._exit``, so it
-flushes none of the parent's buffers. The parent reaps every child, and
-kills any still running when it fails itself. Where ``os.fork`` or
-``os.sched_getaffinity`` is missing, every range is one part, and so is a
-range whose pipe or fork fails.
-
-numpy's gathers and elementwise ufuncs and scipy's sparse products release
-the GIL, so for them threads do help: ``threads`` runs parts 1..k-1 of such
-a kernel in threads of this process that live only for its ``with`` block."""
+``write`` and ``read`` run parts in forked children (``run``). numpy's
+gathers and elementwise ufuncs and scipy's sparse products release the
+GIL, so for them threads do help (``threads``)."""
 
 from __future__ import annotations
 
@@ -55,11 +44,8 @@ _BLOCK_VALUES = 1 << 12
 
 
 def split(count: int, parts: int) -> list:
-    """Cuts 0 = c_0 <= c_1 <= ... <= c_k = count of k near-equal parts of range(count).
-
-    k = min(_CORES, parts, count), and at least 1; the cuts rise strictly
-    unless count is 0, which gives the one empty part [0, 0].
-    """
+    """Cuts 0 = c_0 <= c_1 <= ... <= c_k = count of k near-equal parts of range(count);
+    they rise strictly unless count is 0, which gives the one empty part [0, 0]."""
     k = max(1, min(_CORES, parts, count))
     return [count * i // k for i in range(k + 1)]
 
@@ -68,12 +54,9 @@ def line_cuts(path, start: int, end: int) -> list:
     """split() of bytes start..end - 1 of path into parts of at least
     _PART_BYTES, each inner cut moved to a line start.
 
-    An inner cut moves to the first offset at or after it that follows a
-    ``\n``, and cuts that meet merge, so every range but the last ends in
-    ``\n``; an empty range is one empty part. A cut after ``\n`` never
-    splits a UTF-8 sequence or a ``\r\n``; a file whose lines end in a
-    lone ``\r`` has no cut point and stays one range. The file is opened
-    only when there is more than one part.
+    Every range but the last ends in ``\n``, and an empty range is one empty
+    part. A cut after ``\n`` never splits a UTF-8 sequence or a ``\r\n``; a
+    file whose lines end in a lone ``\r`` has no cut point and stays one range.
     """
     cuts = [start + c for c in split(end - start, (end - start) // _PART_BYTES)]
     if len(cuts) > 2:
@@ -134,7 +117,7 @@ def _serve(part, lo: int, hi: int, fd: int):
             pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
-        os._exit(code)
+        os._exit(code)  # so the child flushes none of the parent's buffers
 
 
 def run(cuts: list, part) -> list:
@@ -187,7 +170,6 @@ def run(cuts: list, part) -> list:
 
 
 def _kill(pids: list) -> None:
-    """SIGKILL and reap every child in pids not already reaped (None), and empty pids."""
     for pid in pids:
         if pid is not None:
             with suppress(ProcessLookupError):
@@ -199,12 +181,10 @@ def _kill(pids: list) -> None:
 def write(stream, count: int, values: int, format_block) -> None:
     """Write format_block(lo, hi), the text of items lo..hi - 1, over range(count).
 
-    The items hold ``values`` values, which size the parts (at least
-    _PART_VALUES each) and the blocks of about _BLOCK_VALUES values. Part 0
-    writes to stream itself; every later part to an anonymous temporary file
-    opened before the fork and then appended to stream in
-    shutil.copyfileobj's bounded chunks, so no process holds more than one
-    block of its part.
+    The items hold ``values`` values, which size the parts and the blocks.
+    Every part after the first writes to an anonymous temporary file, copied
+    to stream in shutil.copyfileobj's bounded chunks, so no process holds
+    more than one block of its part.
     """
     cuts = split(count, values // _PART_VALUES)
     step = max(1, _BLOCK_VALUES * count // max(values, 1))

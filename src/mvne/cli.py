@@ -1,17 +1,9 @@
 """Command-line entry point: ingestion -> embedding -> evaluation.
 
-Subcommands: embed, eval, stats, synth. Every run is reproducible from its
-flags: all randomness flows from --seed, and identical flags and inputs give
-byte-identical output files. An argument @FILE stands for FILE's lines, one
-argument each, minus blank and `#` lines; a later flag wins. Files are read
-by the library's own readers (eval keys graph.load_labels by the embedding's
-names), and flag values are checked by the config objects, so a NaN or
-infinite --rel-tol, --reg or --beta, or a negative --seed, is an input
-error; stats takes no --seed. A flag that sets a config field has no
-default of its own, so an omitted one keeps the field's. embed, eval and
-stats check their flags and output paths, which may name no input or other
-output, before parsing any edge list or embedding. embed releases the graph
-once its views are combined, so the fit holds the combined view alone.
+Subcommands: embed, eval, stats, synth; README.md states their flags,
+defaults and @FILE and output-path rules. embed, eval, stats and synth
+check their flags and output paths before they parse an edge list or an
+embedding or generate a graph.
 Exit codes: 0 success, 2 input/validation error, 1 runtime error.
 """
 
@@ -30,12 +22,11 @@ from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
 from .graph import (ParseError, build_multiview, load_labels, read_manifest, view_stats,
                     write_edge_list)
 from .multiview import MvneConfig, ViewWeights, combine_as_configured
-from .testkit import SbmSpec, dump_dataset, generate_multiview_sbm
+from .testkit import SbmSpec, dataset_files, dump_dataset, generate_multiview_sbm
 
 
 class _Parser(argparse.ArgumentParser):
     def convert_arg_line_to_args(self, arg_line):
-        """One argument per line of an @FILE; blank lines and `#` lines are skipped."""
         return [] if not arg_line.strip() or arg_line.startswith("#") else [arg_line]
 
 
@@ -111,7 +102,6 @@ def build_parser():
 
 
 def _config(cls, args, **values):
-    """cls(**values) plus each field of cls that a flag of the same name was given for."""
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
     return cls(**given, **values)
 
@@ -127,9 +117,6 @@ def _views(args):
 
 
 def _check_out_paths(paths, inputs):
-    """Raise ParseError naming the first flag in the {flag: output path or None} map
-    whose path is a directory, whose parent directory is missing, or that an
-    earlier output or one of the (flag, path) inputs also names."""
     named = {os.path.realpath(path): flag for flag, path in inputs}
     for flag, path in paths.items():
         if path is None:
@@ -141,6 +128,16 @@ def _check_out_paths(paths, inputs):
         other = named.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ParseError(f"{flag}: {path!r} is also named by {other}")
+
+
+def _check_out_dir(path, names):
+    existing = os.path.realpath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ParseError(f"--out-dir: {existing!r} is not a directory")
+    if os.path.isdir(path):
+        _check_out_paths({f"--out-dir {name}": os.path.join(path, name) for name in names}, [])
 
 
 def _combined_input(views, config):
@@ -173,7 +170,7 @@ def cmd_embed(args) -> int:
         write_embedding(weighted, fac.H * fac.lam[None, :], names)
     if args.meta:
         meta = fac.run.to_dict()
-        meta.update(dataclasses.asdict(fit))  # every FactorizeConfig field, as used
+        meta.update(dataclasses.asdict(fit))
         meta.update({
             "views": view_names,
             "betas": [float(b) for b in weights.beta],
@@ -225,6 +222,7 @@ def cmd_stats(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = _config(SbmSpec, args, n=args.nodes)
+    _check_out_dir(args.out_dir, dataset_files(spec.view_names))
     graph, labels = generate_multiview_sbm(spec)
     manifest = dump_dataset(graph, labels, args.out_dir)
     print(f"wrote {graph.k} view(s) of {graph.n} nodes to {args.out_dir} "

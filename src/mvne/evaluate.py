@@ -2,24 +2,8 @@
 
 One-vs-rest L2-regularized logistic regression on embedding rows, multi-label
 top-k prediction (k = the node's true label count), Micro/Macro-F1, and the
-fraction-sweep / repeated-split protocols.
-
-Each split fits every label's classifier at once from an m x L indicator
-matrix, by a batched damped Newton method: per label a (d+1) x (d+1)
-Hessian, one batched solve for all steps, and a per-label Armijo guard
-that halves a step until it lowers that label's objective. The weights are
-L2-regularized and the bias is not. With reg > 0 each label's objective is
-strictly convex; a label stops once its gradient norm falls below 1e-6,
-typically after about five steps. The computation is deterministic, so
-identical inputs always produce identical reports.
-
-Each split is scored with matrices. Its labels are one m x L boolean
-indicator matrix, built by the helper that also builds the fit's. One product
-gives every test node's label scores, one stable argsort of -scores marks
-each node's top k (ties go to the lower label id), and TP/FP/FN are counted
-once per label, as column sums, for both F1 scores. predict_multilabel,
-micro_f1 and macro_f1 adapt that same code to one feature vector and to
-{node: label set} maps.
+fraction-sweep / repeated-split protocols. Identical inputs give identical
+reports.
 """
 
 from __future__ import annotations
@@ -35,7 +19,7 @@ from .graph import LabelStore
 
 NEG_CONST = -1e30  # score of the constant-negative classifier
 _ARMIJO_HALVINGS = 50  # step sizes down to 2**-49 before a label stops
-_GRAD_TOL = 1e-6  # a label stops once its gradient norm falls below this
+_GRAD_TOL = 1e-6
 _NEWTON_ITERS = 100
 
 
@@ -82,22 +66,21 @@ def split_labeled(nodes, fraction: float, seed: int):
         raise ValueError("need at least two labeled nodes to split")
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly in (0, 1)")
-    n_train = int(round(fraction * m))
-    n_train = min(max(n_train, 1), m - 1)
+    n_train = min(max(int(round(fraction * m)), 1), m - 1)
     order = np.random.default_rng(seed).permutation(m)
-    train = [nodes[i] for i in order[:n_train]]
-    test = [nodes[i] for i in order[n_train:]]
-    return train, test
+    return [nodes[i] for i in order[:n_train]], [nodes[i] for i in order[n_train:]]
 
 
 def _fit_ovr(X: np.ndarray, Y: np.ndarray, reg: float):
     """Fit one logistic regression per column of the m x L indicator Y, at once.
 
     Label l minimizes mean log-loss of Y[:, l] given X + reg * ||w_l||^2 / 2;
-    its bias is not regularized. All labels share one batched, damped Newton
-    iteration: one product gives every label's margins and one its gradient,
-    then each label whose gradient norm is still at least _GRAD_TOL gets its
-    own (d+1) x (d+1) Hessian (built label by label, so no m x d x L
+    its bias is not regularized. With reg > 0 each label's objective is
+    strictly convex; a label stops once its gradient norm falls below 1e-6,
+    typically after about five steps. All labels share one batched, damped
+    Newton iteration: one product gives every label's margins and one its
+    gradient, then each label whose gradient norm is still at least _GRAD_TOL
+    gets its own (d+1) x (d+1) Hessian (built label by label, so no m x d x L
     temporary exists) and all steps come from one batched solve. A ridge of
     1e-10 times the mean Hessian diagonal keeps the solve defined at reg = 0,
     where features collinear with the bias make the Hessian singular. Each
@@ -232,7 +215,6 @@ def predict_multilabel(model, x: np.ndarray, k: int):
 
 
 def _f1_of_maps(truth: dict, predicted: dict):
-    """_f1 of two {node: label set} maps, as indicators over one node order and vocabulary."""
     if set(truth) != set(predicted):
         raise ValueError("truth and prediction cover different node sets")
     vocab = {l: i for i, l in enumerate(dict.fromkeys(chain(*truth.values(),
@@ -295,10 +277,8 @@ class EvalReport:
     def to_tsv(self) -> str:
         lines = ["fraction\tmean_micro\tsd_micro\tmean_macro\tsd_macro"]
         for f in self.protocol.fractions:
-            lines.append(
-                f"{_fraction_key(f)}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
-                f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}"
-            )
+            lines.append(f"{_fraction_key(f)}\t{self.mean_micro(f):.17g}\t{self.sd_micro(f):.17g}"
+                         f"\t{self.mean_macro(f):.17g}\t{self.sd_macro(f):.17g}")
         return "\n".join(lines) + "\n"
 
 

@@ -57,7 +57,6 @@ _PART_ENTRIES = 1 << 16
 # and growth 1.1 and 1.5 were measured too (CHANGES.md).
 _GROW = 1.2
 _MAX_EXPONENT = 4.0
-# The reconstruction's floor, relative to the total weight.
 _EPSILON = 1e-12
 
 
@@ -167,24 +166,16 @@ def init_factorization(n: int, config: FactorizeConfig, total_weight: float) -> 
 class _EdgePlan:
     """What the edge kernel and the ratio update reuse between iterates.
 
-    factorize opens one per fit; the public update_step and kl_objective
-    open one per call. It reads the adjacency's i <= j edge index (CSR
-    positions, rows, columns and mirror positions), CSR column indices and
-    weights by reference, without a copy, and holds the yhat buffer and one
-    _Part per usable core, at most one per _PART_ENTRIES upper entries
-    (``_parts.threads``). Each pass of the kernel runs the parts side by
-    side; every sum over a whole array runs in the caller, so no result bit
-    depends on the number of parts. Its methods take the mass matrix
-    B' = B / unit alone, in units of the weights' unit, and read
-    lam' = colsum(B') from it.
+    It reads the adjacency's edge index and weights by reference, without a
+    copy. Its methods take the mass matrix B' = B / unit alone, in units of
+    the weights' unit, and read lam' = colsum(B') from it.
     """
 
     def __init__(self, adj: SparseAdjacency, d: int, epsilon: float, cuts: list, map):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
         self.w = adj.values
-        # The one place that knows the weights' scale: their unit is the power of
-        # two nearest their total, a normal float as SparseAdjacency refuses a
-        # smaller total, or 1 for none; self.total is sum(W) in units.
+        # The weights' unit, a normal float as SparseAdjacency refuses a smaller
+        # total; self.total is sum(W) in units.
         total = adj.total_weight
         self.unit = 2.0 ** min(round(math.log2(total)), 1023) if total > 0 else 1.0
         self.total = total / self.unit
@@ -201,20 +192,12 @@ class _EdgePlan:
     @classmethod
     @contextmanager
     def open(cls, adj: SparseAdjacency, d: int, epsilon: float):
-        """A plan whose parts run in threads that end with the with block."""
         m = adj.upper_index.pos.size
         with _parts.threads(-(-m // _BLOCK), m // _PART_ENTRIES) as (cuts, map):
             yield cls(adj, d, epsilon, [min(c * _BLOCK, m) for c in cuts], map)
 
     def measure(self, mass: np.ndarray) -> float:
-        """The objective of B = unit * mass, in units, with R set for the update from mass.
-
-        The reconstruction yhat_ij = unit * max(yhat'_ij, epsilon * total)
-        is a sampled dense-dense product: only the entries with i <= j are
-        evaluated, _BLOCK at a time, and copied to their transposes. Then
-        each part sets R = w / yhat over its rows and the terms
-        w log R - w in self.yhat, whose sum is in the weights' own units.
-        """
+        """The objective of B = unit * mass, in units, with R set for the update from mass."""
         lam = mass.sum(axis=0)
         Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
         w, yhat, unit = self.w, self.yhat, self.unit
@@ -286,12 +269,7 @@ class _EdgePlan:
 
 
 class _Part:
-    """One part of an _EdgePlan's kernel, with the buffers it writes alone.
-
-    Upper entries lo..hi - 1, cut at _BLOCK boundaries, with their gather
-    buffers; and rows whose stored entries are a contiguous range of CSR
-    positions, with their own ratio matrix R over those entries.
-    """
+    """One part of an _EdgePlan's kernel, with the buffers it writes alone."""
 
     def __init__(self, adj: SparseAdjacency, d: int, lo: int, hi: int, r0: int, r1: int):
         self.lo, self.hi = lo, hi
@@ -426,10 +404,8 @@ def write_embedding(path, X: np.ndarray, names) -> None:
 
 
 def _embedding_fault(names, X):
-    """(row, reason) for the first name that the node-name rule
-    (graph._name_fault) refuses, else for the first repeated name, else for
-    the first row holding a NaN or infinite value, else None: the one rule
-    for a legal embedding, which write_embedding and read_embedding both apply."""
+    """(row, reason) for the first fault of a legal embedding, or None: the one
+    rule that write_embedding and read_embedding both apply."""
     try:
         # the rule holds for every name if it holds for their join and none is empty
         plain = all(names) and _name_fault("".join(names)) is None
@@ -476,7 +452,6 @@ def _read_header(line: str):
 
 
 def _read_rows(path):
-    """Names and values line by line; raises ParseError naming a bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         n, d = _read_header(fh.readline())
         names, rows, lines = [], [], []
@@ -504,12 +479,9 @@ def _read_rows(path):
 def _read_rows_bulk(path):
     """Names and values as _read_rows gives them, or ValueError.
 
-    Each part of the data lines (``_parts.read``) is read by one np.loadtxt,
-    whose converter for the first column collects the names. loadtxt splits
-    on the whitespace str.split splits on, skips blank lines and refuses
-    ragged rows, so parts of d + 1 columns, n rows and n names in all are
-    the rows _read_rows reads; ValueError also stands for rows that
-    _embedding_fault refuses. A child that fails raises ChildProcessError.
+    np.loadtxt splits on the whitespace str.split splits on, skips blank
+    lines and refuses ragged rows, so parts of d + 1 columns, n rows and n
+    names in all are the rows _read_rows reads.
     """
     # newline="": lines end as in text mode, but the header keeps its line
     # end, so its UTF-8 length is where the data starts
@@ -540,7 +512,6 @@ def _read_span(text):
 
 
 def _json_text(value) -> str:
-    """The one JSON layout of every output: indent 2, sorted keys, a final newline."""
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 

@@ -4,19 +4,6 @@ Graphs are undirected and weighted. Every view of a multi-view graph is
 indexed against one shared node registry, so embeddings computed on any
 combination of views line up row-by-row with the original identifiers.
 
-Each graph invariant is checked once, by the type that holds it: ingest
-rejects weights that are not finite and positive, SparseAdjacency (every view
-and the combined view) a total that is not finite or is below the smallest
-normal float, and MultiViewGraph its views. ``from_undirected`` mirrors each
-summed weight, so it is bit-exactly symmetric, with int32 CSR indices while
-n and nnz fit. The one i <= j edge index (``upper_index``), which the fit,
-``write_edge_list`` and ``edge_count`` read, checks the symmetry when it is
-built.
-
-Edge lists given as paths are parsed, and exported edge lists written, by up
-to one process per usable core (``_parts``) when they are large enough; the
-ids, errors, line numbers and bytes are those of one process.
-
 File formats
 ------------
 Edge list   : ``src<TAB>dst[<TAB>weight]``, one edge per line, ``#`` comments.
@@ -102,10 +89,6 @@ class NodeRegistry:
             self._names.append(name)
         return idx
 
-    def index_of(self, name: str) -> int:
-        """Return the index for a known ``name`` (KeyError if absent)."""
-        return self._index[name]
-
     def get(self, name: str):
         """Return the index for ``name``, or None if it is unknown."""
         return self._index.get(name)
@@ -121,7 +104,6 @@ class NodeRegistry:
         return list(self._names)
 
     def _truncate(self, size: int) -> None:
-        """Forget every id >= size, undoing the interns since len was size."""
         for name in self._names[size:]:
             del self._index[name]
         del self._names[size:]
@@ -167,9 +149,8 @@ class SparseAdjacency:
         i = np.asarray(rows, dtype=itype)
         j = np.asarray(cols, dtype=itype)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        upper = sp.coo_array(
-            (np.asarray(weights, dtype=np.float64), (lo, hi)), shape=(n, n)
-        ).tocsr()
+        upper = sp.coo_array((np.asarray(weights, dtype=np.float64), (lo, hi)),
+                             shape=(n, n)).tocsr()
         return cls(upper + sp.triu(upper, k=1).T)
 
     @property
@@ -255,7 +236,6 @@ class MultiViewGraph:
 
 
 def _refuse_repeated_view_names(names):
-    """Raise ValueError naming the first view name that an earlier one repeats."""
     for k, name in enumerate(names):
         if name in names[:k]:
             raise ValueError(f"view name {name!r} is repeated")
@@ -301,7 +281,6 @@ class LabelStore:
 
 
 def _iter_data_lines(source):
-    """Yield (line_no, stripped_line) skipping blanks and # comments."""
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -311,7 +290,6 @@ def _iter_data_lines(source):
 
 @contextmanager
 def _opened(source, mode="r"):
-    """Yield a path opened as UTF-8 and close it on exit, or an open stream left open."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, mode, encoding="utf-8") as stream:
             yield stream
@@ -341,12 +319,7 @@ def parse_edges(source, registry: NodeRegistry):
 
 
 def _parse_lines(stream, registry: NodeRegistry):
-    """The one loop that defines legal edge-list input.
-
-    Blank and ``#`` lines are skipped, fields split on tabs (on whitespace
-    if a line has none), weights are finite and positive, and each
-    ParseError names its line in ``stream``.
-    """
+    """The one loop that defines legal edge-list input."""
     index = registry._index
     rows, cols, weights = [], [], []
     for line_no, line in enumerate(stream, start=1):
@@ -487,9 +460,9 @@ def build_multiview(manifest) -> MultiViewGraph:
 
     All views are indexed against one shared registry (the union of node
     identifiers across views), in first-appearance order over the views in
-    manifest order. Each source is parsed by parse_edges, a large file by
-    up to one process per usable core. An adjacency's ValueError names its
-    view; a repeated view name raises ValueError before any source is parsed.
+    manifest order. Each source is parsed by parse_edges. An adjacency's
+    ValueError names its view; a repeated view name raises ValueError before
+    any source is parsed.
     """
     manifest = list(manifest)
     names = [name for name, _ in manifest]
@@ -535,17 +508,9 @@ def view_stats(graph: MultiViewGraph):
     for name, adj in zip(graph.view_names, graph.views):
         deg = adj.degrees()
         active = deg[deg > 0]
-        summary = {
-            "min": int(active.min()) if active.size else 0,
-            "max": int(active.max()) if active.size else 0,
-            "mean": float(active.mean()) if active.size else 0.0,
-            "median": float(np.median(active)) if active.size else 0.0,
-        }
-        out.append({
-            "view": name,
-            "nodes": int(active.size),
-            "edges": adj.edge_count(),
-            "total_weight": adj.total_weight,
-            "degree": summary,
-        })
+        some = active if active.size else np.zeros(1, dtype=deg.dtype)  # an empty view reads 0
+        out.append({"view": name, "nodes": int(active.size), "edges": adj.edge_count(),
+                    "total_weight": adj.total_weight,
+                    "degree": {"min": int(some.min()), "max": int(some.max()),
+                               "mean": float(some.mean()), "median": float(np.median(some))}})
     return out

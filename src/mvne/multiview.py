@@ -1,13 +1,9 @@
 """Multi-view embedding: view weighting, combination, shared factorization.
 
-The views are merged into a single adjacency W~ = sum_i beta_i W^(i) over
-the shared node registry, and one factorization B is fitted to the
-combination, so every view is explained by the same latent communities.
-View weights beta default to the per-view active-node counts, normalized to
-sum 1; per-view total weights can differ by orders of magnitude, so each
-view is rescaled to unit total weight before combining unless disabled.
-A fit is two steps: combine_as_configured, then factorize on the combined
-view alone.
+One factorization is fitted to W~ = sum_i beta_i W^(i) over the shared node
+registry, so every view is explained by the same latent communities.
+Per-view total weights can differ by orders of magnitude, so by default each
+view is rescaled to unit total weight before combining.
 """
 
 from __future__ import annotations
@@ -97,7 +93,6 @@ def _weighted_sum(views, weights: ViewWeights, normalize_views: bool) -> SparseA
 def combine_as_configured(views, config: MvneConfig):
     """(weights, combined view): combine_views as configured, the first step of a fit.
 
-    The weights are config.betas, or else default_betas' active-node counts.
     The combined view shares no array with the views, so a caller that drops
     them after this step holds only the combined view during the fit.
     """

@@ -1,10 +1,4 @@
-"""The synthetic multi-view graph generator behind `mvne synth`.
-
-The generator plants one community partition, samples a base stochastic
-block model once, and derives each view by keeping base edges at a per-view
-rate and adding uniform noise edges. dump_dataset writes the result in the
-manifest, edge-list and label formats the other subcommands read.
-"""
+"""The synthetic multi-view graph generator behind `mvne synth`."""
 
 from __future__ import annotations
 
@@ -42,6 +36,10 @@ class SbmSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    @property
+    def view_names(self) -> list:
+        return [f"view{v}" for v in range(self.views)]
+
 
 def generate_multiview_sbm(spec: SbmSpec):
     """Sample a planted-partition multi-view graph plus community labels.
@@ -71,8 +69,8 @@ def generate_multiview_sbm(spec: SbmSpec):
     for v in range(n):
         registry.intern(f"n{v}")
 
-    names, views = [], []
-    for view in range(spec.views):
+    views = []
+    for _ in range(spec.views):
         kept = rng.random(m) < spec.keep
         vi = base_i[kept]
         vj = base_j[kept]
@@ -86,14 +84,13 @@ def generate_multiview_sbm(spec: SbmSpec):
             vj = np.concatenate([vj, hi])
         # collapse duplicates (kept-base vs noise collisions) to unit weight
         pair_ids = np.unique(vi.astype(np.int64) * n + vj.astype(np.int64))
-        names.append(f"view{view}")
         views.append(SparseAdjacency.from_undirected(pair_ids // n, pair_ids % n,
                                                      np.ones(pair_ids.size), n))
 
     labels = LabelStore()
     for v in range(n):
         labels.add(v, [f"c{z[v]}"])
-    return MultiViewGraph(registry=registry, view_names=names, views=views), labels
+    return MultiViewGraph(registry=registry, view_names=spec.view_names, views=views), labels
 
 
 def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
@@ -103,20 +100,24 @@ def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
     view, since the edge files alone rebuild the registry on reload.
     Returns the manifest path.
     """
+    manifest, *edges, labels_file = dataset_files(graph.view_names)
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "views.manifest")
+    manifest_path = os.path.join(out_dir, manifest)
     with open(manifest_path, "w", encoding="utf-8") as mf:
-        for name, adj in zip(graph.view_names, graph.views):
-            fname = f"{name}.edges"
+        for name, adj, fname in zip(graph.view_names, graph.views, edges):
             mf.write(f"{name}\t{fname}\n")
             write_edge_list(adj, graph.registry, os.path.join(out_dir, fname))
     covered = set()
     for adj in graph.views:
         covered.update(int(x) for x in adj.active_nodes())
-    with open(os.path.join(out_dir, "labels.tsv"), "w", encoding="utf-8") as lf:
+    with open(os.path.join(out_dir, labels_file), "w", encoding="utf-8") as lf:
         for v in sorted(covered):
             names = sorted(labels.label_name(l) for l in labels.labels_of(v))
             if names:
                 lf.write(f"{graph.registry.name_of(v)}\t{','.join(names)}\n")
     return manifest_path
 
+
+def dataset_files(view_names) -> list:
+    """The file names dump_dataset writes: the manifest, one edge list per view, the labels."""
+    return ["views.manifest", *(f"{name}.edges" for name in view_names), "labels.tsv"]

@@ -9,6 +9,7 @@ import ast
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import re
 from pathlib import Path
@@ -41,6 +42,16 @@ def test_public_names_are_the_listed_ones():
 
 def test_every_exported_name_resolves():
     assert [name for name in mvne.__all__ if not hasattr(mvne, name)] == []
+
+
+def test_every_public_name_has_its_own_docstring():
+    """Not one inherited from a base class, nor the `Name(field, ...)` line that
+    dataclass writes for a class without a docstring."""
+    def own_doc(obj):
+        doc = inspect.getdoc(obj) if obj.__doc__ else None
+        return doc and not re.fullmatch(rf"{obj.__name__}\(.*\)", doc, re.S)
+
+    assert [name for name in mvne.__all__ if not own_doc(getattr(mvne, name))] == []
 
 
 def test_parts_is_used_only_through_read_and_write():

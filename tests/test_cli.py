@@ -487,6 +487,30 @@ class TestChecksBeforeInput:
             assert error in capsys.readouterr().err
             assert calls == []
 
+    @pytest.mark.parametrize("case", ["a-file", "under-a-file", "labels-directory",
+                                      "view-directory"])
+    def test_bad_out_dir_exits_2_before_the_graph_is_generated(self, tmp_path, capsys,
+                                                               monkeypatch, case):
+        calls = []
+        monkeypatch.setattr(mvne.cli, "generate_multiview_sbm", lambda *a: calls.append("gen"))
+        blocker = tmp_path / "f"
+        blocker.write_text("a file\n")
+        not_a_dir = f"--out-dir: {os.path.realpath(blocker)!r} is not a directory"
+        out, error = {
+            "a-file": (blocker, not_a_dir),
+            "under-a-file": (blocker / "sub", not_a_dir),
+            "labels-directory": (tmp_path / "d", "labels.tsv"),
+            "view-directory": (tmp_path / "d", "view1.edges"),
+        }[case]
+        if not error.startswith("--"):
+            (out / error).mkdir(parents=True)
+            error = f"--out-dir {error}: {str(out / error)!r} is a directory"
+        files = lambda: sorted(tmp_path.rglob("*"))
+        before = files()
+        assert run(["synth", "--nodes", 10, "--communities", 2, "--out-dir", out]) == 2
+        assert error in capsys.readouterr().err
+        assert calls == [] and files() == before
+
     def test_weighted_export_directory_exits_2_before_input_is_read(self, tmp_path, dataset,
                                                                     capsys, monkeypatch):
         calls = []

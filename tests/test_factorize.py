@@ -445,8 +445,8 @@ class TestFactorize:
         adj, reg = make_adjacency("\n".join(lines) + "\n")
         fac = mvne.factorize(adj, small_config(2, seed=8))
         km = fac.H.argmax(axis=1)
-        first = {km[reg.index_of(f"x{a}")] for a in range(5)}
-        second = {km[reg.index_of(f"y{a}")] for a in range(5)}
+        first = {km[reg.get(f"x{a}")] for a in range(5)}
+        second = {km[reg.get(f"y{a}")] for a in range(5)}
         assert len(first) == 1 and len(second) == 1 and first != second
 
     def test_deterministic_per_seed(self):

@@ -271,17 +271,25 @@ refused_ids = st.builds("".join, st.tuples(st.sampled_from(["", "a"]), st.sample
 
 @st.composite
 def embedding_texts(draw):
-    """Embedding-file text, mostly well formed: odd whitespace and line ends,
-    blank lines, and now and then a bad header, value, id or field or row count."""
+    """Embedding-file text with odd whitespace and line ends and blank lines:
+    well formed three times in five, else now and then with a bad header, a
+    bad value, a refused or repeated id, or a field or row count off by one."""
+    faulty = draw(st.sampled_from([False] * 3 + [True] * 2))
+
+    def pick(good, bad):
+        """One of good, or in a faulty text one of good + bad."""
+        return draw(st.sampled_from(good + bad if faulty else good))
+
     n, d = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-    lines = [draw(st.sampled_from([f"{n} {d}"] * 4 + [f"{n}\t{d} ", "x 2", f"{n}"]))]
-    value = draw(st.sampled_from([finite_values, values]))
-    for _ in range(draw(st.sampled_from([n] * 8 + [n + 1, max(n - 1, 0)]))):
+    lines = [pick([f"{n} {d}"] * 4 + [f"{n}\t{d} "], ["x 2", f"{n}"])]
+    value = pick([finite_values], [values])
+    names = draw(st.lists(node_ids, min_size=n + 1, max_size=n + 1, unique=not faulty))
+    for name in names[:pick([n] * 8, [n + 1, max(n - 1, 0)])]:
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(separators))
-        k = draw(st.sampled_from([d] * 8 + [d + 1, max(d - 1, 0)]))
-        name = draw(st.sampled_from([node_ids] * 9 + [refused_ids]))
-        fields = [draw(name)] + draw(st.lists(value, min_size=k, max_size=k))
+        k = pick([d] * 8, [d + 1, max(d - 1, 0)])
+        fields = [draw(pick([st.just(name)] * 9, [refused_ids]))]
+        fields += draw(st.lists(value, min_size=k, max_size=k))
         lines.append(draw(separators).join(fields))
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + draw(st.sampled_from(["", "\n"]))
 

@@ -1,8 +1,9 @@
-"""Count the lines of each module of src/mvne: `wc -l` and code lines.
+"""Count the lines of each module of src/mvne: `wc -l`, code, prose and blank lines.
 
 A code line holds a token that is not a comment, and lies outside every
-docstring (the leading string of a module, class or function). Blank
-lines, comment lines and docstring lines are not code lines.
+docstring (the leading string of a module, class or function). A prose line
+is not code and holds a comment or a docstring's text; a blank line holds
+only whitespace. Every line is one of the three, so `wc -l` is their sum.
 
     python3 tools/count_lines.py [PACKAGE_DIR]
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+COLUMNS = ("wc -l", "code", "prose", "blank")
 
 
 def docstring_lines(tree) -> set:
@@ -30,26 +32,32 @@ def docstring_lines(tree) -> set:
     return lines
 
 
-def count(path: Path):
-    """(`wc -l`, code lines) of one Python file."""
+def count(path: Path) -> dict:
+    """{column: count} of one Python file, for each of COLUMNS."""
     text = path.read_text(encoding="utf-8")
-    code = set()
+    docs = docstring_lines(ast.parse(text))
+    code, comments = set(), set()
     with path.open("rb") as fh:
         for tok in tokenize.tokenize(fh.readline):
-            if tok.type not in _NOT_CODE:
+            if tok.type == tokenize.COMMENT:
+                comments.add(tok.start[0])
+            elif tok.type not in _NOT_CODE:
                 code.update(range(tok.start[0], tok.end[0] + 1))
-    return text.count("\n"), len(code - docstring_lines(ast.parse(text)))
+    code -= docs
+    blank = {no for no, line in enumerate(text.splitlines(), 1) if not line.strip()}
+    prose = (docs | comments) - code - blank
+    return dict(zip(COLUMNS, (text.count("\n"), len(code), len(prose), len(blank))))
 
 
 def main(argv) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "mvne"
-    total_wc = total_code = 0
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
+    total = dict.fromkeys(COLUMNS, 0)
+    print(f"{'module':<16}" + "".join(f"{c:>8}" for c in COLUMNS))
     for path in sorted(package.glob("*.py")):
-        wc, code = count(path)
-        total_wc, total_code = total_wc + wc, total_code + code
-        print(f"{path.name:<16}{wc:>8}{code:>8}")
-    print(f"{'total':<16}{total_wc:>8}{total_code:>8}")
+        counts = count(path)
+        total = {c: total[c] + counts[c] for c in COLUMNS}
+        print(f"{path.name:<16}" + "".join(f"{counts[c]:>8}" for c in COLUMNS))
+    print(f"{'total':<16}" + "".join(f"{total[c]:>8}" for c in COLUMNS))
     return 0
 
 
