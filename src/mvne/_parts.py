@@ -90,11 +90,6 @@ class _ByteSpan(io.FileIO):
         return got
 
 
-def text_span(path, lo: int, hi: int):
-    """Bytes lo..hi - 1 of path as UTF-8 text, with the line ends of open(path)."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, lo, hi)), encoding="utf-8")
-
-
 def _fork() -> int:
     with warnings.catch_warnings():
         # Python >= 3.12 warns on fork() in a process with threads, such as a
@@ -210,10 +205,12 @@ def write(stream, count: int, values: int, format_block) -> None:
 
 
 def read(path, start: int, end: int, read_span) -> list:
-    """[read_span(text_span(path, lo, hi)) for each range of line_cuts(...)], in order."""
+    """[read_span(text) for each range of line_cuts(...)], in order, where text
+    is bytes lo..hi - 1 of path as UTF-8 text, with the line ends of open(path)."""
 
     def part(lo, hi):
-        with text_span(path, lo, hi) as text:
+        with io.TextIOWrapper(io.BufferedReader(_ByteSpan(path, lo, hi)),
+                              encoding="utf-8") as text:
             return read_span(text)
 
     return run(line_cuts(path, start, end), part)

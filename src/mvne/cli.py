@@ -17,10 +17,9 @@ import time
 
 from . import __version__
 from .evaluate import EvalProtocol, _fraction_key, run_protocol
-from .factorize import (FactorizeConfig, embedding, factorize, read_embedding,
-                        write_embedding, write_run_metadata)
-from .graph import (ParseError, build_multiview, load_labels, read_manifest, view_stats,
-                    write_edge_list)
+from .factorize import FactorizeConfig, embedding, factorize, write_run_metadata
+from .graph import (ParseError, build_multiview, load_labels, read_embedding, read_manifest,
+                    view_stats, write_edge_list, write_embedding)
 from .multiview import MvneConfig, ViewWeights, combine_as_configured
 from .testkit import SbmSpec, dataset_files, dump_dataset, generate_multiview_sbm
 
@@ -154,6 +153,8 @@ def _combined_input(views, config):
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
     fit = _config(FactorizeConfig, args, d=args.dim)
+    if args.beta is not None and args.edges:
+        raise ParseError("--beta weighs the views of a --manifest; --edges reads one view")
     betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
     config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
     weighted = args.out + ".weighted" if args.export_weighted else None
@@ -246,7 +247,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure
         print(f"mvne: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

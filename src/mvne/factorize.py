@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -44,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _parts
-from .graph import _TINY, ParseError, SparseAdjacency, _name_fault
+from .graph import _TINY, SparseAdjacency
 
 # Stored entries per block of the edge kernel; its two gathers hold
 # _BLOCK x d floats each (1 MB at d = 64) per part, allocated once per fit.
@@ -375,140 +373,6 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
 def embedding(fac: Factorization) -> np.ndarray:
     """The per-node embedding: the row-stochastic membership matrix H."""
     return fac.H
-
-
-def write_embedding(path, X: np.ndarray, names) -> None:
-    """Write `n d` then one `name v1 ... vd` line per node (17 sig. digits).
-
-    ``X`` is a 2-D real (bool, integer or float) array and ``names`` a
-    sequence of its n row names. Before the file is opened, ValueError is
-    raised for any other X, a count other than n, and, naming the first bad
-    row, for what _embedding_fault finds: read_embedding could not read
-    these back. Rows are formatted by ``_parts.write``, one `%` operation
-    per row; the bytes do not depend on its parts.
-    """
-    X = np.asarray(X)
-    if X.ndim != 2 or X.dtype.kind not in "biuf":
-        raise ValueError(f"embedding values must be a 2-D real array, not {X.ndim}-D {X.dtype}")
-    n, d = X.shape
-    if len(names) != n:
-        raise ValueError(f"got {len(names)} names for {n} embedding rows")
-    fault = _embedding_fault(names, X)
-    if fault:
-        raise ValueError("embedding row %d: %s" % fault)
-    line = "%s " + " ".join(["%.17g"] * d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n} {d}\n")
-        _parts.write(fh, n, n * d, lambda lo, hi: "".join(
-            [line % (name, *row) for name, row in zip(names[lo:hi], X[lo:hi].tolist())]))
-
-
-def _embedding_fault(names, X):
-    """(row, reason) for the first fault of a legal embedding, or None: the one
-    rule that write_embedding and read_embedding both apply."""
-    try:
-        # the rule holds for every name if it holds for their join and none is empty
-        plain = all(names) and _name_fault("".join(names)) is None
-    except TypeError:  # a name that is not a str
-        plain = False
-    if not plain:
-        for r, name in enumerate(names):
-            fault = _name_fault(name)
-            if fault:
-                return r, f"node name {name!r} {fault}"
-    if len(set(names)) < len(names):
-        first = {}
-        r = next(r for r, name in enumerate(names) if first.setdefault(name, r) != r)
-        return r, f"repeated node {names[r]!r}"
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        r = int(np.argmin(finite))
-        return r, f"node {names[r]!r} has a NaN or infinite value"
-    return None
-
-
-def read_embedding(path):
-    """Read the write_embedding() format; returns (names, X).
-
-    The per-line reader _read_rows defines the legal input: a bad header,
-    field or row count, a value that is not a float, and what
-    _embedding_fault finds (a refused or repeated name, a NaN or infinite
-    value) raise ParseError naming the file line. The rows are read in bulk
-    (``_parts.read``, so a large file by up to one process per usable core);
-    a file that read cannot vouch for, or whose rows hold a fault, is read
-    again line by line.
-    """
-    try:
-        return _read_rows_bulk(path)
-    except (ValueError, ChildProcessError):
-        return _read_rows(path)
-
-
-def _read_header(line: str):
-    header = line.split()
-    if len(header) != 2 or not all(h.isdecimal() for h in header):
-        raise ParseError("embedding file: bad header line, expected `n d`", 1)
-    return int(header[0]), int(header[1])
-
-
-def _read_rows(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        n, d = _read_header(fh.readline())
-        names, rows, lines = [], [], []
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != d + 1:
-                raise ParseError(f"embedding file: expected {d + 1} fields per row", line_no)
-            names.append(parts[0])
-            lines.append(line_no)
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"embedding file: {exc}", line_no) from None
-    if len(names) != n:
-        raise ParseError(f"embedding file: header promised {n} rows, found {len(names)}", 1)
-    X = np.asarray(rows, dtype=np.float64).reshape(n, d)
-    fault = _embedding_fault(names, X)
-    if fault:
-        raise ParseError(f"embedding file: {fault[1]}", lines[fault[0]])
-    return names, X
-
-
-def _read_rows_bulk(path):
-    """Names and values as _read_rows gives them, or ValueError.
-
-    np.loadtxt splits on the whitespace str.split splits on, skips blank
-    lines and refuses ragged rows, so parts of d + 1 columns, n rows and n
-    names in all are the rows _read_rows reads.
-    """
-    # newline="": lines end as in text mode, but the header keeps its line
-    # end, so its UTF-8 length is where the data starts
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        head = fh.readline()
-        n, d = _read_header(head)
-        start, size = len(head.encode("utf-8")), os.fstat(fh.fileno()).st_size
-    parts = _parts.read(path, start, size, _read_span)
-    blocks = [X for _, X in parts if len(X)]
-    if not blocks or any(X.shape[1] != d + 1 for X in blocks):
-        raise ValueError("not d + 1 fields per row")
-    names = [name for names, _ in parts for name in names]
-    X = np.concatenate([X[:, 1:] for X in blocks])
-    if len(names) != n or X.shape[0] != n or _embedding_fault(names, X):
-        raise ValueError("not n legal rows")
-    return names, X
-
-
-def _read_span(text):
-    """(names, rows of all fields with the name read as 0) of the embedding lines in text."""
-    names = []
-    with warnings.catch_warnings():
-        # loadtxt warns on a part of blank lines, and reads it as 0 rows
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        X = np.loadtxt(text, converters={0: lambda name: names.append(name) or 0.0},
-                       comments=None, ndmin=2)
-    return names, X
 
 
 def _json_text(value) -> str:

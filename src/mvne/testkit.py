@@ -110,11 +110,12 @@ def dump_dataset(graph: MultiViewGraph, labels: LabelStore, out_dir):
     covered = set()
     for adj in graph.views:
         covered.update(int(x) for x in adj.active_nodes())
+    nodes = graph.registry.names
     with open(os.path.join(out_dir, labels_file), "w", encoding="utf-8") as lf:
         for v in sorted(covered):
             names = sorted(labels.label_name(l) for l in labels.labels_of(v))
             if names:
-                lf.write(f"{graph.registry.name_of(v)}\t{','.join(names)}\n")
+                lf.write(f"{nodes[v]}\t{','.join(names)}\n")
     return manifest_path
 
 

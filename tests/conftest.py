@@ -20,7 +20,8 @@ def coo_rows(adj):
 def per_entry_edge_list(adj, reg):
     """The writer's format, one f-string per entry of the adjacency's upper_index."""
     pos, rows, cols, _ = adj.upper_index
-    return "".join(f"{reg.name_of(int(i))}\t{reg.name_of(int(j))}\t{float(adj.values[p])!r}\n"
+    names = reg.names
+    return "".join(f"{names[i]}\t{names[j]}\t{float(adj.values[p])!r}\n"
                    for p, i, j in zip(pos, rows, cols))
 
 

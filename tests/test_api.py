@@ -2,7 +2,8 @@
 perfbench's traced replay imports from it: tier-1 runs that replay no other
 way, so a deleted name would otherwise only show in a `perfbench/run.py
 --trace 1` run. Outside `_parts`, only its `read`, `write` and `threads` are
-used. The settable surface, the config fields and every subcommand's
+used, and the private names one module imports from another are the listed
+ones. The settable surface, the config fields and every subcommand's
 options, is the listed one."""
 
 import ast
@@ -54,7 +55,7 @@ def test_every_public_name_has_its_own_docstring():
     assert [name for name in mvne.__all__ if not own_doc(getattr(mvne, name))] == []
 
 
-def test_parts_is_used_only_through_read_and_write():
+def test_parts_is_used_only_through_read_write_and_threads():
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "_parts.py":
@@ -62,6 +63,25 @@ def test_parts_is_used_only_through_read_and_write():
                      if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                      and node.value.id == "_parts"}
     assert {attr for _, attr in used} <= {"read", "threads", "write"}, sorted(used)
+
+
+# Each (importer, source, name) of a private name one module imports from
+# another; a new coupling between modules is an edit here.
+PRIVATE_IMPORTS = [
+    ("cli", "evaluate", "_fraction_key"),
+    ("evaluate", "factorize", "_json_text"),
+    ("factorize", "graph", "_TINY"),
+]
+
+
+def test_private_imports_between_modules_are_the_listed_ones():
+    found = sorted((path.stem, node.module, alias.name)
+                   for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module
+                   for alias in node.names
+                   if alias.name.startswith("_") and not alias.name.startswith("__"))
+    assert found == PRIVATE_IMPORTS
 
 
 def test_traced_replay_imports(monkeypatch):

@@ -116,12 +116,6 @@ class TestSynth:
         blobs = {(out / f"view{v}.edges").read_bytes() for v in range(3)}
         assert len(blobs) == 1
 
-    def test_unwritable_dir_runtime_error(self, tmp_path):
-        target = tmp_path / "blocked"
-        target.write_text("file, not a dir")
-        assert run(["synth", "--nodes", 10, "--communities", 2,
-                    "--out-dir", target]) in (1, 2)
-
 
 class TestEmbed:
     def test_single_view_header(self, tmp_path, dataset):
@@ -521,6 +515,21 @@ class TestChecksBeforeInput:
                     "--export-weighted"]) == 2
         assert f"--export-weighted: {str(out) + '.weighted'!r} is a directory" in \
             capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_beta_with_edges_exits_2_naming_both_flags(self, tmp_path, dataset, capsys,
+                                                       monkeypatch):
+        """One view's weight is always 1, so --beta would be accepted and ignored."""
+        calls = []
+        monkeypatch.setattr(mvne.cli, "build_multiview", lambda *a: calls.append("load"))
+        out = tmp_path / "e.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["embed", "--edges", dataset / "view0.edges", "-d", 2, "--beta", "0.3",
+                        "--out", out]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "--beta" in err and "--edges" in err
         assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("extra", [[], ["--no-normalize-views"]], ids=["normalized", "raw"])

@@ -23,7 +23,7 @@ from mvne.graph import ParseError, parse_edges
 
 from test_properties import parse_outcome, reference_outcome, write_bytes
 
-factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+graph_module = importlib.import_module("mvne.graph")
 
 # warnings are errors here: a numpy warning, or Python >= 3.12's warning on
 # fork() in a process with threads, must not reach the caller
@@ -95,10 +95,10 @@ def test_embedding_bytes_and_values_match_one_part(tmp_path, monkeypatch, forks,
     assert emb_bytes(path, X, names) == expected
     assert len(forks) == min(n, 3) - 1
     forks.clear()
-    names2, X2 = factorize_module._read_rows_bulk(path)
+    names2, X2 = graph_module._read_rows_bulk(path)
     # cut at the first newline past each third of the bytes, so short files make fewer parts
     assert len(forks) == {1: 0, 2: 0, 7: 2}[n]
-    names1, X1 = factorize_module._read_rows(path)
+    names1, X1 = graph_module._read_rows(path)
     assert names2 == names1 == names
     assert X2.tobytes() == X1.tobytes() == X.tobytes()
     assert no_child_left()
@@ -251,7 +251,7 @@ def test_failing_reader_child_falls_back_to_the_per_line_reader(tmp_path, monkey
     monkeypatch.setattr(_parts, "read", failing)
     if failure == "exits":
         with pytest.raises(ChildProcessError, match="exited with status 3"):
-            factorize_module._read_rows_bulk(path)
+            graph_module._read_rows_bulk(path)
     names, X2 = mvne.read_embedding(path)
     assert names == NAMES and X2.tobytes() == X.tobytes()
     assert no_child_left()
@@ -317,7 +317,7 @@ def test_failed_fork_runs_the_range_as_one_part(tmp_path, monkeypatch, forks, at
     assert emb_bytes(emb, X, NAMES) == expected[0]
     fork_failing_at(monkeypatch, fork, at)
     assert edges_text(adj, reg, out) == expected[1]
-    for read in (factorize_module._read_rows_bulk, mvne.read_embedding):
+    for read in (graph_module._read_rows_bulk, mvne.read_embedding):
         fork_failing_at(monkeypatch, fork, at)
         names, X2 = read(emb)
         assert names == NAMES and X2.tobytes() == X.tobytes()

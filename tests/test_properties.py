@@ -29,7 +29,7 @@ from mvne.graph import ParseError, parse_edges
 
 from conftest import coo_rows, per_entry_edge_list
 
-factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
+graph_module = importlib.import_module("mvne.graph")
 evaluate_module = importlib.import_module("mvne.evaluate")
 
 # Non-empty ids without whitespace, drawn often from the formats' own
@@ -330,7 +330,7 @@ def test_bulk_embedding_reader_agrees_with_per_line(text, read_bytes, parts):
         with mock.patch.object(_parts, "_PART_BYTES", read_bytes), \
                 mock.patch.object(_parts, "_CORES", parts):
             bulk = read_outcome(path)
-        with mock.patch.object(factorize_module, "_read_rows_bulk", side_effect=ValueError):
+        with mock.patch.object(graph_module, "_read_rows_bulk", side_effect=ValueError):
             per_line = read_outcome(path)
     assert bulk == per_line
     assert bulk[0] == "error" or all(writable(name) for name in bulk[0])
