@@ -14,9 +14,10 @@ import dataclasses
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
-from .evaluate import EvalProtocol, _fraction_key, run_protocol
+from .evaluate import EvalProtocol, run_protocol
 from .factorize import FactorizeConfig, embedding, factorize, write_run_metadata
 from .graph import (ParseError, build_multiview, load_labels, read_embedding, read_manifest,
                     view_stats, write_edge_list, write_embedding)
@@ -155,7 +156,13 @@ def cmd_embed(args) -> int:
     fit = _config(FactorizeConfig, args, d=args.dim)
     if args.beta is not None and args.edges:
         raise ParseError("--beta weighs the views of a --manifest; --edges reads one view")
-    betas = ViewWeights(_parse_floats("--beta", args.beta)) if args.beta is not None else None
+    betas = None
+    if args.beta is not None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            betas = ViewWeights(_parse_floats("--beta", args.beta))
+        for warning in caught:
+            print(f"mvne: warning: {warning.message}", file=sys.stderr)
     config = MvneConfig(fit, betas, normalize_views=not args.no_normalize_views)
     weighted = args.out + ".weighted" if args.export_weighted else None
     views, inputs = _views(args)
@@ -193,15 +200,16 @@ def cmd_eval(args) -> int:
     names, X = read_embedding(args.embedding)
     labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
+    doc = report.to_dict()
     if args.json:
-        write_run_metadata(args.json, report.to_dict())
+        write_run_metadata(args.json, doc)
     if args.tsv:
         with open(args.tsv, "w", encoding="utf-8") as fh:
             fh.write(report.to_tsv())
     print("fraction  micro-F1 (sd)      macro-F1 (sd)")
-    for f in protocol.fractions:
-        print(f"{_fraction_key(f):>8}  {report.mean_micro(f):.4f} ({report.sd_micro(f):.4f})"
-              f"   {report.mean_macro(f):.4f} ({report.sd_macro(f):.4f})")
+    for key, micro in doc["mean_micro"].items():
+        print(f"{key:>8}  {micro:.4f} ({doc['sd_micro'][key]:.4f})"
+              f"   {doc['mean_macro'][key]:.4f} ({doc['sd_macro'][key]:.4f})")
     return 0
 
 

@@ -171,7 +171,7 @@ class _EdgePlan:
 
     def __init__(self, adj: SparseAdjacency, d: int, epsilon: float, cuts: list, map):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
-        self.w = adj.values
+        self.w = adj.mat.data
         # The weights' unit, a normal float as SparseAdjacency refuses a smaller
         # total; self.total is sum(W) in units.
         total = adj.total_weight
@@ -182,9 +182,9 @@ class _EdgePlan:
         self.map = map
         # rows cut where the parts hold near-equal shares of the stored entries
         k = len(cuts) - 1
-        row_cuts = np.searchsorted(adj.indptr, [adj.nnz * i // k for i in range(k)])
+        row_cuts = np.searchsorted(adj.mat.indptr, [adj.nnz * i // k for i in range(k)])
         row_cuts = [*row_cuts.tolist(), adj.n]
-        self.parts = [_Part(adj, d, cuts[i], cuts[i + 1], row_cuts[i], row_cuts[i + 1])
+        self.parts = [_Part(adj.mat, d, cuts[i], cuts[i + 1], row_cuts[i], row_cuts[i + 1])
                       for i in range(k)]
 
     @classmethod
@@ -195,9 +195,10 @@ class _EdgePlan:
             yield cls(adj, d, epsilon, [min(c * _BLOCK, m) for c in cuts], map)
 
     def measure(self, mass: np.ndarray) -> float:
-        """The objective of B = unit * mass, in units, with R set for the update from mass."""
+        """The objective of B = unit * mass, in units, with R and lam_safe set for update(mass)."""
         lam = mass.sum(axis=0)
-        Bl = mass / np.where(lam > 0, lam, np.inf)[None, :]
+        self.lam_safe = np.where(lam > 0, lam, np.inf)
+        Bl = mass / self.lam_safe[None, :]
         w, yhat, unit = self.w, self.yhat, self.unit
 
         def reconstruct(p):
@@ -228,15 +229,13 @@ class _EdgePlan:
         return float(yhat.sum()) / unit + float(mass.sum())
 
     def update(self, mass: np.ndarray) -> np.ndarray:
-        """The ratio update from mass with the R that measure() set, as a new B'."""
-        lam = mass.sum(axis=0)
-        lam_safe = np.where(lam > 0, lam, np.inf)
+        """The ratio update of mass as a new B', by the R and column sums measure(mass) took."""
         new = np.empty_like(mass)
 
         def part(p):
             out = new[p.rows]
             np.multiply(p.R @ mass, mass[p.rows], out=out)
-            out /= lam_safe
+            out /= self.lam_safe
 
         self.map(part, self.parts)
         total = new.sum()
@@ -269,16 +268,16 @@ class _EdgePlan:
 class _Part:
     """One part of an _EdgePlan's kernel, with the buffers it writes alone."""
 
-    def __init__(self, adj: SparseAdjacency, d: int, lo: int, hi: int, r0: int, r1: int):
+    def __init__(self, mat: sp.csr_array, d: int, lo: int, hi: int, r0: int, r1: int):
         self.lo, self.hi = lo, hi
         self.rows = slice(r0, r1)
-        a, b = int(adj.indptr[r0]), int(adj.indptr[r1])
+        a, b = int(mat.indptr[r0]), int(mat.indptr[r1])
         self.entries = slice(a, b)
         # measure() writes R.data, this part's own array. scipy's constructor copies
         # a slice of less than half its base array, so R gets the index view after.
-        self.R = sp.csr_array((np.empty(b - a), adj.indices[a:b], adj.indptr[r0:r1 + 1] - a),
-                              shape=(r1 - r0, adj.n))
-        self.R.indices = adj.indices[a:b]
+        self.R = sp.csr_array((np.empty(b - a), mat.indices[a:b], mat.indptr[r0:r1 + 1] - a),
+                              shape=(r1 - r0, mat.shape[1]))
+        self.R.indices = mat.indices[a:b]
         self.left = np.empty((min(_BLOCK, hi - lo), d))
         self.right = np.empty_like(self.left)
         self.half = np.empty(self.left.shape[0])

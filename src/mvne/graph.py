@@ -117,10 +117,11 @@ class SparseAdjacency:
     """Symmetric weighted adjacency of one view in CSR form.
 
     Each undirected edge {i, j} is stored in both directions with the same
-    positive weight; a self-loop is a single diagonal entry. ``total_weight``
-    is the sum over all stored entries; a NaN or overflowing total, and a
-    nonzero one below the smallest normal float, raise ValueError, with no
-    numpy warning.
+    positive weight; a self-loop is a single diagonal entry. ``mat`` is the
+    one handle on the canonical CSR arrays, duplicates summed and indices
+    sorted. ``total_weight`` is the sum over all stored entries; a NaN or
+    overflowing total, and a nonzero one below the smallest normal float,
+    raise ValueError, with no numpy warning.
     """
 
     def __init__(self, mat: sp.csr_array):
@@ -161,18 +162,6 @@ class SparseAdjacency:
         return self.mat.nnz
 
     @property
-    def indptr(self):
-        return self.mat.indptr
-
-    @property
-    def indices(self):
-        return self.mat.indices
-
-    @property
-    def values(self):
-        return self.mat.data
-
-    @property
     def upper_index(self) -> UpperIndex:
         """The stored entries with i <= j, in CSR data order (cached).
 
@@ -180,14 +169,14 @@ class SparseAdjacency:
         Raises ValueError unless structure and values are bit-exactly symmetric.
         """
         if self._upper_index is None:
-            cols = self.indices
-            rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(self.indptr))
+            indptr, cols, values = self.mat.indptr, self.mat.indices, self.mat.data
+            rows = np.repeat(np.arange(self.n, dtype=cols.dtype), np.diff(indptr))
             # Transposing a CSR of positions gives each entry's mirror when the matrix is symmetric.
-            tr = sp.csr_array((np.arange(self.nnz, dtype=cols.dtype), cols, self.indptr),
+            tr = sp.csr_array((np.arange(self.nnz, dtype=cols.dtype), cols, indptr),
                               shape=self.mat.shape).T.tocsr()
             perm = tr.data
-            if not (np.array_equal(tr.indptr, self.indptr) and np.array_equal(tr.indices, cols)
-                    and np.array_equal(self.values[perm], self.values)):
+            if not (np.array_equal(tr.indptr, indptr) and np.array_equal(tr.indices, cols)
+                    and np.array_equal(values[perm], values)):
                 raise ValueError("adjacency is not bit-exactly symmetric")
             pos = np.flatnonzero(rows <= cols).astype(cols.dtype)
             self._upper_index = UpperIndex(pos, rows[pos], cols[pos], perm[pos])
@@ -413,7 +402,7 @@ def write_edge_list(adj: SparseAdjacency, registry, sink):
     reprs = {}
 
     def entries(lo, hi):
-        vals = adj.values[pos[lo:hi]]
+        vals = adj.mat.data[pos[lo:hi]]
         if len(reprs) > _MEMO_ENTRIES:
             reprs.clear()
         return "".join([f"{names[i]}\t{names[j]}\t{reprs.get(b) or reprs.setdefault(b, repr(x))}\n"

@@ -14,14 +14,14 @@ def make_adjacency(text):
 
 def coo_rows(adj):
     """Row index of every stored entry, in CSR data order."""
-    return np.repeat(np.arange(adj.n), np.diff(adj.indptr))
+    return np.repeat(np.arange(adj.n), np.diff(adj.mat.indptr))
 
 
 def per_entry_edge_list(adj, reg):
     """The writer's format, one f-string per entry of the adjacency's upper_index."""
     pos, rows, cols, _ = adj.upper_index
     names = reg.names
-    return "".join(f"{names[i]}\t{names[j]}\t{float(adj.values[p])!r}\n"
+    return "".join(f"{names[i]}\t{names[j]}\t{float(adj.mat.data[p])!r}\n"
                    for p, i, j in zip(pos, rows, cols))
 
 

@@ -1,10 +1,10 @@
 """The public API is the listed names, and they resolve; so does every name
-perfbench's traced replay imports from it: tier-1 runs that replay no other
-way, so a deleted name would otherwise only show in a `perfbench/run.py
---trace 1` run. Outside `_parts`, only its `read`, `write` and `threads` are
-used, and the private names one module imports from another are the listed
-ones. The settable surface, the config fields and every subcommand's
-options, is the listed one."""
+perfbench's traced replay imports from it, and the replay runs clean on one
+small dataset, so a deleted name or attribute the replay reads shows here and
+not only in a `perfbench/run.py --trace 1` run. Outside `_parts`, only its
+`read`, `write` and `threads` are used, and the private names one module
+imports from another are the listed ones. The settable surface, the config
+fields and every subcommand's options, is the listed one."""
 
 import ast
 import contextlib
@@ -68,7 +68,6 @@ def test_parts_is_used_only_through_read_write_and_threads():
 # Each (importer, source, name) of a private name one module imports from
 # another; a new coupling between modules is an edit here.
 PRIVATE_IMPORTS = [
-    ("cli", "evaluate", "_fraction_key"),
     ("evaluate", "factorize", "_json_text"),
     ("factorize", "graph", "_TINY"),
 ]
@@ -88,6 +87,23 @@ def test_traced_replay_imports(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     traced = importlib.import_module("traced")
     assert callable(traced.run_traced)
+
+
+def test_traced_replay_runs_clean(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run, traced = importlib.import_module("run"), importlib.import_module("traced")
+    wl = dataclasses.replace(importlib.import_module("workloads").WORKLOADS["sbm_converge"],
+                             datasets=1)
+    untraced = run.run_untraced(wl, 1, 0.0, tmp_path)
+    replay = traced.run_traced(wl, 1, tmp_path, tmp_path / "trace.json")
+    for result in (untraced, replay):
+        # the thread check counts this process's threads, pytest's among them
+        assert [f for f in result["checks"]["failures"]
+                if not f.startswith("threads <= usable cores")] == []
+    checks = run.Checks()
+    run.compare_replay(untraced, replay, checks)
+    assert checks.attempted == 1 and checks.failures == []
+    assert set(run.PER_LAYER) - set(replay["metrics"]) == {"trace.overhead_s"}
 
 
 # Adding or dropping a knob is an edit here.

@@ -259,6 +259,18 @@ class TestEmbed:
         lam = Xw.sum(axis=0)[live] / colsum[live]
         assert np.abs(Xw[:, live] - X[:, live] * lam).max() <= 1e-9
 
+    def test_renormalized_betas_warn_in_one_stderr_line(self, tmp_path, dataset, capsys):
+        outs = []
+        for action in ("default", "error"):
+            outs.append(tmp_path / f"{action}.txt")
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 2,
+                            "--beta", "1,2", "--out", outs[-1]]) == 0
+            assert capsys.readouterr().err == \
+                "mvne: warning: view weights sum to 3; renormalizing to 1\n"
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_export_combined_view(self, tmp_path, dataset):
         out, combined = tmp_path / "emb.txt", tmp_path / "combined.edges"
         assert run(["embed", "--manifest", dataset / "views.manifest", "-d", 4,
@@ -279,7 +291,7 @@ class TestEmbed:
                     "--out", tmp_path / "emb.txt", "--export-combined", combined]) == 0
         graph = mvne.build_multiview(mvne.read_manifest(str(manifest)))
         adj = mvne.combine_views(graph, mvne.default_betas(graph))
-        assert len(set(adj.values.tolist())) < adj.nnz // 2
+        assert len(set(adj.mat.data.tolist())) < adj.nnz // 2
         assert combined.read_bytes() == per_entry_edge_list(adj, graph.registry).encode()
 
     def test_beta_count_mismatch_exits_2(self, tmp_path, dataset):

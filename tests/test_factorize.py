@@ -93,7 +93,7 @@ def overflowing_tail(n):
     light = random_weighted_graph(n, 0.6, 3)
     rows = np.append(light.upper_index.rows, n)
     cols = np.append(light.upper_index.cols, n + 1)
-    weights = np.append(light.values[light.upper_index.pos], 8e307)
+    weights = np.append(light.mat.data[light.upper_index.pos], 8e307)
     return mvne.SparseAdjacency.from_undirected(rows, cols, weights, 2 * n)
 
 
@@ -222,7 +222,8 @@ class TestEdgeKernel:
             plan.measure(fac.mass / plan.unit)
             got = np.concatenate([part.R.data for part in plan.parts])
         floor = cfg.epsilon * adj.total_weight
-        ref = adj.values / np.maximum(reconstruct_dense(fac)[coo_rows(adj), adj.indices], floor)
+        dense = reconstruct_dense(fac)[coo_rows(adj), adj.mat.indices]
+        ref = adj.mat.data / np.maximum(dense, floor)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
         pos, _, _, mirror = adj.upper_index
         assert np.array_equal(got[pos], got[mirror])
@@ -237,7 +238,7 @@ class TestEdgeKernel:
                 assert np.shares_memory(mine, owned)
             assert len(plan.parts) == 3
             for part in plan.parts:
-                assert np.shares_memory(part.R.indices, adj.indices)
+                assert np.shares_memory(part.R.indices, adj.mat.indices)
 
     def test_factorize_trace_matches_stepwise(self, monkeypatch):
         adj = random_weighted_graph(40, 0.3, 23)
@@ -415,6 +416,26 @@ class TestUpdateStep:
             prev = cur
             assert np.abs(sparse_fac.H - dense_fac.H).max() <= 1e-10
             assert np.abs(sparse_fac.lam - dense_fac.lam).max() <= 1e-10
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_zero_mass_column_matches_dense_and_stays_zero(self, monkeypatch, parts):
+        # no fit reaches a community with no mass: the kernel divides it by inf
+        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        adj = random_weighted_graph(40, 0.3, 23)
+        cfg = small_config(4, seed=23)
+        mass = mvne.init_factorization(40, cfg, adj.total_weight).mass
+        mass[:, 2] = 0.0
+        fac = mvne.Factorization(mass)
+        force_parts(monkeypatch, parts)
+        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
+            assert len(plan.parts) == parts
+        W = adj.mat.toarray()
+        assert mvne.kl_objective(adj, fac, cfg.epsilon) == pytest.approx(
+            dense_kl_objective(W, fac, cfg.epsilon), rel=1e-12)
+        step = mvne.update_step(adj, fac, cfg)
+        dense = dense_update_step(W, fac, cfg.epsilon)
+        assert np.abs(step.mass - dense.mass).max() <= 1e-12 * dense.mass.max()
+        assert not step.mass[:, 2].any()
 
     def test_nonnegativity_exact(self):
         adj = random_weighted_graph(12, 0.3, 5)

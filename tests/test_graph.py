@@ -182,9 +182,9 @@ class TestRoundTrip:
         buf.seek(0)
         again, reg2 = mvne.load_edge_list(buf, reg)
         assert reg2.names == reg.names
-        assert np.array_equal(adj.indptr, again.indptr)
-        assert np.array_equal(adj.indices, again.indices)
-        assert np.array_equal(adj.values, again.values)
+        assert np.array_equal(adj.mat.indptr, again.mat.indptr)
+        assert np.array_equal(adj.mat.indices, again.mat.indices)
+        assert np.array_equal(adj.mat.data, again.mat.data)
 
     def test_random_graphs_round_trip_and_symmetry(self):
         for seed in range(20):
@@ -198,14 +198,14 @@ class TestRoundTrip:
                 lines.append(f"n{i}\tn{j}\t{w!r}")
             adj, reg = make_adjacency("\n".join(lines) + "\n")
             adj.upper_index  # raises unless bit-exactly symmetric
-            assert (adj.values > 0).all()
-            assert abs(adj.total_weight - adj.values.sum()) <= 1e-12 * max(1.0, adj.total_weight)
+            assert (adj.mat.data > 0).all()
+            assert abs(adj.total_weight - adj.mat.data.sum()) <= 1e-12 * max(1.0, adj.total_weight)
             buf = io.StringIO()
             mvne.write_edge_list(adj, reg, buf)
             buf.seek(0)
             again, _ = mvne.load_edge_list(buf, reg)
-            assert np.array_equal(adj.values, again.values)
-            assert np.array_equal(adj.indices, again.indices)
+            assert np.array_equal(adj.mat.data, again.mat.data)
+            assert np.array_equal(adj.mat.indices, again.mat.indices)
 
 
 class TestUpperIndex:
@@ -219,7 +219,7 @@ class TestUpperIndex:
         combined = mvne.combine_views(built, mvne.default_betas(built))
         for adj in [loaded, *generated.views, *built.views, combined,
                     random_weighted_graph(30, 0.3, 1)]:
-            for a in (adj.indices, adj.indptr, *adj.upper_index):
+            for a in (adj.mat.indices, adj.mat.indptr, *adj.upper_index):
                 assert a.dtype == np.int32
 
     def test_lists_each_upper_entry_with_its_mirror(self):
@@ -229,9 +229,9 @@ class TestUpperIndex:
         assert sorted(zip(rows.tolist(), cols.tolist())) == \
             sorted(zip(*np.nonzero(np.triu(dense))))
         assert np.array_equal(coo_rows(adj)[pos], rows)
-        assert np.array_equal(adj.indices[pos], cols)
+        assert np.array_equal(adj.mat.indices[pos], cols)
         assert np.array_equal(coo_rows(adj)[mirror], cols)
-        assert np.array_equal(adj.indices[mirror], rows)
+        assert np.array_equal(adj.mat.indices[mirror], rows)
 
     def test_directed_cycle_with_symmetric_counts_raises(self):
         # every row and column holds one entry of equal weight, so only the
@@ -265,9 +265,9 @@ class TestWriteEdgeListBlocks:
         buf.seek(0)
         again, reg2 = mvne.load_edge_list(buf, reg)
         assert reg2.names == reg.names
-        assert np.array_equal(adj.indptr, again.indptr)
-        assert np.array_equal(adj.indices, again.indices)
-        assert np.array_equal(adj.values, again.values)
+        assert np.array_equal(adj.mat.indptr, again.mat.indptr)
+        assert np.array_equal(adj.mat.indices, again.mat.indices)
+        assert np.array_equal(adj.mat.data, again.mat.data)
 
     def test_non_symmetric_input_refused(self, tmp_path):
         # the writer reads upper_index, as the fit does, so it refuses what the fit refuses
@@ -430,6 +430,6 @@ class TestViewStats:
         graph, _ = mvne.generate_multiview_sbm(spec)
         for row, adj in zip(mvne.view_stats(graph), graph.views):
             # independent recount from the stored structure
-            rows_, cols_ = coo_rows(adj), adj.indices
+            rows_, cols_ = coo_rows(adj), adj.mat.indices
             undirected = {(min(i, j), max(i, j)) for i, j in zip(rows_, cols_)}
             assert row["edges"] == len(undirected)

@@ -98,8 +98,8 @@ class TestCombineViews:
         g = mvne.build_multiview([("v", io.StringIO("a\tb\t2\nb\tc\t5\n"))])
         combined = mvne.combine_views(g, mvne.ViewWeights([1.0]),
                                       normalize_views=False)
-        assert np.array_equal(combined.values, g.views[0].values)
-        assert np.array_equal(combined.indices, g.views[0].indices)
+        assert np.array_equal(combined.mat.data, g.views[0].mat.data)
+        assert np.array_equal(combined.mat.indices, g.views[0].mat.indices)
 
     def test_normalization_gives_unit_total(self):
         g = two_view_graph()  # totals 2 and 6

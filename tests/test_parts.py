@@ -324,8 +324,8 @@ def test_failed_fork_runs_the_range_as_one_part(tmp_path, monkeypatch, forks, at
     fork_failing_at(monkeypatch, fork, at)
     split, split_reg = mvne.load_edge_list(edges)
     assert split_reg.names == whole_reg.names
-    for x, y in ((split.indptr, whole.indptr), (split.indices, whole.indices),
-                 (split.values, whole.values)):
+    for x, y in ((split.mat.indptr, whole.mat.indptr), (split.mat.indices, whole.mat.indices),
+                 (split.mat.data, whole.mat.data)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     fork_failing_at(monkeypatch, fork, at)
     assert parse_outcome(parse_edges, ["d", "ä"], edges) == reference_outcome(["d", "ä"], edges)
@@ -390,7 +390,8 @@ def test_split_views_build_the_graph_of_one_part(tmp_path, forks):
     whole = mvne.build_multiview([("v1", io.StringIO(first)), ("v2", io.StringIO(second))])
     assert split.registry.names == whole.registry.names
     for a, b in zip(split.views, whole.views):
-        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.values, b.values)):
+        for x, y in ((a.mat.indptr, b.mat.indptr), (a.mat.indices, b.mat.indices),
+                     (a.mat.data, b.mat.data)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert no_child_left()
 

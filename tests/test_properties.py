@@ -54,7 +54,7 @@ def edge_lists(draw):
 def triples(adj, reg):
     names = reg.names
     return {(names[i], names[j], w) for i, j, w in
-            zip(coo_rows(adj).tolist(), adj.indices.tolist(), adj.values.tolist())}
+            zip(coo_rows(adj).tolist(), adj.mat.indices.tolist(), adj.mat.data.tolist())}
 
 
 def write(adj, reg):
@@ -362,7 +362,7 @@ def symmetric_dense(draw):
 @given(symmetric_dense(), st.integers(0, 2**16))
 def test_upper_index_mirror_matches_stable_argsort(dense, pick):
     adj = mvne.SparseAdjacency(sp.csr_array(dense))
-    rows, cols = coo_rows(adj), adj.indices
+    rows, cols = coo_rows(adj), adj.mat.indices
     perm = np.argsort(cols, kind="stable")  # CSR rows are sorted: the transpose's order
     pos = np.flatnonzero(rows <= cols)
     got = adj.upper_index
@@ -654,7 +654,7 @@ def scaled_fits(draw):
     if draw(st.booleans()):
         adj, config = draw(fit_cases())
         _, i, j, _ = adj.upper_index
-        w = adj.values[adj.upper_index.pos]
+        w = adj.mat.data[adj.upper_index.pos]
         return (lambda c: mvne.SparseAdjacency.from_undirected(i, j, w * c, adj.n),
                 dataclasses.replace(config, rel_tol=1e-6), k)
     graph = mvne.build_multiview([("v1", io.StringIO("a\tb\t1\nb\tc\t2\nc\ta\t1\n")),

@@ -46,9 +46,9 @@ def assert_same_dataset(got, expected):
     (g1, l1), (g2, l2) = got, expected
     assert g1.registry.names == g2.registry.names and g1.view_names == g2.view_names
     for a, b in zip(g1.views, g2.views, strict=True):
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.mat.indptr, b.mat.indptr)
+        assert np.array_equal(a.mat.indices, b.mat.indices)
+        assert np.array_equal(a.mat.data, b.mat.data)
     assert [l1.label_name(i) for i in range(l1.num_labels)] == \
         [l2.label_name(i) for i in range(l2.num_labels)]
     assert all(l1.labels_of(v) == l2.labels_of(v) for v in range(g2.n))
@@ -75,8 +75,8 @@ class TestGenerator:
         g1, l1 = mvne.generate_multiview_sbm(spec)
         g2, l2 = mvne.generate_multiview_sbm(spec)
         for a, b in zip(g1.views, g2.views):
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.mat.data, b.mat.data)
+            assert np.array_equal(a.mat.indices, b.mat.indices)
         assert all(l1.labels_of(v) == l2.labels_of(v) for v in range(60))
 
     def test_pure_communities_fully_recovered(self):
@@ -127,7 +127,7 @@ class TestGenerator:
         graph, labels = mvne.generate_multiview_sbm(spec)
         for adj in graph.views:
             adj.upper_index  # raises unless bit-exactly symmetric
-            assert (adj.values > 0).all()
+            assert (adj.mat.data > 0).all()
         sizes = np.bincount(community_array(labels, 50), minlength=2)
         assert sizes.sum() == 50
 
