@@ -16,8 +16,8 @@ import shutil
 import signal
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager, suppress
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 
 import numpy as np
 
@@ -216,36 +216,30 @@ def read(path, start: int, end: int, read_span) -> list:
     return run(line_cuts(path, start, end), part)
 
 
-@contextmanager
 def threads(count: int, parts: int):
-    """Yield (cuts, map): the cuts of split(count, parts), and a map over k parts.
+    """(cuts, map): the cuts of split(count, parts), and a map over their k parts.
 
     map(fn, items) takes one item per part and returns [fn(item) for item in
     items]. fn(items[0]) runs in the calling thread; every later item in a
-    thread of this block, under the caller's numpy error state, which a
-    thread does not inherit. map returns or raises only once every part has
-    finished, and raises the exception of the first part, in part order, that
-    raised. Up to k - 1 threads start with the first map and are joined when
-    the block exits; with one part, no thread starts.
+    thread that this call starts, under the caller's numpy error state, which
+    a thread does not inherit. map joins its threads before it returns or
+    raises, and raises the exception of the first part, in part order, that
+    raised; so no thread outlives one call, and with one part none starts.
     """
     cuts = split(count, parts)
-    if len(cuts) == 2:
-        yield cuts, lambda fn, items: [fn(items[0])]
-        return
-    with ThreadPoolExecutor(len(cuts) - 2, thread_name_prefix="mvne-part") as pool:
 
-        def map(fn, items):
-            err, call = np.geterr(), np.geterrcall()
+    def map(fn, items):
+        if len(items) == 1:
+            return [fn(items[0])]
+        err, call = np.geterr(), np.geterrcall()
 
-            def part(item):
-                with np.errstate(call=call, **err):
-                    return fn(item)
+        def part(item):
+            with np.errstate(call=call, **err):
+                return fn(item)
 
+        with ThreadPoolExecutor(len(items) - 1, thread_name_prefix="mvne-part") as pool:
             futures = [pool.submit(part, item) for item in items[1:]]
-            try:
-                first = fn(items[0])
-            finally:
-                wait(futures)
-            return [first] + [future.result() for future in futures]
+            first = fn(items[0])
+        return [first] + [future.result() for future in futures]
 
-        yield cuts, map
+    return cuts, map

@@ -19,8 +19,8 @@ import warnings
 from . import __version__
 from .evaluate import EvalProtocol, run_protocol
 from .factorize import FactorizeConfig, embedding, factorize, write_run_metadata
-from .graph import (ParseError, build_multiview, load_labels, read_embedding, read_manifest,
-                    view_stats, write_edge_list, write_embedding)
+from .graph import (ParseError, _naming, build_multiview, load_labels, read_embedding,
+                    read_manifest, view_stats, write_edge_list, write_embedding)
 from .multiview import MvneConfig, ViewWeights, combine_as_configured
 from .testkit import SbmSpec, dataset_files, dump_dataset, generate_multiview_sbm
 
@@ -111,7 +111,8 @@ def _views(args):
     (flag, path) of every file embed or stats reads; parses no edge list."""
     if not args.manifest:
         return [("view0", args.edges)], [("--edges", args.edges)]
-    views = read_manifest(args.manifest)
+    with _naming(f"--manifest {args.manifest}: "):
+        views = read_manifest(args.manifest)
     return views, [("--manifest", args.manifest)] + [
         (f"--manifest view {name!r}", path) for name, path in views]
 
@@ -197,8 +198,10 @@ def cmd_eval(args) -> int:
     protocol = _config(EvalProtocol, args)
     _check_out_paths({"--json": args.json, "--tsv": args.tsv},
                      [("--embedding", args.embedding), ("--labels", args.labels)])
-    names, X = read_embedding(args.embedding)
-    labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
+    with _naming(f"--embedding {args.embedding}: "):
+        names, X = read_embedding(args.embedding)
+    with _naming(f"--labels {args.labels}: "):
+        labels = load_labels(args.labels, {name: i for i, name in enumerate(names)})
     report = run_protocol(X, labels, protocol)
     doc = report.to_dict()
     if args.json:

@@ -26,16 +26,16 @@ up to 4 after an accepted candidate and halves down to 1 after a rejected
 one. A rejected candidate costs a second kernel pass, for the plain step,
 so a fit makes iterations + 1 + rejected_steps passes.
 
-A pass runs in up to one part per usable core (``_parts.threads``): the
-parts split the entries, never a sum, so the fit's every bit is the same
-for any number of parts.
+A pass runs in up to one part per usable core, each part after the first
+in a thread that lives for one kernel step (``_parts.threads``): the parts
+split the entries, never a sum, so the fit's every bit is the same for any
+number of parts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,11 +44,13 @@ import scipy.sparse as sp
 from . import _parts
 from .graph import _TINY, SparseAdjacency
 
-# Stored entries per block of the edge kernel; its two gathers hold
-# _BLOCK x d floats each (1 MB at d = 64) per part, allocated once per fit.
-_BLOCK = 2048
+# Floats per gather of the edge kernel: a block of _BLOCK_FLOATS // d stored
+# entries, so each part's two gathers hold 1 MiB each at any d. Fixed
+# 2,048-entry blocks ran the d = 16 sbm_converge fits 7% slower (two blocks
+# a part, not one); at d = 128, 8 MiB blocks ran 29% slower.
+_BLOCK_FLOATS = 1 << 17
 # The fewest i <= j entries worth a kernel part, and a thread, of their own.
-# Handing parts to threads costs about 50 us per kernel step, four steps a
+# Starting and joining a step's threads costs about 140 us, four steps a
 # pass; 2^16 entries at d = 64 take about 10 ms to reconstruct.
 _PART_ENTRIES = 1 << 16
 # The relaxed step's exponent grows by _GROW up to _MAX_EXPONENT; caps 2 and 8
@@ -169,7 +171,7 @@ class _EdgePlan:
     the weights' unit, and read lam' = colsum(B') from it.
     """
 
-    def __init__(self, adj: SparseAdjacency, d: int, epsilon: float, cuts: list, map):
+    def __init__(self, adj: SparseAdjacency, d: int, epsilon: float):
         self.pos, self.rows, self.cols, self.mirror = adj.upper_index
         self.w = adj.mat.data
         # The weights' unit, a normal float as SparseAdjacency refuses a smaller
@@ -179,32 +181,28 @@ class _EdgePlan:
         self.total = total / self.unit
         self.floor = epsilon * self.total
         self.yhat = np.empty(adj.nnz)
-        self.map = map
+        self.block = max(1, _BLOCK_FLOATS // d)
+        m = self.pos.size
+        cuts, self.map = _parts.threads(-(-m // self.block), m // _PART_ENTRIES)
+        cuts = [min(c * self.block, m) for c in cuts]
         # rows cut where the parts hold near-equal shares of the stored entries
         k = len(cuts) - 1
         row_cuts = np.searchsorted(adj.mat.indptr, [adj.nnz * i // k for i in range(k)])
         row_cuts = [*row_cuts.tolist(), adj.n]
-        self.parts = [_Part(adj.mat, d, cuts[i], cuts[i + 1], row_cuts[i], row_cuts[i + 1])
-                      for i in range(k)]
-
-    @classmethod
-    @contextmanager
-    def open(cls, adj: SparseAdjacency, d: int, epsilon: float):
-        m = adj.upper_index.pos.size
-        with _parts.threads(-(-m // _BLOCK), m // _PART_ENTRIES) as (cuts, map):
-            yield cls(adj, d, epsilon, [min(c * _BLOCK, m) for c in cuts], map)
+        self.parts = [_Part(adj.mat, d, self.block, lo, hi, r0, r1)
+                      for lo, hi, r0, r1 in zip(cuts, cuts[1:], row_cuts, row_cuts[1:])]
 
     def measure(self, mass: np.ndarray) -> float:
         """The objective of B = unit * mass, in units, with R and lam_safe set for update(mass)."""
         lam = mass.sum(axis=0)
         self.lam_safe = np.where(lam > 0, lam, np.inf)
         Bl = mass / self.lam_safe[None, :]
-        w, yhat, unit = self.w, self.yhat, self.unit
+        w, yhat, unit, block = self.w, self.yhat, self.unit, self.block
 
         def reconstruct(p):
             left, right, half = p.left, p.right, p.half
-            for s in range(p.lo, p.hi, _BLOCK):
-                e = min(s + _BLOCK, p.hi)
+            for s in range(p.lo, p.hi, block):
+                e = min(s + block, p.hi)
                 k = e - s
                 # CSR indices are in range; mode="clip" spares take() the bounds
                 # check that makes it gather through an extra buffer.
@@ -268,7 +266,8 @@ class _EdgePlan:
 class _Part:
     """One part of an _EdgePlan's kernel, with the buffers it writes alone."""
 
-    def __init__(self, mat: sp.csr_array, d: int, lo: int, hi: int, r0: int, r1: int):
+    def __init__(self, mat: sp.csr_array, d: int, block: int, lo: int, hi: int, r0: int,
+                 r1: int):
         self.lo, self.hi = lo, hi
         self.rows = slice(r0, r1)
         a, b = int(mat.indptr[r0]), int(mat.indptr[r1])
@@ -278,7 +277,7 @@ class _Part:
         self.R = sp.csr_array((np.empty(b - a), mat.indices[a:b], mat.indptr[r0:r1 + 1] - a),
                               shape=(r1 - r0, mat.shape[1]))
         self.R.indices = mat.indices[a:b]
-        self.left = np.empty((min(_BLOCK, hi - lo), d))
+        self.left = np.empty((min(block, hi - lo), d))
         self.right = np.empty_like(self.left)
         self.half = np.empty(self.left.shape[0])
 
@@ -293,8 +292,8 @@ def kl_objective(adj: SparseAdjacency, fac: Factorization,
     sum_p colsum(B)_p^2 / lam_p folds to sum(B) since lam = colsum(B), so
     the cost is O(|E| d + n d).
     """
-    with _EdgePlan.open(adj, fac.d, epsilon) as plan:
-        return plan.unit * plan.measure(fac.mass / plan.unit)
+    plan = _EdgePlan(adj, fac.d, epsilon)
+    return plan.unit * plan.measure(fac.mass / plan.unit)
 
 
 def update_step(adj: SparseAdjacency, fac: Factorization,
@@ -304,10 +303,10 @@ def update_step(adj: SparseAdjacency, fac: Factorization,
     The ratio form does not increase kl_objective and preserves the
     row-sum and mass constraints exactly (up to float rounding).
     """
-    with _EdgePlan.open(adj, fac.d, config.epsilon if config else _EPSILON) as plan:
-        mass = fac.mass / plan.unit
-        plan.measure(mass)
-        return Factorization(plan.update(mass) * plan.unit)
+    plan = _EdgePlan(adj, fac.d, config.epsilon if config else _EPSILON)
+    mass = fac.mass / plan.unit
+    plan.measure(mass)
+    return Factorization(plan.update(mass) * plan.unit)
 
 
 def _overflow(kind, flag):
@@ -331,30 +330,30 @@ def factorize(adj: SparseAdjacency, config: FactorizeConfig) -> Factorization:
     """
     if adj.total_weight <= 0:
         raise ValueError("graph has no edges; total weight is zero")
-    with _EdgePlan.open(adj, config.d, config.epsilon) as plan:
-        mass = init_factorization(adj.n, config, plan.total).mass
-        obj = plan.measure(mass)
-        trace = [obj]
-        stop_reason = "max_iters"
-        t, rejected = 1.0, 0
-        for it in range(1, config.max_iters + 1):
-            step, prev = plan.update(mass), obj
-            if t > 1:
-                mass = plan.relax(mass, step, t)
-                obj = plan.measure(mass)
-            if t > 1 and obj < prev:
-                t = min(_GROW * t, _MAX_EXPONENT)
-                # the next update then holds two n x d arrays, not three
-                del step
-            else:
-                rejected += t > 1
-                t = max(t / 2, 1.0) if t > 1 else _GROW
-                mass = step
-                obj = plan.measure(mass)
-            trace.append(obj)
-            if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
-                stop_reason = "tolerance"
-                break
+    plan = _EdgePlan(adj, config.d, config.epsilon)
+    mass = init_factorization(adj.n, config, plan.total).mass
+    obj = plan.measure(mass)
+    trace = [obj]
+    stop_reason = "max_iters"
+    t, rejected = 1.0, 0
+    for it in range(1, config.max_iters + 1):
+        step, prev = plan.update(mass), obj
+        if t > 1:
+            mass = plan.relax(mass, step, t)
+            obj = plan.measure(mass)
+        if t > 1 and obj < prev:
+            t = min(_GROW * t, _MAX_EXPONENT)
+            # the next update then holds two n x d arrays, not three
+            del step
+        else:
+            rejected += t > 1
+            t = max(t / 2, 1.0) if t > 1 else _GROW
+            mass = step
+            obj = plan.measure(mass)
+        trace.append(obj)
+        if prev - obj < config.rel_tol * max(abs(prev), 1e-300):
+            stop_reason = "tolerance"
+            break
     mass *= plan.unit
     trace = np.multiply(trace, plan.unit).tolist()
     run = RunMetadata(

@@ -448,22 +448,36 @@ def build_multiview(manifest) -> MultiViewGraph:
 
     All views are indexed against one shared registry (the union of node
     identifiers across views), in first-appearance order over the views in
-    manifest order. Each source is parsed by parse_edges. An adjacency's
-    ValueError names its view; a repeated view name raises ValueError before
-    any source is parsed.
+    manifest order. Each source is parsed by parse_edges. A view's parse,
+    decode or adjacency error names its view and source; a repeated view
+    name raises ValueError before any source is parsed.
     """
     manifest = list(manifest)
     names = [name for name, _ in manifest]
     _refuse_repeated_view_names(names)
     registry = NodeRegistry()
-    parsed = [parse_edges(source, registry) for _, source in manifest]
-    views = []
-    for (name, source), triples in zip(manifest, parsed):
-        try:
+    where = [f"view {name!r} ({source}): " for name, source in manifest]
+    parsed, views = [], []
+    for prefix, (_, source) in zip(where, manifest):
+        with _naming(prefix):
+            parsed.append(parse_edges(source, registry))
+    for prefix, triples in zip(where, parsed):
+        with _naming(prefix):
             views.append(SparseAdjacency.from_undirected(*triples, len(registry)))
-        except ValueError as exc:
-            raise ValueError(f"view {name!r} ({source}): {exc}") from exc
     return MultiViewGraph(registry=registry, view_names=names, views=views)
+
+
+@contextmanager
+def _naming(prefix: str):
+    """Put prefix before the message of a ValueError raised in the block; a
+    ParseError stays one, with its line number."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (prefix + str(exc),)
+        raise
+    except ValueError as exc:
+        raise ValueError(prefix + str(exc)) from exc
 
 
 def read_manifest(path):

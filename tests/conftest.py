@@ -25,6 +25,17 @@ def per_entry_edge_list(adj, reg):
                    for p, i, j in zip(pos, rows, cols))
 
 
+def sample_in_parts(monkeypatch, sample):
+    """Call sample() in every part of every _parts.threads map, first thing."""
+    threads = _parts.threads
+
+    def sampled(count, parts):
+        cuts, map = threads(count, parts)
+        return cuts, lambda fn, items: map(lambda item: sample() or fn(item), items)
+
+    monkeypatch.setattr(_parts, "threads", sampled)
+
+
 def argmax_purity(H, z, c):
     """Majority-true-label purity of the argmax community assignment."""
     km = np.asarray(H).argmax(axis=1)

@@ -68,6 +68,7 @@ def test_parts_is_used_only_through_read_write_and_threads():
 # Each (importer, source, name) of a private name one module imports from
 # another; a new coupling between modules is an edit here.
 PRIVATE_IMPORTS = [
+    ("cli", "graph", "_naming"),
     ("evaluate", "factorize", "_json_text"),
     ("factorize", "graph", "_TINY"),
 ]

@@ -18,9 +18,8 @@ import mvne
 import mvne.cli
 from mvne import _parts
 from mvne.cli import main
-from mvne.factorize import _EdgePlan
 
-from conftest import per_entry_edge_list
+from conftest import per_entry_edge_list, sample_in_parts
 
 
 factorize_module = importlib.import_module("mvne.factorize")  # mvne.factorize is the function
@@ -133,10 +132,9 @@ class TestEmbed:
         assert run([*args, "--out", tmp_path / "one.txt"]) == 0
         monkeypatch.setattr(_parts, "_CORES", 3)
         monkeypatch.setattr(factorize_module, "_PART_ENTRIES", 1)
-        monkeypatch.setattr(factorize_module, "_BLOCK", 16)
-        measure, during = _EdgePlan.measure, []
-        monkeypatch.setattr(_EdgePlan, "measure", lambda plan, mass: (
-            during.append(os_threads()) or measure(plan, mass)))
+        monkeypatch.setattr(factorize_module, "_BLOCK_FLOATS", 16 * 4)  # 16-entry blocks
+        during = []
+        sample_in_parts(monkeypatch, lambda: during.append((threading.get_ident(), os_threads())))
         started, before = threading.active_count(), os_threads()
         assert run([*args, "--out", tmp_path / "three.txt"]) == 0
         assert threading.active_count() == started
@@ -145,7 +143,8 @@ class TestEmbed:
         while os_threads() != before and time.monotonic() < deadline:
             time.sleep(0.001)
         assert os_threads() == before
-        assert max(during) > before
+        assert any(ident != threading.get_ident() for ident, _ in during)
+        assert max(count for _, count in during) > before
         assert (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
     def test_fits_what_the_library_fits(self, tmp_path, dataset):
@@ -684,6 +683,65 @@ class TestChecksBeforeInput:
             assert run(["embed", "--manifest", manifest, *flags, "--out", tmp_path / "e.txt"]) == 2
         assert caught == []
         assert "the fit overflows float64" in capsys.readouterr().err
+
+
+class TestInputErrorsNameTheirFile:
+    """A parse or decode error in a view, the manifest or an eval input names its file."""
+
+    @staticmethod
+    def manifest(tmp_path, second: bytes):
+        (tmp_path / "v1.edges").write_text("a\tb\nb\tc\n")
+        (tmp_path / "v2.edges").write_bytes(second)
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text("v1\tv1.edges\nv2\tv2.edges\n")
+        return manifest
+
+    @staticmethod
+    def command(name, manifest, tmp_path):
+        out = ["-d", 2, "--out", tmp_path / "e.txt"] if name == "embed" else []
+        return [name, "--manifest", manifest, *out]
+
+    @pytest.mark.parametrize("name", ["embed", "stats"])
+    def test_bad_weight_in_a_second_view(self, tmp_path, capsys, name):
+        manifest = self.manifest(tmp_path, b"a\tb\t1\nb\tc\tx\n")
+        assert run(self.command(name, manifest, tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            f"mvne: view 'v2' ({tmp_path / 'v2.edges'}): line 2: bad weight 'x'\n"
+        with pytest.raises(mvne.ParseError) as exc:
+            mvne.build_multiview(mvne.read_manifest(manifest))
+        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("name", ["embed", "stats"])
+    def test_invalid_utf8_in_a_second_view(self, tmp_path, capsys, name):
+        manifest = self.manifest(tmp_path, b"a\tb\t1\nb\xff\tc\t1\n")
+        assert run(self.command(name, manifest, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"mvne: invalid input: view 'v2' ({tmp_path / 'v2.edges'}): 'utf-8' codec can't "
+            "decode byte 0xff in position 7: invalid start byte\n")
+
+    @pytest.mark.parametrize("name", ["embed", "stats"])
+    def test_bad_manifest_line(self, tmp_path, capsys, name):
+        manifest = tmp_path / "views.manifest"
+        manifest.write_text("v1\tv1.edges\tx\n")
+        assert run(self.command(name, manifest, tmp_path)) == 2
+        assert capsys.readouterr().err == \
+            f"mvne: --manifest {manifest}: line 1: expected `view_name<TAB>path`\n"
+
+    def test_unknown_label_id(self, tmp_path, capsys):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        mvne.write_embedding(emb, np.eye(2), ["a", "b"])
+        labels.write_text("a\tc0\nzz\tc1\n")
+        assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
+        assert capsys.readouterr().err == \
+            f"mvne: --labels {labels}: line 2: 1 unknown node identifier(s): 'zz'\n"
+
+    def test_nan_in_the_embedding(self, tmp_path, capsys):
+        emb, labels = tmp_path / "emb.txt", tmp_path / "labels.tsv"
+        emb.write_text("2 2\na 0.5 0.5\nb nan 0.5\n")
+        labels.write_text("a\tc0\nb\tc1\n")
+        assert run(["eval", "--embedding", emb, "--labels", labels]) == 2
+        assert capsys.readouterr().err == (f"mvne: --embedding {emb}: line 3: embedding file: "
+                                           "node 'b' has a NaN or infinite value\n")
 
 
 class TestStats:

@@ -13,10 +13,10 @@ import scipy.sparse as sp
 
 import mvne
 from mvne import _parts
-from mvne.factorize import _BLOCK, _EdgePlan
+from mvne.factorize import _BLOCK_FLOATS, _EdgePlan
 from mvne.graph import ParseError
 
-from conftest import coo_rows, make_adjacency
+from conftest import coo_rows, make_adjacency, sample_in_parts
 from oracles import (dense_kl_objective, dense_update_step, random_weighted_graph,
                      reconstruct_dense)
 
@@ -63,8 +63,8 @@ def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
         assert cur.run.objective_trace == run.objective_trace[:k + 1]
         step = mvne.update_step(adj, prev, cfg).mass
         if t > 1 and not np.array_equal(cur.mass, step):
-            with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
-                cand = plan.relax(prev.mass / plan.unit, step / plan.unit, t) * plan.unit
+            plan = _EdgePlan(adj, cfg.d, cfg.epsilon)
+            cand = plan.relax(prev.mass / plan.unit, step / plan.unit, t) * plan.unit
             assert np.array_equal(cur.mass, cand)
             t = min(factorize_module._GROW * t, factorize_module._MAX_EXPONENT)
         else:
@@ -77,6 +77,11 @@ def assert_fit_matches_stepwise(adj, cfg, monkeypatch):
     for name in ("H", "lam", "mass"):
         assert np.array_equal(getattr(fit, name), getattr(prev, name))
     return run
+
+
+def force_block(monkeypatch, entries, d):
+    """Give the edge kernel at d blocks of `entries` stored entries, through its float budget."""
+    monkeypatch.setattr(factorize_module, "_BLOCK_FLOATS", entries * d)
 
 
 def force_parts(monkeypatch, parts):
@@ -103,7 +108,7 @@ def edges_150k():
     rng = np.random.default_rng(5)
     adj = mvne.SparseAdjacency.from_undirected(
         rng.integers(0, n, 150_000), rng.integers(0, n, 150_000), np.ones(150_000), n)
-    assert adj.nnz > 16 * _BLOCK
+    assert adj.nnz > 16 * (_BLOCK_FLOATS // 32)  # 16 blocks at d = 32
     adj.upper_index  # the symmetry cache is built once per adjacency, not per fit
     return adj
 
@@ -210,17 +215,18 @@ class TestObjective:
 
 
 class TestEdgeKernel:
-    def test_matches_dense_reconstruction_across_blocks(self):
+    def test_matches_dense_reconstruction_across_blocks(self, monkeypatch):
         # more than one block of upper-half entries, plus self-loops; the
         # kernel's ratio is w / yhat, yhat floored at epsilon times sum(W)
         n = 300
         adj = loops_and_isolated_node(n, 0.4, 41, 25)
-        assert adj.upper_index.pos.size > _BLOCK
+        force_block(monkeypatch, 2048, 6)
+        assert adj.upper_index.pos.size > 2048
         cfg = small_config(6, seed=41)
         fac = mvne.update_step(adj, mvne.init_factorization(n + 1, cfg, adj.total_weight), cfg)
-        with _EdgePlan.open(adj, fac.d, cfg.epsilon) as plan:
-            plan.measure(fac.mass / plan.unit)
-            got = np.concatenate([part.R.data for part in plan.parts])
+        plan = _EdgePlan(adj, fac.d, cfg.epsilon)
+        plan.measure(fac.mass / plan.unit)
+        got = np.concatenate([part.R.data for part in plan.parts])
         floor = cfg.epsilon * adj.total_weight
         dense = reconstruct_dense(fac)[coo_rows(adj), adj.mat.indices]
         ref = adj.mat.data / np.maximum(dense, floor)
@@ -230,15 +236,14 @@ class TestEdgeKernel:
 
     def test_plan_reads_the_adjacency_index_without_a_copy(self, monkeypatch):
         adj = random_weighted_graph(40, 0.3, 23)
-        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_block(monkeypatch, 7, 4)
         force_parts(monkeypatch, 3)
-        with _EdgePlan.open(adj, 4, 1e-12) as plan:
-            for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror),
-                                   adj.upper_index):
-                assert np.shares_memory(mine, owned)
-            assert len(plan.parts) == 3
-            for part in plan.parts:
-                assert np.shares_memory(part.R.indices, adj.mat.indices)
+        plan = _EdgePlan(adj, 4, 1e-12)
+        for mine, owned in zip((plan.pos, plan.rows, plan.cols, plan.mirror), adj.upper_index):
+            assert np.shares_memory(mine, owned)
+        assert len(plan.parts) == 3
+        for part in plan.parts:
+            assert np.shares_memory(part.R.indices, adj.mat.indices)
 
     def test_factorize_trace_matches_stepwise(self, monkeypatch):
         adj = random_weighted_graph(40, 0.3, 23)
@@ -252,21 +257,20 @@ class TestEdgeKernel:
         assert run.rejected_steps >= 1
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
-    @pytest.mark.parametrize("n, block", [(40, 7), (300, _BLOCK)])
+    @pytest.mark.parametrize("n, block", [(40, 7), (300, 2048)])
     def test_factorize_trace_matches_stepwise_loops_isolated_blocks(self, monkeypatch,
                                                                     n, block, parts):
         # the stepwise replay holds for every part count, and the fit's bits
         # are those of one part; a short switch interval stirs the threads
-        monkeypatch.setattr(factorize_module, "_BLOCK", block)
         adj = loops_and_isolated_node(n, 0.3, 23, 6)
         assert adj.upper_index.pos.size > block
         assert adj.degrees()[-1] == 0
         cfg = small_config(5, seed=23, max_iters=30)
+        force_block(monkeypatch, block, cfg.d)
         monkeypatch.setattr(_parts, "_CORES", 1)
         one = mvne.factorize(adj, cfg)
         force_parts(monkeypatch, parts)
-        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
-            assert len(plan.parts) == parts
+        assert len(_EdgePlan(adj, cfg.d, cfg.epsilon).parts) == parts
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -278,6 +282,18 @@ class TestEdgeKernel:
         assert fit.mass.tobytes() == one.mass.tobytes()
         assert fit.run.objective_trace == one.run.objective_trace
         assert fit.run.rejected_steps == one.run.rejected_steps
+
+    @pytest.mark.parametrize("d", [1, 8, 16, 64])
+    def test_fit_bits_do_not_depend_on_the_block(self, monkeypatch, d):
+        # the default block is 2^17 // d entries, one block of this graph at d <= 64
+        adj = loops_and_isolated_node(40, 0.3, 23, 6)
+        cfg = small_config(d, seed=23, max_iters=10)
+        assert _EdgePlan(adj, d, cfg.epsilon).block == _BLOCK_FLOATS // d
+        default = mvne.factorize(adj, cfg)
+        force_block(monkeypatch, 7, d)
+        seven = mvne.factorize(adj, cfg)
+        assert seven.mass.tobytes() == default.mass.tobytes()
+        assert seven.run.objective_trace == default.run.objective_trace
 
     @pytest.mark.parametrize("rows, cols, weights", [
         ([0, 1], [1, 2], [1.0, 1.0]),  # structure
@@ -320,14 +336,12 @@ class TestEdgeKernel:
         assert peak < 0.25 * adj.nnz * d * 8
 
     def test_no_part_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_block(monkeypatch, 7, 5)
         force_parts(monkeypatch, 3)
         adj = loops_and_isolated_node(40, 0.3, 23, 6)
         cfg = small_config(5, seed=23, max_iters=5)
         before, during = threading.active_count(), []
-        measure = _EdgePlan.measure
-        monkeypatch.setattr(_EdgePlan, "measure", lambda plan, mass: (
-            during.append(threading.active_count()) or measure(plan, mass)))
+        sample_in_parts(monkeypatch, lambda: during.append(threading.active_count()))
         fac = mvne.factorize(adj, cfg)
         assert max(during) > before
         assert threading.active_count() == before
@@ -345,10 +359,10 @@ class TestEdgeKernel:
         monkeypatch.setattr(_parts, "_CORES", 1)
         with pytest.raises(ValueError, match="overflows float64") as one:
             mvne.factorize(adj, cfg)
-        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_block(monkeypatch, 7, cfg.d)
         force_parts(monkeypatch, 2)
-        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
-            assert plan.parts[1].rows.start < 20  # every overflowing row is in part 1
+        # every overflowing row is in part 1
+        assert _EdgePlan(adj, cfg.d, cfg.epsilon).parts[1].rows.start < 20
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError) as two:
@@ -420,15 +434,14 @@ class TestUpdateStep:
     @pytest.mark.parametrize("parts", [1, 3])
     def test_zero_mass_column_matches_dense_and_stays_zero(self, monkeypatch, parts):
         # no fit reaches a community with no mass: the kernel divides it by inf
-        monkeypatch.setattr(factorize_module, "_BLOCK", 7)
+        force_block(monkeypatch, 7, 4)
         adj = random_weighted_graph(40, 0.3, 23)
         cfg = small_config(4, seed=23)
         mass = mvne.init_factorization(40, cfg, adj.total_weight).mass
         mass[:, 2] = 0.0
         fac = mvne.Factorization(mass)
         force_parts(monkeypatch, parts)
-        with _EdgePlan.open(adj, cfg.d, cfg.epsilon) as plan:
-            assert len(plan.parts) == parts
+        assert len(_EdgePlan(adj, cfg.d, cfg.epsilon).parts) == parts
         W = adj.mat.toarray()
         assert mvne.kl_objective(adj, fac, cfg.epsilon) == pytest.approx(
             dense_kl_objective(W, fac, cfg.epsilon), rel=1e-12)

@@ -489,17 +489,21 @@ def test_thread_map_joins_every_part_and_raises_the_first_failure(monkeypatch):
         done.append(i)
         raise KeyError(i)
 
-    with _parts.threads(3, 3) as (cuts, map):
-        assert cuts == [0, 1, 2, 3]
-        idents = map(lambda i: threading.get_ident(), [0, 1, 2])
-        assert idents[0] == threading.get_ident() not in idents[1:]
-        assert threading.active_count() > before
-        with pytest.raises(KeyError, match="0"):
-            map(fail, [0, 1, 2])
-        assert sorted(done) == [0, 1, 2]
-        done.clear()
-        with pytest.raises(KeyError, match="1"):
-            map(lambda i: i and fail(i), [0, 1, 2])
-        assert sorted(done) == [1, 2]
+    cuts, map = _parts.threads(3, 3)
+    assert cuts == [0, 1, 2, 3]
     assert threading.active_count() == before
+    seen = map(lambda i: (threading.get_ident(), threading.active_count()), [0, 1, 2])
+    idents = [ident for ident, _ in seen]
+    assert idents[0] == threading.get_ident() not in idents[1:]
+    assert min(count for _, count in seen) > before  # the map's threads ran beside every part
+    assert threading.active_count() == before
+    with pytest.raises(KeyError, match="0"):
+        map(fail, [0, 1, 2])
+    assert threading.active_count() == before
+    assert sorted(done) == [0, 1, 2]
+    done.clear()
+    with pytest.raises(KeyError, match="1"):
+        map(lambda i: i and fail(i), [0, 1, 2])
+    assert threading.active_count() == before
+    assert sorted(done) == [1, 2]
 
